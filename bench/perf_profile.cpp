@@ -121,12 +121,11 @@ BENCHMARK(BM_RefProfileEarliestFitContended)->Arg(256)->Arg(1024);
 
 // --- deep-queue cases (the ROADMAP's 10k+ reservation scenario) --------------
 //
-// BM_ProfileEarliestFitDeep queries a prebuilt deep profile (the gap index
-// pays per query); BM_ProfilePack* replays the conservative replan inner loop
-// — alternate earliest_fit and add_usage until `n` reservations are seated —
-// which is where deep queues spend their time. The Indexed/Linear pair is the
-// crossover measurement behind Profile::gap_index_threshold(); the Ref pair
-// records the speedup over the seed implementation.
+// BM_ProfileEarliestFitDeep queries a prebuilt deep profile; BM_ProfilePack
+// replays the conservative replan inner loop — alternate earliest_fit and
+// add_usage until `n` reservations are seated — which is where deep queues
+// spend their time. The Ref pairs record the speedup over the seed
+// implementation.
 
 template <typename ProfileT>
 void run_earliest_fit_deep(benchmark::State& state) {
@@ -195,31 +194,10 @@ void BM_ProfilePack(benchmark::State& state) { run_pack<Profile>(state); }
 void BM_RefProfilePack(benchmark::State& state) {
   run_pack<reference::ReferenceProfile>(state);
 }
-void BM_ProfilePackIndexed(benchmark::State& state) {
-  Profile::ThresholdGuard force(Profile::kForceIndex);
-  run_pack<Profile>(state);
-}
-void BM_ProfilePackLinear(benchmark::State& state) {
-  Profile::ThresholdGuard force(Profile::kDisableIndex);
-  run_pack<Profile>(state);
-}
-// BM_ProfilePack uses the production threshold; the Indexed/Linear variants
-// bracket it to expose the crossover. The seed pair stops at 4096 (its
-// quadratic restart scan already needs seconds per pass there).
+// The seed pair stops at 4096 (its quadratic restart scan already needs
+// seconds per pass there).
 BENCHMARK(BM_ProfilePack)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RefProfilePack)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProfilePackIndexed)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProfilePackLinear)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Unit(benchmark::kMillisecond);
 
 template <typename ProfileT>
 void run_fits_at(benchmark::State& state, std::uint64_t seed) {
@@ -233,6 +211,11 @@ void run_fits_at(benchmark::State& state, std::uint64_t seed) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// This pair reads about 0.85-0.95x, within a few ns per call. Both sides run
+// the same scan after a binary search. The optimized step_index first probes
+// its cursor hint, and these random-stride queries never hit it, so the hint
+// is pure overhead here. Scheduler scans are monotone and do hit it (the
+// EarliestFit pairs above).
 void BM_ProfileFitsAt(benchmark::State& state) { run_fits_at<Profile>(state, 3); }
 void BM_RefProfileFitsAt(benchmark::State& state) {
   run_fits_at<reference::ReferenceProfile>(state, 3);

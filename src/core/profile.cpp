@@ -1,37 +1,14 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
-
-#include "obs/obs.hpp"
 
 namespace psched {
 
 namespace {
 constexpr int kHintProbes = 2;  ///< forward probes before binary search
 }  // namespace
-
-// Crossover measured two ways (see the gap-index section of ROADMAP.md):
-// pure query/pack loops win from ~1k breakpoints
-// (bench/perf_profile BM_ProfilePackIndexed vs BM_ProfilePackLinear), while
-// the churn-heavy conservative compression pass — remove/re-fit/re-add per
-// queued job, which dirties and repairs aggregates at the same rate it
-// queries them — is noisier around the boundary. A threshold sweep over the
-// end-to-end deep-burst sims (bench/perf_schedulers BM_Sim*DeepQueue vs the
-// linear-scan BM_RefSim* twins, depths 2000/4000/10000) found 2048 to be
-// the value that is never worse than the linear scan at any depth and keeps
-// the deep-replan wins; higher gates (4096+) disable the index exactly
-// where plans hover around the boundary at peak queue depth. Shallow
-// profiles (EASY/CPlant scratch, FST) stay on the zero-bookkeeping linear
-// scan either way.
-std::size_t Profile::gap_index_threshold_ = 2048;
-
-std::size_t Profile::gap_index_threshold() { return gap_index_threshold_; }
-
-void Profile::set_gap_index_threshold(std::size_t threshold) { gap_index_threshold_ = threshold; }
 
 Profile::Profile(NodeCount capacity, Time origin) : capacity_(capacity), origin_(origin) {
   if (capacity <= 0) throw std::invalid_argument("Profile: capacity must be positive");
@@ -45,9 +22,6 @@ void Profile::reset(Time origin) {
   hint_ = 0;
   batch_depth_ = 0;
   batch_dirty_ = false;
-  index_built_ = false;
-  index_dirty_lo_ = 0;
-  index_dirty_hi_ = -1;
 }
 
 void Profile::advance_origin(Time now) {
@@ -55,9 +29,6 @@ void Profile::advance_origin(Time now) {
   const std::size_t i = step_index(now);
   if (i > 0) steps_.erase(steps_.begin(), steps_.begin() + static_cast<std::ptrdiff_t>(i));
   steps_.front().at = now;
-  // The front step moves into now's bucket; buckets before it become
-  // unreachable (no step time is ever below the origin again).
-  index_mark(now, now);
   origin_ = now;
   hint_ = 0;
 }
@@ -93,7 +64,6 @@ std::size_t Profile::ensure_breakpoint(Time t) {
   if (steps_[i].at == t) return i;
   steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1, {t, steps_[i].free});
   hint_ = i + 1;
-  index_mark(t, t);
   return i + 1;
 }
 
@@ -109,9 +79,6 @@ void Profile::coalesce_range(std::size_t lo, std::size_t hi) {
     steps_[out++] = steps_[i];
   }
   if (out < end) {
-    // No index_mark: coalescing only erases steps equal to their
-    // predecessor, so the free FUNCTION — which the bucket aggregates are
-    // computed over, via covering steps — is pointwise unchanged.
     steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(out),
                  steps_.begin() + static_cast<std::ptrdiff_t>(end));
     hint_ = out - 1;
@@ -124,11 +91,7 @@ void Profile::coalesce_all() {
     if (steps_[i].free == steps_[out - 1].free) continue;
     steps_[out++] = steps_[i];
   }
-  if (out < steps_.size()) {
-    // No index_mark — see coalesce_range: erasures leave the free function
-    // (and thus every bucket aggregate) unchanged.
-    steps_.resize(out);
-  }
+  steps_.resize(out);
   hint_ = 0;
 }
 
@@ -163,7 +126,6 @@ void Profile::add_usage(Time from, Time to, NodeCount nodes) {
     }
   }
   for (std::size_t i = first; i < last; ++i) steps_[i].free -= nodes;
-  index_mark(from, to);
   if (batch_depth_ == 0)
     coalesce_range(first, last);
   else
@@ -187,7 +149,6 @@ void Profile::remove_usage(Time from, Time to, NodeCount nodes) {
     }
   }
   for (std::size_t i = first; i < last; ++i) steps_[i].free += nodes;
-  index_mark(from, to);
   if (batch_depth_ == 0)
     coalesce_range(first, last);
   else
@@ -201,12 +162,7 @@ bool Profile::fits_at(Time start, Time duration, NodeCount nodes) const {
   if (nodes > capacity_) return false;
   if (duration <= 0 || nodes <= 0) return true;
   const Time end = start + duration;
-  const std::size_t i = step_index(start);
-  if (index_active()) {
-    index_sync();
-    return index_first_blocked_before(i, end, nodes) == kIndexNone;
-  }
-  for (std::size_t k = i; k < steps_.size() && steps_[k].at < end; ++k) {
+  for (std::size_t k = step_index(start); k < steps_.size() && steps_[k].at < end; ++k) {
     if (steps_[k].free < nodes) return false;
   }
   return true;
@@ -217,7 +173,6 @@ Time Profile::earliest_fit(Time earliest, Time duration, NodeCount nodes) const 
     throw std::invalid_argument("Profile::earliest_fit: job wider than machine");
   earliest = std::max(earliest, origin_);
   if (duration <= 0 || nodes <= 0) return earliest;
-  if (index_active()) return earliest_fit_indexed(earliest, duration, nodes);
 
   // Single forward pass: maintain the start of the current feasible run of
   // steps; the first candidate whose run extends `duration` past it wins.
@@ -230,375 +185,6 @@ Time Profile::earliest_fit(Time earliest, Time duration, NodeCount nodes) const 
   for (;;) {
     if (open && (i + 1 >= n || steps_[i + 1].at >= candidate + duration)) return candidate;
     ++i;
-    if (steps_[i].free >= nodes) {
-      if (!open) {
-        open = true;
-        candidate = steps_[i].at;
-      }
-    } else {
-      open = false;
-    }
-  }
-}
-
-// --- gap index ---------------------------------------------------------------
-
-namespace {
-/// Bucket sizing target: ~this many steps per bucket at (re)build time. A
-/// probe then amortizes over dozens of skipped steps while a lazy bucket
-/// rebuild stays cheap.
-constexpr std::size_t kStepsPerBucket = 32;
-/// Adaptive probe credit: each probe spends one credit; a successful skip
-/// earns credit proportional to the buckets it advanced. Queries whose
-/// probes don't pay for themselves run out of credit and degrade to the
-/// plain linear walk; skip-rich scans keep probing.
-constexpr int kProbeCredit = 8;        ///< initial credit per query
-constexpr int kProbeCreditCap = 64;    ///< earned credit ceiling
-/// An open-window swallow only pays once it skips several buckets: the
-/// sequential step walk costs ~1ns/step while a jump (aggregate run +
-/// gallop landing) costs a few hundred ns. Shorter runs are simply walked.
-constexpr std::size_t kMinSkipBuckets = 4;
-/// Probes start only after the scan has crossed this many bucket
-/// boundaries: short queries (the common case in compression passes, where
-/// a job re-fits at or near its old slot) never touch the index machinery.
-constexpr Time kProbeWarmupBuckets = 2;
-constexpr int kMaxClasses = 31;  ///< NodeCount is 32-bit; bit 31 marks min-stale
-constexpr std::uint32_t kAllStale = 0xFFFFFFFFu;
-constexpr std::uint32_t kMinStale = 0x80000000u;
-
-/// Width class with 2^c <= nodes (nodes >= 1): runs kept for class c are a
-/// superset of the true nodes-feasible runs, so skips stay safe. The shift
-/// is 64-bit: nodes >= 2^30 needs 2 << 30, which overflows 32-bit NodeCount.
-int width_class(NodeCount nodes) {
-  int c = 0;
-  while ((std::int64_t{2} << c) <= nodes) ++c;
-  return c;
-}
-}  // namespace
-
-bool Profile::index_active() const { return steps_.size() >= gap_index_threshold_; }
-
-void Profile::index_mark(Time lo, Time hi) {
-  if (index_dirty_lo_ > index_dirty_hi_) {
-    index_dirty_lo_ = lo;
-    index_dirty_hi_ = hi;
-    return;
-  }
-  index_dirty_lo_ = std::min(index_dirty_lo_, lo);
-  index_dirty_hi_ = std::max(index_dirty_hi_, hi);
-}
-
-void Profile::index_sync() const {
-  const std::size_t n = steps_.size();
-  const Time span_hi = steps_.back().at;
-  bool rebuild = !index_built_;
-  if (!rebuild) {
-    // Re-key when the population drifts far from target (4x hysteresis on
-    // both sides avoids thrash), deciding on the WOULD-BE bucket count
-    // before any resize: one far-future breakpoint can demand millions of
-    // buckets at the current width, and materializing those tables just to
-    // discard them in the rebuild below can exhaust memory. The too-fine
-    // test divides instead of multiplying so a huge horizon cannot
-    // overflow; past it, needed <= n/8 bounds the too-coarse product.
-    // The too-coarse test uses the SPAN's bucket count, not the table's:
-    // when a far-future reservation is removed the span collapses but the
-    // table keeps its trailing buckets, and judging coarseness by table
-    // size would leave the whole live region inside one bucket forever.
-    // advance_origin also funnels through here: dead leading buckets
-    // inflate the count until a rebuild re-anchors bucket_time0_ at the
-    // current origin.
-    const std::size_t span_buckets =
-        static_cast<std::size_t>((span_hi - bucket_time0_) >> bucket_shift_) + 1;
-    const std::size_t needed = std::max(span_buckets, bucket_dirty_.size());
-    if (needed > 16 && needed > n / (kStepsPerBucket / 4))
-      rebuild = true;  // too fine: fewer than ~8 steps per bucket
-    else if (n > span_buckets * kStepsPerBucket * 4)
-      rebuild = true;  // too coarse: probes would scan huge buckets
-    else if (needed > bucket_dirty_.size()) {
-      // Extend coverage to the current horizon (new buckets start dirty).
-      bucket_min_.resize(needed);
-      bucket_runs_.resize(needed * static_cast<std::size_t>(bucket_classes_));
-      bucket_dirty_.resize(needed, kAllStale);
-    }
-  }
-  if (rebuild) {
-    int classes = 1;
-    while ((NodeCount{1} << classes) <= capacity_ && classes < kMaxClasses - 1) ++classes;
-    bucket_classes_ = classes;
-    const Time span = std::max<Time>(1, span_hi - origin_ + 1);
-    const auto target = static_cast<Time>(std::max<std::size_t>(1, n / kStepsPerBucket));
-    int shift = 0;
-    while (shift < 62 && (span >> shift) + 1 > target) ++shift;
-    bucket_shift_ = shift;
-    bucket_time0_ = (origin_ >> shift) << shift;
-    const auto count = static_cast<std::size_t>((span_hi - bucket_time0_) >> shift) + 1;
-    bucket_min_.assign(count, 0);
-    bucket_runs_.assign(count * static_cast<std::size_t>(classes), BucketRuns{});
-    bucket_dirty_.assign(count, kAllStale);
-    index_built_ = true;
-    index_dirty_lo_ = 0;
-    index_dirty_hi_ = -1;
-    return;
-  }
-  if (index_dirty_lo_ <= index_dirty_hi_) {
-    // Clamp to the TABLE's coverage, not the current horizon: a removal can
-    // shrink the breakpoint span while buckets beyond it stay in the table
-    // (and stay reachable by scans), so their staleness must be recorded.
-    const Time lo = std::max(index_dirty_lo_, bucket_time0_);
-    if (lo <= index_dirty_hi_) {
-      const auto klo = static_cast<std::size_t>((lo - bucket_time0_) >> bucket_shift_);
-      const auto khi = std::min(
-          static_cast<std::size_t>((index_dirty_hi_ - bucket_time0_) >> bucket_shift_),
-          bucket_dirty_.size() - 1);
-      for (std::size_t k = klo; k <= khi; ++k) bucket_dirty_[k] = kAllStale;
-    }
-    index_dirty_lo_ = 0;
-    index_dirty_hi_ = -1;
-  }
-}
-
-void Profile::index_rebuild_min(std::size_t k) const {
-  const Time bstart = bucket_time0_ + (static_cast<Time>(k) << bucket_shift_);
-  const Time bend = bstart + (Time{1} << bucket_shift_);
-  const Time lo = std::max(bstart, origin_);
-  // The covering step (at <= lo) carries the free count into the bucket, so
-  // aggregates are over the free FUNCTION on the bucket's time range, not
-  // just member steps — which makes empty buckets exact, not a special case.
-  const auto before = [](Time value, const Step& s) { return value < s.at; };
-  auto it = std::upper_bound(steps_.begin(), steps_.end(), lo, before);
-  std::size_t idx = static_cast<std::size_t>(std::distance(steps_.begin(), it)) - 1;
-  const std::size_t n = steps_.size();
-  NodeCount mn = steps_[idx].free;
-  while (idx + 1 < n && steps_[idx + 1].at < bend) {
-    ++idx;
-    mn = std::min(mn, steps_[idx].free);
-  }
-  bucket_min_[k] = mn;
-  bucket_dirty_[k] &= ~kMinStale;
-}
-
-void Profile::index_rebuild_runs(std::size_t k, int c) const {
-  const Time bstart = bucket_time0_ + (static_cast<Time>(k) << bucket_shift_);
-  const Time bend = bstart + (Time{1} << bucket_shift_);
-  const Time lo = std::max(bstart, origin_);
-  const auto before = [](Time value, const Step& s) { return value < s.at; };
-  auto it = std::upper_bound(steps_.begin(), steps_.end(), lo, before);
-  std::size_t idx = static_cast<std::size_t>(std::distance(steps_.begin(), it)) - 1;
-  const NodeCount need = NodeCount{1} << c;
-  BucketRuns& runs = bucket_runs_[k * static_cast<std::size_t>(bucket_classes_) + c];
-  runs = BucketRuns{};
-  Time run = 0;
-  bool broke = false;
-  const std::size_t n = steps_.size();
-  Time seg_lo = lo;
-  while (seg_lo < bend) {
-    const Time seg_hi = (idx + 1 < n) ? std::min(steps_[idx + 1].at, bend) : bend;
-    if (steps_[idx].free >= need) {
-      run += seg_hi - seg_lo;
-    } else {
-      if (!broke) {
-        runs.pre = run;
-        broke = true;
-      }
-      runs.best = std::max(runs.best, run);
-      run = 0;
-    }
-    seg_lo = seg_hi;
-    ++idx;
-  }
-  if (!broke) runs.pre = run;
-  runs.best = std::max(runs.best, run);
-  runs.suf = run;
-  bucket_dirty_[k] &= ~(std::uint32_t{1} << c);
-}
-
-bool Profile::bucket_clear(std::size_t k, NodeCount nodes) const {
-  if (bucket_dirty_[k] & kMinStale) index_rebuild_min(k);
-  return bucket_min_[k] >= nodes;
-}
-
-std::size_t Profile::gallop_time(std::size_t i, Time t) const {
-  const std::size_t n = steps_.size();
-  if (i >= n || steps_[i].at >= t) return i;
-  std::size_t stride = 1;
-  std::size_t lo = i;  // known: at < t
-  while (lo + stride < n && steps_[lo + stride].at < t) {
-    lo += stride;
-    stride <<= 1;
-  }
-  const std::size_t hi = std::min(lo + stride, n);  // first candidate with at >= t (or n)
-  const auto it = std::lower_bound(steps_.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                                   steps_.begin() + static_cast<std::ptrdiff_t>(hi), t,
-                                   [](const Step& s, Time v) { return s.at < v; });
-  return static_cast<std::size_t>(std::distance(steps_.begin(), it));
-}
-
-namespace {
-
-/// Per-query gap-index tallies, flushed once on every exit path so the probe
-/// loops stay atomic-free; each flush line is a single relaxed load when
-/// tracing is disarmed. `credit` counts grants pre-cap (the raw skip reward,
-/// before kProbeCreditCap clamps the balance).
-struct GapIndexFlush {
-  std::uint64_t probes = 0;
-  std::uint64_t skips = 0;
-  std::uint64_t credit = 0;
-  ~GapIndexFlush() {
-    obs::count(obs::Counter::kGapIndexProbes, probes);
-    obs::count(obs::Counter::kGapIndexSkips, skips);
-    obs::count(obs::Counter::kGapIndexCreditEarned, credit);
-  }
-};
-
-}  // namespace
-
-std::size_t Profile::index_first_blocked_before(std::size_t l, Time end, NodeCount nodes) const {
-  GapIndexFlush tally;
-  const std::size_t n = steps_.size();
-  const std::size_t buckets = bucket_dirty_.size();
-  std::size_t i = l;
-  int credit = kProbeCredit;
-  // Cheap per-step boundary test: one time comparison against the start of
-  // the next probed bucket (recomputed only on crossings) instead of
-  // re-deriving bucket keys for every step.
-  Time next_bucket =
-      bucket_time0_ +
-      ((((steps_[i].at - bucket_time0_) >> bucket_shift_) + kProbeWarmupBuckets)
-       << bucket_shift_);
-  while (i < n && steps_[i].at < end) {
-    if (credit > 0 && steps_[i].at >= next_bucket) {
-      --credit;
-      ++tally.probes;
-      auto k = static_cast<std::size_t>((steps_[i].at - bucket_time0_) >> bucket_shift_);
-      const std::size_t k0 = k;
-      while (k < buckets && bucket_clear(k, nodes)) ++k;
-      if (k >= buckets) return kIndexNone;  // no blocker anywhere ahead
-      if (k - k0 >= kMinSkipBuckets) {
-        ++tally.skips;
-        tally.credit += (k - k0) >> 2;
-        credit = std::min(kProbeCreditCap, credit + static_cast<int>((k - k0) >> 2));
-        const Time t = bucket_time0_ + (static_cast<Time>(k) << bucket_shift_);
-        if (t >= end) return kIndexNone;  // next possible blocker is past the window
-        i = gallop_time(i, t);
-        next_bucket = t + (Time{1} << bucket_shift_);
-        continue;
-      }
-      next_bucket = bucket_time0_ + ((static_cast<Time>(k0) + 1) << bucket_shift_);
-    }
-    if (steps_[i].free < nodes) return i;
-    ++i;
-  }
-  return kIndexNone;
-}
-
-Time Profile::earliest_fit_indexed(Time earliest, Time duration, NodeCount nodes) const {
-  GapIndexFlush tally;
-  index_sync();
-  // The exact sliding-window pass of the linear scan, accelerated at bucket
-  // boundaries:
-  //   * While a window is open, a run of buckets whose min free clears
-  //     `nodes` cannot close it and is swallowed whole (the win-check
-  //     returns the same candidate whether it fires mid-run or at the
-  //     run's end).
-  //   * While hunting for a window start, per-class feasible-run aggregates
-  //     are composed across buckets (carrying the suffix run) until a
-  //     bucket is reached where a run of `duration` COULD start; the hunt
-  //     resumes stepwise at that run's recorded start. Runs are kept for
-  //     width 2^c <= nodes — a superset of the true feasible runs — so
-  //     skipped regions provably hold no window start, and a false
-  //     positive only costs the stepwise re-scan.
-  // Every step actually visited follows the linear pass exactly, so
-  // results do too.
-  const std::size_t n = steps_.size();
-  const std::size_t buckets = bucket_dirty_.size();
-  const int classes = bucket_classes_;
-  const Time width = Time{1} << bucket_shift_;
-  // The table only stores bucket_classes_ classes (capped at kMaxClasses-1);
-  // capacity_ >= 2^30 puts the widest jobs one class past that. Clamping
-  // down stays safe — a smaller width class keeps a superset of the true
-  // feasible runs — it only skips less.
-  const int wclass = std::min(width_class(nodes), bucket_classes_ - 1);
-  std::size_t i = step_index(earliest);
-  bool open = steps_[i].free >= nodes;  // a feasible window is in progress
-  Time candidate = earliest;
-  int credit = kProbeCredit;
-  Time next_bucket =
-      bucket_time0_ +
-      ((((steps_[i].at - bucket_time0_) >> bucket_shift_) + kProbeWarmupBuckets)
-       << bucket_shift_);
-  for (;;) {
-    if (open && (i + 1 >= n || steps_[i + 1].at >= candidate + duration)) return candidate;
-    ++i;
-    if (credit > 0 && steps_[i].at >= next_bucket) {
-      --credit;
-      ++tally.probes;
-      auto k = static_cast<std::size_t>((steps_[i].at - bucket_time0_) >> bucket_shift_);
-      const std::size_t k0 = k;
-      if (open) {
-        // Swallow whole clear buckets; only long runs pay for the jump.
-        while (k < buckets && bucket_clear(k, nodes)) ++k;
-        if (k - k0 >= kMinSkipBuckets || k >= buckets) {
-          ++tally.skips;
-          tally.credit += (k - k0) >> 2;
-          credit = std::min(kProbeCreditCap, credit + static_cast<int>((k - k0) >> 2));
-          if (k >= buckets) {
-            i = n - 1;  // everything to the tail is skippable
-          } else {
-            const Time t = bucket_time0_ + (static_cast<Time>(k) << bucket_shift_);
-            i = std::min(gallop_time(i, t), n - 1);
-          }
-          // The window may have completed inside the swallowed run: the
-          // top-of-loop check only sees the step after i, so test the
-          // landing step itself before it can close the window.
-          if (steps_[i].at >= candidate + duration) return candidate;
-          next_bucket = bucket_time0_ +
-                        ((((steps_[i].at - bucket_time0_) >> bucket_shift_) + 1) << bucket_shift_);
-        } else {
-          next_bucket = bucket_time0_ + ((static_cast<Time>(k0) + 1) << bucket_shift_);
-        }
-      } else {
-        // Hunt: compose per-class runs across buckets. Entering carry is
-        // zero because the current step is blocked.
-        Time carry = 0;
-        Time run_start = 0;
-        Time resume = -1;
-        for (;;) {
-          if (k >= buckets) {
-            // Off the table: the run containing the always-feasible tail is
-            // the only remaining place a window can start.
-            resume = run_start;  // carry > 0 is guaranteed by the tail step
-            break;
-          }
-          if (bucket_dirty_[k] & (std::uint32_t{1} << wclass)) index_rebuild_runs(k, wclass);
-          const BucketRuns& br = bucket_runs_[k * static_cast<std::size_t>(classes) + wclass];
-          const Time bstart = bucket_time0_ + (static_cast<Time>(k) << bucket_shift_);
-          const Time eff_lo = std::max(bstart, origin_);
-          const Time span = bstart + width - eff_lo;
-          if ((carry > 0 && carry + br.pre >= duration) || br.best >= duration) {
-            resume = carry > 0 ? run_start : eff_lo;
-            break;
-          }
-          if (br.pre >= span) {  // whole bucket feasible: the run continues
-            if (carry == 0) run_start = eff_lo;
-            carry += span;
-          } else if (br.suf > 0) {
-            carry = br.suf;
-            run_start = bstart + width - br.suf;
-          } else {
-            carry = 0;
-          }
-          ++k;
-        }
-        ++tally.skips;
-        tally.credit += (k - k0) >> 1;
-        credit = std::min(kProbeCreditCap, credit + static_cast<int>((k - k0) >> 1));
-        // Resume the exact linear machine at the covering step of `resume`
-        // (a run start is always a breakpoint or a proven-blocked instant).
-        i = gallop_time(i - 1, resume + 1) - 1;
-        next_bucket = bucket_time0_ + ((static_cast<Time>(std::min(k, buckets - 1)) + 1)
-                                       << bucket_shift_);
-      }
-    }
     if (steps_[i].free >= nodes) {
       if (!open) {
         open = true;

@@ -23,12 +23,8 @@
 //     blocking step (O(k^2) worst case).
 //   * A batch/transaction API lets replanners stage many reservations and
 //     pay for one normalization pass at commit.
-//   * Deep profiles (>= gap_index_threshold() breakpoints) carry a gap
-//     index: per-time-bucket (min, max) free aggregates. earliest_fit and
-//     fits_at skip whole buckets that cannot contain a window boundary —
-//     blocked runs while hunting for a start, feasible runs while extending
-//     one — instead of walking a 10k-reservation plan step by step. See
-//     "gap index" below.
+//   * Queries take the same path at every depth: a deep plan (10k+
+//     reservations) costs a longer walk, not a different algorithm.
 //
 // The pre-optimization implementation is preserved as
 // core/reference_profile.hpp; tests/test_core_profile_diff.cpp checks the
@@ -40,7 +36,6 @@
 // instance (as the FST engine does with its per-thread scratch).
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -103,69 +98,6 @@ class Profile {
 
   std::size_t breakpoints() const { return steps_.size(); }
 
-  // --- gap index ------------------------------------------------------------
-  //
-  // Once breakpoints() reaches the threshold, earliest_fit and fits_at route
-  // through per-TIME-BUCKET aggregates of the free-count timeline:
-  //
-  //   * min free over the bucket's time range — exact, used to swallow whole
-  //     buckets while a window is open (min >= width: it cannot close here)
-  //     and by fits_at's blocker hunt.
-  //   * feasible-run times (prefix/suffix/best) per power-of-two width
-  //     class — used while hunting for a window start. Composing suffix +
-  //     prefix runs across buckets tells the hunt "no window of this
-  //     duration can start before bucket K", so the packed prefix of a deep
-  //     plan — including feasible POCKETS shorter than the window — is
-  //     skipped in O(buckets) instead of O(steps). Runs are kept for widths
-  //     2^c <= w, a superset of the true w-runs, so a skip is always safe
-  //     and a false positive only costs a stepwise re-scan from the run's
-  //     recorded start.
-  //
-  // Keying the aggregates on time rather than breakpoint position is the
-  // other load-bearing decision: replan loops insert/erase breakpoints on
-  // every mutation, which shifts every later array position. A
-  // position-keyed index (segment tree or blocked array) is invalidated
-  // wholesale by each shift, and the rebuild work is anti-correlated with
-  // the scan it saves — measured 10x SLOWER than the linear scan on the
-  // deep pack loop. Time keying makes a mutation dirty only the buckets it
-  // touches (O(1) pending-range bookkeeping), so queries probe clean
-  // aggregates; dirty buckets are rebuilt lazily on first probe. A
-  // per-query probe-credit scheme stops consulting aggregates when probes
-  // don't pay for themselves (short skips), bounding the overhead.
-  //
-  // Query results are identical with the index on or off (the randomized
-  // diff tests force both paths against the reference implementation).
-  // The crossover below which the plain scan wins was measured with
-  // bench/perf_profile's BM_ProfilePackIndexed/BM_ProfilePackLinear pair —
-  // see the gap-index section of ROADMAP.md for the numbers.
-
-  /// Sentinels for set_gap_index_threshold / ThresholdGuard: force the
-  /// index on from the first breakpoint, or disable it entirely.
-  static constexpr std::size_t kForceIndex = 0;
-  static constexpr std::size_t kDisableIndex = static_cast<std::size_t>(-1);
-
-  /// Minimum breakpoints() before queries consult the gap index.
-  static std::size_t gap_index_threshold();
-  /// Override the crossover (kForceIndex / kDisableIndex for the extremes).
-  /// Process-global; meant for benchmarks and tests. Do not call while other
-  /// threads are running Profile queries.
-  static void set_gap_index_threshold(std::size_t threshold);
-
-  /// Scoped (exception-safe) override of the gap-index crossover, for
-  /// benchmarks and tests that compare the indexed and linear paths.
-  class ThresholdGuard {
-   public:
-    explicit ThresholdGuard(std::size_t threshold) : saved_(gap_index_threshold()) {
-      set_gap_index_threshold(threshold);
-    }
-    ~ThresholdGuard() { set_gap_index_threshold(saved_); }
-    ThresholdGuard(const ThresholdGuard&) = delete;
-    ThresholdGuard& operator=(const ThresholdGuard&) = delete;
-
-   private:
-    std::size_t saved_;
-  };
-
   /// Internal consistency: strictly increasing step times starting at
   /// origin, every free count in [0, capacity], and the final step's free
   /// count equal to capacity (usage intervals are finite, so the timeline
@@ -190,62 +122,12 @@ class Profile {
   /// Full-array merge of equal-adjacent steps (used by end_batch).
   void coalesce_all();
 
-  // gap index internals -------------------------------------------------------
-  /// Feasible-run aggregates of one bucket for one width class: time with
-  /// free >= 2^c contiguous from the bucket start (pre), ending at the
-  /// bucket end (suf), and the best run anywhere inside (best).
-  struct BucketRuns {
-    Time pre = 0;
-    Time suf = 0;
-    Time best = 0;
-  };
-  bool index_active() const;
-  /// Record that steps with times in [lo, hi] changed (values, inserts or
-  /// erases). O(1): mutations only widen a pending dirty time range.
-  void index_mark(Time lo, Time hi);
-  /// (Re)size the bucket table for the current span and materialize the
-  /// pending dirty range into per-bucket bits. Call once per indexed query.
-  void index_sync() const;
-  /// Recompute one bucket's min free; clears its min-stale bit.
-  void index_rebuild_min(std::size_t k) const;
-  /// Recompute one bucket's runs for one width class; clears its class bit.
-  /// Rebuilds are per-class lazy: a mutation marks every aggregate of the
-  /// touched buckets stale, but a query only pays to refresh the one class
-  /// it actually consults.
-  void index_rebuild_runs(std::size_t k, int c) const;
-  /// Bucket k's time range holds no instant with free < nodes (skippable
-  /// while a window is open / while hunting for a blocker).
-  bool bucket_clear(std::size_t k, NodeCount nodes) const;
-  /// First index >= l whose step starts before `end` and has free < nodes,
-  /// or kIndexNone if no such blocker exists. Skips clear buckets.
-  std::size_t index_first_blocked_before(std::size_t l, Time end, NodeCount nodes) const;
-  /// First index >= i with steps_[index].at >= t. Galloping search from i:
-  /// O(log distance), so short bucket skips cost almost nothing.
-  std::size_t gallop_time(std::size_t i, Time t) const;
-  Time earliest_fit_indexed(Time earliest, Time duration, NodeCount nodes) const;
-
   NodeCount capacity_;
   Time origin_;
   std::vector<Step> steps_;
   mutable std::size_t hint_ = 0;  ///< index of the most recently looked-up step
   int batch_depth_ = 0;
   bool batch_dirty_ = false;  ///< a batched mutation deferred its coalesce
-
-  // Gap-index storage. Mutable: const queries rebuild dirty buckets lazily
-  // (same model as the cursor hint — see the thread-safety note). Bucket k
-  // covers times [bucket_time0_ + (k << bucket_shift_), + one width).
-  static constexpr std::size_t kIndexNone = static_cast<std::size_t>(-1);
-  static std::size_t gap_index_threshold_;
-  mutable std::vector<NodeCount> bucket_min_;      ///< min free over the bucket's range
-  mutable std::vector<BucketRuns> bucket_runs_;    ///< [k * classes + c] run aggregates
-  /// Per-bucket stale bits: bit c = class-c runs stale, bit 31 = min stale.
-  mutable std::vector<std::uint32_t> bucket_dirty_;
-  mutable int bucket_classes_ = 0;      ///< width classes (bit_width of capacity)
-  mutable int bucket_shift_ = 0;        ///< log2 of the bucket time width
-  mutable Time bucket_time0_ = 0;       ///< aligned start time of bucket 0
-  mutable bool index_built_ = false;    ///< bucket table exists and matches shift/base
-  mutable Time index_dirty_lo_ = 0;     ///< pending dirty time range from mutations;
-  mutable Time index_dirty_hi_ = -1;    ///< empty when lo > hi
 };
 
 }  // namespace psched

@@ -2,9 +2,8 @@
 // byte-identical to the preserved naive re-simulation (the behavioral
 // oracle) for every policy, every WCL enforcement mode and several seeds;
 // serial and parallel fork draining must agree; and the fork API must
-// enforce its preconditions. The PolicyFstFork suite is part of
-// tools/run_tsan.sh's concurrency set (parallel draining races would
-// surface here).
+// enforce its preconditions. `tools/run_sanitize.sh thread` runs this
+// suite under ThreadSanitizer (parallel draining races would surface here).
 
 #include <gtest/gtest.h>
 

@@ -9,14 +9,14 @@
 # over the preserved seed/serial implementations (BM_Ref* cases), so every
 # future PR has a perf trajectory to compare against. The sweep speedup only
 # shows parallel gain on multi-core hosts (pool size is recorded per case).
-# tools/run_tsan.sh is the sibling data-race pass over the same concurrency.
+# `tools/run_sanitize.sh thread` is the sibling data-race pass over the same
+# concurrency.
 #
-# Deep-queue cases: perf_profile's BM_ProfilePack*/BM_ProfileEarliestFitDeep
-# and perf_schedulers' BM_*DeepQueue families measure the gap-indexed
-# profile on 10k+ reservation plans (for the *DeepQueue pairs, BM_RefSim* is
-# the same scheduler with the gap index disabled, i.e. the linear-scan
-# profile). The conservative deep sims run minutes-long single iterations on
-# a slow host — budget ~10 minutes for a full refresh.
+# Deep-queue cases: perf_profile's BM_ProfilePack/BM_ProfileEarliestFitDeep
+# and perf_schedulers' BM_*DeepQueue family measure the profile's linear scan
+# on 10k+ reservation plans (the *DeepQueue cases are trackers with no
+# BM_Ref* twin). The conservative deep sims run minutes-long single
+# iterations on a slow host — budget ~10 minutes for a full refresh.
 #
 # Policy-FST pair (BENCH_fst.json): perf_fst's BM_PolicyFstForked (one pass
 # over the trace + a fork per arrival) vs BM_RefPolicyFstNaive (the preserved

@@ -19,11 +19,15 @@
 #        to SWF and replayed through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget, with the eager- and
 #        streaming-reader stores diffed byte-for-byte
+#     9. the campaign benchmark driver's self-test at smoke scale
+#        (campaignbench/selftest.py, about a minute): builds the driver
+#        against the library, runs every workload and checks its results,
+#        so a library change that breaks the driver fails here
 #
 #   tools/run_ci.sh sanitize   the sanitizer matrix (a separate workflow job
 #     so tier-1 latency is unchanged): the FULL ctest suite under ASan and
 #     UBSan via tools/run_sanitize.sh. TSan stays available as
-#     tools/run_sanitize.sh thread (or the historical tools/run_tsan.sh).
+#     tools/run_sanitize.sh thread.
 #
 #   tools/run_ci.sh all        both of the above.
 #
@@ -152,6 +156,9 @@ SPEC
   cmp "$ARCHIVE_OUT/streaming/summary.json" "$ARCHIVE_OUT/eager/summary.json"
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/streaming/cells.csv"
+
+  echo "== campaign benchmark driver self-test =="
+  python3 campaignbench/selftest.py
 }
 
 case "$STEP" in

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One sanitizer gate for all three instrumentations, sharing a single
-# build-dir/flag path (tools/run_tsan.sh is a thin wrapper over this):
+# build-dir/flag path:
 #
 #   tools/run_sanitize.sh {thread|address|undefined}
 #

@@ -24,6 +24,8 @@ _PAIR_OVERRIDES = {
 def load_cases(path):
     with open(path) as f:
         raw = json.load(f)
+    context = raw.get("context", {})
+    host = {key: context[key] for key in ("num_cpus", "mhz_per_cpu") if key in context}
     cases = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -40,7 +42,7 @@ def load_cases(path):
             if counter in b:
                 entry[counter] = round(b[counter], 1)
         cases[b["name"]] = entry
-    return cases
+    return cases, host
 
 
 def main():
@@ -49,7 +51,8 @@ def main():
     out_path, in_paths = sys.argv[1], sys.argv[2:]
     cases = {}
     for path in in_paths:
-        cases.update(load_cases(path))
+        loaded, host = load_cases(path)
+        cases.update(loaded)
 
     speedups = {}
     for name, entry in cases.items():
@@ -75,6 +78,7 @@ def main():
         "note": "ns_per_op is wall time per benchmark iteration; "
                 "speedup_vs_reference = reference ns_per_op / optimized ns_per_op "
                 "(reference = preserved seed implementation, see core/reference_profile.hpp)",
+        "host": host,
         "cases": dict(sorted(cases.items())),
         "speedup_vs_reference": dict(sorted(speedups.items())),
     }
