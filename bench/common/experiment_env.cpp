@@ -3,6 +3,9 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "scenario/campaign.hpp"
+#include "util/parse.hpp"
+
 namespace psched::bench {
 
 namespace {
@@ -37,12 +40,13 @@ void init(int argc, char** argv) {
         std::cerr << "experiment: missing value for --jobs\n";
         std::exit(2);
       }
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      if (parsed < 1) {
-        std::cerr << "experiment: --jobs must be >= 1\n";
+      const char* text = argv[++i];
+      const auto parsed = util::parse_number<std::size_t>(text, 1);
+      if (!parsed) {
+        std::cerr << "experiment: --jobs wants an integer >= 1, got '" << text << "'\n";
         std::exit(2);
       }
-      g_jobs = static_cast<std::size_t>(parsed);
+      g_jobs = *parsed;
       continue;
     }
     std::cerr << "experiment: unknown option '" << arg << "' (try --help)\n";
@@ -57,15 +61,9 @@ double bench_scale() {
 
 const Workload& ross_trace() {
   static const Workload trace = [] {
-    workload::GeneratorConfig config;
-    config.seed = read_env_u64("PSCHED_BENCH_SEED", 20021201ULL);
-    config.count_scale = bench_scale();
-    if (config.count_scale < 1.0) {
-      // Keep weekly load comparable when scaling the job count down.
-      config.span = std::max<Time>(weeks(4), static_cast<Time>(
-          static_cast<double>(workload::kRossTraceSpan) * config.count_scale));
-    }
-    return workload::generate_ross_workload(config);
+    scenario::WorkloadSpec spec;
+    spec.scale = bench_scale();
+    return scenario::build_workload(spec, read_env_u64("PSCHED_BENCH_SEED", 20021201ULL));
   }();
   return trace;
 }

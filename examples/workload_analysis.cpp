@@ -71,7 +71,7 @@ int main() {
   std::ostringstream swf;
   write_swf(swf, trace);
   std::istringstream back(swf.str());
-  const SwfReadResult reread = read_swf(back);
+  const SwfReadResult reread = read_swf_streaming(back);
   std::cout << "\nSWF round-trip: wrote and re-read " << reread.workload.jobs.size()
             << " jobs (skipped " << reread.skipped_records << ")\n";
   return 0;

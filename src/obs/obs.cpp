@@ -134,8 +134,8 @@ void write_exit_trace() {
 struct EnvInit {
   EnvInit() {
     // psched-lint note: this constructor is the one sanctioned reader of the
-    // PSCHED_TRACE environment (rule raw-trace-env) — read once at static
-    // init so every instrumentation point sees one consistent arming view.
+    // PSCHED_TRACE environment (rule raw-env) — read once at static init so
+    // every instrumentation point sees one consistent arming view.
     const char* value = std::getenv("PSCHED_TRACE");
     if (value == nullptr || *value == '\0') return;
     arm();

@@ -135,14 +135,9 @@ struct CampaignResult {
   std::size_t count(CellStatus status) const;
 };
 
-/// Which SWF ingestion path reads a spec's trace. Both produce byte-identical
-/// workloads, counters and sizing (tests pin it); they differ only in peak
-/// memory — Streaming with a `head` cap holds O(head + chunk) jobs while
-/// Eager materializes the whole trace before truncating.
-enum class SwfReaderKind {
-  Eager,      ///< workload::read_swf_file + head transform
-  Streaming,  ///< workload::read_swf_file_streaming with head pushed into the scan
-};
+/// Kept only for source compatibility with callers that still name the
+/// reader; there is one SWF reader and build_workload ignores this.
+enum class SwfReaderKind { Streaming };
 
 struct CampaignOptions {
   /// Concurrent simulations per policy sweep: 0 = global pool size,
@@ -166,16 +161,15 @@ struct CampaignOptions {
   /// cells start, in-flight cells cancel at their next event boundary, and
   /// the result is marked `interrupted`.
   util::StopToken stop;
-  /// SWF ingestion path (byte-identical stores either way; see SwfReaderKind).
-  SwfReaderKind swf_reader = SwfReaderKind::Streaming;
 };
 
-/// Build the workload a spec describes for one replicate seed (the Ross
-/// generator path mirrors psched_run's span scaling so spec runs reproduce
-/// CLI/figure-binary traces exactly). Exposed for tests and tooling.
+/// Build the workload a spec describes for one replicate seed: the one trace
+/// builder behind campaigns, psched_run and the figure binaries, so they all
+/// replay the same bytes. An SWF source takes `head` inside the scan and
+/// fills `swf_info` (when given) with the ingest counters and sizing.
 Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
                         workload::SwfReadResult* swf_info = nullptr,
-                        SwfReaderKind reader = SwfReaderKind::Eager);
+                        SwfReaderKind = SwfReaderKind::Streaming);
 
 /// Run the whole campaign. Throws on unresolvable specs, journal corruption
 /// or resume mismatches; per-cell simulation failures do NOT throw — they

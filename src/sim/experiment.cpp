@@ -93,72 +93,23 @@ const ExperimentResult& ExperimentRunner::run(const PolicyConfig& policy, util::
 
 std::vector<const ExperimentResult*> ExperimentRunner::run_all(
     const std::vector<PolicyConfig>& policies, std::size_t jobs, util::StopToken stop) {
-  obs::Span sweep_span("sweep");
-  const std::size_t n = policies.size();
-  std::vector<const ExperimentResult*> results(n, nullptr);
-  util::ThreadPool& pool = util::global_pool();
-  if (jobs == 0) jobs = pool.size();
-  jobs = std::min(jobs, n);
-
-  // run() can block on an in-flight cache entry, so sweep tasks are compound
-  // pool work (never help-drained). That also means a sweep started from
-  // inside a pool task could wait on workers that are all occupied by its
-  // ancestors — run serially there instead.
-  if (jobs <= 1 || util::ThreadPool::in_pool_task()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (stop.stop_requested()) throw SimulationCancelled(stop.reason());
-      results[i] = &run(policies[i], stop);
-    }
-    return results;
-  }
-
-  // `jobs` pool tasks pull policy indices from a shared counter, so a slow
-  // policy (consdyn) never serializes the rest behind a fixed partition.
-  // Each task writes only its own results[i] slots; run() deduplicates
-  // concurrent equal configs via the single-flight cache.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  const auto sweep = [&] {
-    // Stop pulling new policies once any lane failed or the token tripped:
-    // every further simulation would be discarded anyway.
-    while (!failed.load(std::memory_order_relaxed) && !stop.stop_requested()) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        results[i] = &run(policies[i], stop);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    }
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs);
-  for (std::size_t j = 0; j + 1 < jobs; ++j) futures.push_back(pool.submit(sweep));
-  std::exception_ptr first_error;
-  try {
-    sweep();  // the calling thread is the jobs-th lane
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  // Always join the submitted lanes — they reference this frame's state.
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (const util::SubmitRejected&) {
-      // The lane was never queued (shutdown race or injected fault). The
-      // shared counter means the surviving lanes — at minimum this calling
-      // thread — still sweep every policy: degraded parallelism, not failure.
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  // A tripped token can leave slots unvisited without any lane throwing;
+  IsolatedRunOptions options;
+  options.jobs = jobs;
+  options.stop = stop;
+  options.keep_going = false;
+  const std::vector<CellOutcome> outcomes = run_isolated(policies, options);
+  // The lowest-index error wins, so the rethrown exception does not depend on
+  // which lane failed first.
+  for (const CellOutcome& outcome : outcomes)
+    if (outcome.error) std::rethrow_exception(outcome.error);
+  // A tripped token can leave slots unvisited without any cell failing;
   // callers dereference every slot, so surface the cancellation instead.
-  if (stop.stop_requested())
-    for (const ExperimentResult* r : results)
-      if (r == nullptr) throw SimulationCancelled(stop.reason());
+  std::vector<const ExperimentResult*> results;
+  results.reserve(outcomes.size());
+  for (const CellOutcome& outcome : outcomes) {
+    if (outcome.result == nullptr) throw SimulationCancelled(stop.reason());
+    results.push_back(outcome.result);
+  }
   return results;
 }
 
@@ -171,6 +122,8 @@ std::vector<CellOutcome> ExperimentRunner::run_isolated(
   std::size_t jobs = options.jobs == 0 ? pool.size() : options.jobs;
   jobs = std::min(jobs, n);
 
+  // Lanes pull cell indices from a shared counter, so a slow policy (consdyn)
+  // never serializes the rest behind a fixed partition.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> halt{false};
   std::mutex finish_mutex;
@@ -207,7 +160,10 @@ std::vector<CellOutcome> ExperimentRunner::run_isolated(
     }
   };
 
-  // Same compound-task discipline as run_all: serial when nested in the pool.
+  // run() can block on an in-flight cache entry, so lanes are compound pool
+  // work (never help-drained). A sweep started from inside a pool task could
+  // then wait on workers that are all occupied by its ancestors, so it runs
+  // serially there instead.
   if (jobs <= 1 || util::ThreadPool::in_pool_task()) {
     lane();
     return outcomes;

@@ -97,24 +97,25 @@ class ExperimentRunner {
   const ExperimentResult& run(const PolicyConfig& policy, util::StopToken stop = {},
                               bool* cache_hit = nullptr);
 
-  /// Run several policies, up to `jobs` concurrently on util::global_pool()
-  /// (0 = pool size; 1 = serial). Results are returned in input order and are
-  /// byte-identical to a serial sweep regardless of thread count: each
-  /// simulation owns all its mutable state, and the FST aggregation inside
-  /// each run is index-deterministic. The first error aborts the sweep (all
-  /// lanes join first) and rethrows; a tripped `stop` surfaces as
-  /// SimulationCancelled.
-  std::vector<const ExperimentResult*> run_all(const std::vector<PolicyConfig>& policies,
-                                               std::size_t jobs = 0, util::StopToken stop = {});
-
-  /// Fault-isolated sweep: like run_all, but a failing cell never aborts the
-  /// others — each policy gets its own CellOutcome (result, error, or
-  /// never-attempted when the sweep stopped first). Never throws for
+  /// The one policy sweep: up to `options.jobs` lanes on util::global_pool()
+  /// pull policies in input order, and each policy gets its own CellOutcome
+  /// (result, error, or never-attempted when the sweep stopped first).
+  /// Outcomes are byte-identical to a serial sweep regardless of thread
+  /// count: each simulation owns all its mutable state, and the FST
+  /// aggregation inside each run is index-deterministic. Never throws for
   /// cell-level failures; exceptions escaping on_finish are rethrown after
   /// all lanes join. The campaign runner builds its per-cell status rows,
   /// timeouts and journal records on top of this.
   std::vector<CellOutcome> run_isolated(const std::vector<PolicyConfig>& policies,
                                         const IsolatedRunOptions& options = {});
+
+  /// run_isolated with `keep_going = false`, for callers that want every
+  /// result or an exception (0 jobs = pool size; 1 = serial). Results come
+  /// back in input order. A failure stops lanes from pulling new policies,
+  /// and after all lanes join the lowest-index error is rethrown; a tripped
+  /// `stop` that left policies unattempted surfaces as SimulationCancelled.
+  std::vector<const ExperimentResult*> run_all(const std::vector<PolicyConfig>& policies,
+                                               std::size_t jobs = 0, util::StopToken stop = {});
 
   const Workload& workload() const { return workload_; }
   const EngineConfig& base_config() const { return base_; }

@@ -172,7 +172,7 @@ Shot hit(const char* name) {
 struct EnvInit {
   EnvInit() {
     // psched-lint note: this constructor is the one sanctioned consumer of
-    // the PSCHED_FAULT* environment (rule raw-fault-env).
+    // the PSCHED_FAULT* environment (rule raw-env).
     const char* report = std::getenv("PSCHED_FAULTS_REPORT");
     if (report != nullptr && *report != '\0') {
       registry().report_path = report;

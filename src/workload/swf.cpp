@@ -38,9 +38,9 @@ enum SwfField : std::size_t {
   kFieldCount = 18,
 };
 
-/// Records pulled per read_chunk call by the whole-trace loops below: big
-/// enough to amortize call overhead, small enough that a chunk is noise next
-/// to the head-selection buffer.
+/// Records pulled per read_chunk call by read_swf_streaming: big enough to
+/// amortize call overhead, small enough that a chunk is noise next to the
+/// head-selection buffer.
 constexpr std::size_t kIngestChunk = 4096;
 
 bool parse_header_int(const std::string& line, const std::string& key, long long& out) {
@@ -56,7 +56,7 @@ bool parse_header_int(const std::string& line, const std::string& key, long long
   }
 }
 
-/// Shared tail of both readers: counters, machine sizing, normalize+validate.
+/// Tail of every read: counters, machine sizing, normalize+validate.
 SwfReadResult finish_read(const SwfStreamReader& reader, WorkloadBuilder&& builder,
                           NodeCount system_size) {
   SwfReadResult result;
@@ -105,9 +105,8 @@ bool SwfStreamReader::next_job(Job& out) {
   std::string line;
   while (std::getline(in_, line)) {
     ++line_;
-    // Shared read loop of both the eager and streaming readers; a transient
-    // injected failure retries, a permanent one surfaces with the trace
-    // position so the operator can see how far ingestion got.
+    // A transient injected read failure retries; a permanent one surfaces
+    // with the trace position so the operator can see how far ingestion got.
     const int read_err = util::retry_io([] { return PSCHED_FAULT("swf.read.line"); });
     if (read_err != 0)
       throw std::runtime_error(origin_ + ":" + std::to_string(line_) +
@@ -198,15 +197,6 @@ std::size_t SwfStreamReader::read_chunk(std::vector<Job>& out, std::size_t max_r
   return appended;
 }
 
-SwfReadResult read_swf(std::istream& in, NodeCount system_size, const SwfReadOptions& options,
-                       const std::string& origin) {
-  SwfStreamReader reader(in, options, origin);
-  WorkloadBuilder builder;
-  while (reader.read_chunk(builder.jobs, kIngestChunk) > 0) {
-  }
-  return finish_read(reader, std::move(builder), system_size);
-}
-
 SwfReadResult read_swf_streaming(std::istream& in, NodeCount system_size,
                                  const SwfReadOptions& options, std::size_t head,
                                  const std::string& origin) {
@@ -217,8 +207,8 @@ SwfReadResult read_swf_streaming(std::istream& in, NodeCount system_size,
     }
   } else {
     // Keep the `head` smallest records under (submit, ingest order) — the
-    // exact prefix the eager path's stable normalize + head truncation keeps
-    // — in a max-heap, so memory stays O(head + chunk) over any trace size.
+    // exact prefix a full read's stable normalize + head truncation keeps —
+    // in a max-heap, so memory stays O(head + chunk) over any trace size.
     struct Entry {
       Time submit;
       std::size_t seq;
@@ -273,19 +263,6 @@ std::string SwfReadResult::describe_sizing() const {
   out += "; MaxNodes " + std::to_string(header_max_nodes) + ", MaxProcs " +
          std::to_string(header_max_procs) + ", widest job " + std::to_string(widest_job) + ")";
   return out;
-}
-
-SwfReadResult read_swf_file(const std::string& path, NodeCount system_size,
-                            const SwfReadOptions& options) {
-  std::ifstream in(path);
-  const int open_err = util::retry_io([&]() -> int {
-    if (const int injected = PSCHED_FAULT("swf.open")) return injected;
-    return in ? 0 : (errno != 0 ? errno : ENOENT);
-  });
-  if (open_err != 0)
-    throw std::runtime_error("read_swf_file: cannot open " + path + ": " +
-                             std::strerror(open_err));
-  return read_swf(in, system_size, options, path);
 }
 
 SwfReadResult read_swf_file_streaming(const std::string& path, NodeCount system_size,

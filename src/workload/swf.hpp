@@ -12,13 +12,11 @@
 // Cancelled/failed records often still carry plausible runtimes, which is why
 // ingesting them silently corrupts utilization and fairness numbers.
 //
-// Two ingestion paths share one line-level parsing core (SwfStreamReader),
-// so both carry the same error discipline — malformed numeric fields are
-// rejected with "<origin>:<line>: ..." messages:
-//   read_swf            eager: materializes the whole trace, then normalizes.
-//   read_swf_streaming  chunked scan; with `head` > 0 it keeps only the
-//                       first `head` arrivals, so peak memory is
-//                       O(head + chunk) instead of O(trace).
+// One ingestion path: read_swf_streaming scans the trace in chunks through
+// the line-level parsing core (SwfStreamReader), which rejects malformed
+// numeric fields with "<origin>:<line>: ..." messages. `head` = 0 reads the
+// whole trace; `head` > 0 keeps only the first `head` arrivals, so peak
+// memory is O(head + chunk) instead of O(trace).
 
 #include <iosfwd>
 #include <string>
@@ -44,7 +42,7 @@ struct SwfReadOptions {
   std::vector<long long> accepted_statuses = {1, -1};
 };
 
-/// How workload.system_size was chosen (see read_swf's sizing rules).
+/// How workload.system_size was chosen (see read_swf_streaming's sizing rules).
 enum class SwfSizing {
   Explicit,     ///< caller passed system_size > 0
   HeaderNodes,  ///< SWF header MaxNodes won
@@ -73,8 +71,8 @@ struct SwfReadResult {
   std::string describe_sizing() const;
 };
 
-/// Incremental SWF record puller: the line-level parsing core both readers
-/// are built on. Pulls records in caller-sized chunks so peak memory is the
+/// Incremental SWF record puller: the line-level parsing core the reader is
+/// built on. Pulls records in caller-sized chunks so peak memory is the
 /// caller's choice, and carries line numbers so every rejection points at
 /// the offending trace line.
 ///
@@ -123,23 +121,18 @@ class SwfStreamReader {
   NodeCount widest_job_ = 0;
 };
 
-/// Parse an SWF stream eagerly. `system_size` <= 0 derives the machine size
-/// as max(MaxNodes, MaxProcs, widest job). Job widths are processor counts
-/// (SWF AllocatedProcs), so on SMP traces MaxProcs — not MaxNodes — is the
+/// Parse an SWF stream. `system_size` <= 0 derives the machine size as
+/// max(MaxNodes, MaxProcs, widest job). Job widths are processor counts (SWF
+/// AllocatedProcs), so on SMP traces MaxProcs — not MaxNodes — is the
 /// matching unit, and the widest-job floor guards against understated
-/// headers. An explicit `system_size` is taken as-is; jobs wider than it
-/// make validate() throw.
-SwfReadResult read_swf(std::istream& in, NodeCount system_size = 0,
-                       const SwfReadOptions& options = {}, const std::string& origin = "swf");
-SwfReadResult read_swf_file(const std::string& path, NodeCount system_size = 0,
-                            const SwfReadOptions& options = {});
-
-/// Chunked scan of an SWF stream. With `head` > 0, only the first `head`
-/// arrivals — smallest (submit, ingest order), exactly the prefix the eager
-/// path's normalize + head would keep — are retained, bounding peak memory
-/// at O(head + chunk) while counters, sizing, and widest-job provenance are
-/// still computed over the full trace. The returned SwfReadResult is
-/// byte-for-byte identical to the eager path followed by head truncation.
+/// headers. An explicit `system_size` is taken as-is; jobs wider than it make
+/// validate() throw.
+///
+/// `head` = 0 keeps every record. With `head` > 0 only the first `head`
+/// arrivals — smallest (submit, ingest order), exactly the prefix a full read
+/// followed by workload::head keeps — are retained, bounding peak memory at
+/// O(head + chunk), while counters, sizing and widest-job provenance are
+/// still computed over the full trace.
 SwfReadResult read_swf_streaming(std::istream& in, NodeCount system_size = 0,
                                  const SwfReadOptions& options = {}, std::size_t head = 0,
                                  const std::string& origin = "swf");

@@ -117,42 +117,54 @@ TEST(LintUnorderedIter, SeesDeclarationsInSiblingHeader) {
   EXPECT_EQ(lines_of(findings, Rule::kUnorderedIter), (std::vector<int>{9}));
 }
 
+// raw-env is one table-driven rule over every registry-owned variable; the
+// LintRawFaultEnv / LintRawTraceEnv suites check its PSCHED_FAULT* and
+// PSCHED_TRACE rows. Lines of the raw-env findings that name `variable`:
+std::vector<int> raw_env_lines(const std::vector<Finding>& findings, const std::string& variable) {
+  std::vector<int> lines;
+  for (const Finding& f : findings)
+    if (f.rule == Rule::kRawEnv && f.message.find(variable) != std::string::npos)
+      lines.push_back(f.line);
+  return lines;
+}
+
 TEST(LintRawFaultEnv, FiresOnViolations) {
-  const auto findings = lint_fixture("raw_fault_env_violation.cpp");
-  EXPECT_EQ(count_rule(findings, Rule::kRawFaultEnv), 2u);
-  // Line 12: the literal sits one line below its getenv( — still caught.
-  EXPECT_EQ(lines_of(findings, Rule::kRawFaultEnv), (std::vector<int>{7, 12}));
+  const auto findings = lint_fixture("raw_env_violation.cpp");
+  EXPECT_EQ(count_rule(findings, Rule::kRawEnv), 4u);
+  // Line 13: the literal sits one line below its getenv( — still caught.
+  EXPECT_EQ(raw_env_lines(findings, "PSCHED_FAULT"), (std::vector<int>{8, 13}));
 }
 
 TEST(LintRawFaultEnv, SilentOnCompliantTwin) {
-  // Reading other PSCHED_* knobs, *setting* PSCHED_FAULTS, and mentioning it
-  // in prose literals are all allowed.
-  EXPECT_TRUE(lint_fixture("raw_fault_env_clean.cpp").empty());
+  // Reading other PSCHED_* knobs, *setting* the arming variables, and
+  // mentioning them in prose literals are all allowed.
+  EXPECT_TRUE(lint_fixture("raw_env_clean.cpp").empty());
 }
 
 TEST(LintRawFaultEnv, SanctionedRegistryIsExempt) {
   // Mirrors the sanctioned suffix src/util/fault.cpp — the registry is the
-  // one reader of the arming environment.
-  EXPECT_TRUE(lint_fixture("src/util/fault.cpp").empty());
+  // one reader of the fault-arming environment.
+  EXPECT_TRUE(raw_env_lines(lint_fixture("src/util/fault.cpp"), "PSCHED_FAULT").empty());
 }
 
 TEST(LintRawTraceEnv, FiresOnViolations) {
-  const auto findings = lint_fixture("raw_trace_env_violation.cpp");
-  EXPECT_EQ(count_rule(findings, Rule::kRawTraceEnv), 2u);
-  // Line 13: the literal sits one line below its getenv( — still caught.
-  EXPECT_EQ(lines_of(findings, Rule::kRawTraceEnv), (std::vector<int>{8, 13}));
-}
-
-TEST(LintRawTraceEnv, SilentOnCompliantTwin) {
-  // Reading other PSCHED_* knobs, *setting* PSCHED_TRACE, and mentioning it
-  // in prose literals are all allowed.
-  EXPECT_TRUE(lint_fixture("raw_trace_env_clean.cpp").empty());
+  // Line 22: the literal sits one line below its getenv( — still caught.
+  EXPECT_EQ(raw_env_lines(lint_fixture("raw_env_violation.cpp"), "PSCHED_TRACE"),
+            (std::vector<int>{17, 22}));
 }
 
 TEST(LintRawTraceEnv, SanctionedRegistryIsExempt) {
   // Mirrors the sanctioned suffix src/obs/obs.cpp — the obs registry is the
   // one reader of the trace-arming environment.
   EXPECT_TRUE(lint_fixture("src/obs/obs.cpp").empty());
+}
+
+TEST(LintRawEnv, SanctionIsPerVariable) {
+  // The fault registry owns PSCHED_FAULT* only: its PSCHED_TRACE read fires.
+  const auto findings = lint_fixture("src/util/fault.cpp");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings.front().rule, Rule::kRawEnv);
+  EXPECT_EQ(raw_env_lines(findings, "PSCHED_TRACE"), (std::vector<int>{7}));
 }
 
 TEST(LintWallClock, SanctionedTraceClockIsExempt) {
@@ -208,8 +220,7 @@ TEST(LintTree, RealTreeIsClean) {
 
 TEST(LintRuleNames, RoundTrip) {
   for (const char* name : {"raw-rng", "wall-clock", "parallel-fp-accum", "scheduler-clone",
-                           "raw-file-write", "unordered-iter", "raw-fault-env",
-                           "raw-trace-env"}) {
+                           "raw-file-write", "unordered-iter", "raw-env"}) {
     Rule rule;
     ASSERT_TRUE(psched::lint::rule_from_name(name, rule)) << name;
     EXPECT_STREQ(psched::lint::rule_name(rule), name);
@@ -217,6 +228,18 @@ TEST(LintRuleNames, RoundTrip) {
   Rule rule;
   EXPECT_FALSE(psched::lint::rule_from_name("bad-suppression", rule));
   EXPECT_FALSE(psched::lint::rule_from_name("nope", rule));
+}
+
+TEST(LintRuleNames, EveryNameableRuleHasASummary) {
+  // --list-rules prints these; a rule added without one would list blank.
+  // Every enumerator before kBadSuppression is nameable.
+  for (int i = 0; i < static_cast<int>(Rule::kBadSuppression); ++i) {
+    const Rule rule = static_cast<Rule>(i);
+    Rule parsed;
+    ASSERT_TRUE(psched::lint::rule_from_name(psched::lint::rule_name(rule), parsed)) << i;
+    EXPECT_EQ(parsed, rule);
+    EXPECT_STRNE(psched::lint::rule_summary(rule), "") << psched::lint::rule_name(rule);
+  }
 }
 
 }  // namespace

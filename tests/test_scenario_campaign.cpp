@@ -53,9 +53,9 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
   spec.workload.scale = 0.05;
   const CampaignResult result = run_campaign(spec);
 
-  // The reference: exactly what bench/common/experiment_env.cpp does for the
-  // exp_* binaries — generate the Ross trace and sweep through a cached
-  // ExperimentRunner with default engine settings.
+  // The reference, built without build_workload: the Ross generator with the
+  // span scaling spelled out, swept through a cached ExperimentRunner with
+  // default engine settings (what the exp_* binaries run).
   workload::GeneratorConfig generator;
   generator.seed = spec.workload.seed;
   generator.count_scale = spec.workload.scale;
@@ -117,7 +117,7 @@ TEST(Campaign, CommittedSwfReplaySpecRunsTheSampleArchive) {
 
   // Replaying the same archive directly gives the same numbers.
   const workload::SwfReadResult direct =
-      workload::read_swf_file(kSourceDir + "/tests/data/sample_cplant.swf");
+      workload::read_swf_file_streaming(kSourceDir + "/tests/data/sample_cplant.swf");
   sim::ExperimentRunner runner(direct.workload);
   const sim::ExperimentResult& baseline = runner.run(*policy_from_name("cplant24.nomax.all"));
   EXPECT_DOUBLE_EQ(result.cells[0].metrics[utilization], baseline.report.standard.utilization);
@@ -306,26 +306,6 @@ rescale_load = 30
 names = easy
 )");
   EXPECT_EQ(json_of(run_campaign(ross)).find("swf_sizing"), std::string::npos);
-}
-
-TEST(Campaign, EagerAndStreamingReadersProduceByteIdenticalStores) {
-  // The acceptance bar for the streaming reader: at any --jobs, with or
-  // without a head cap, the results store must not change by a byte when the
-  // ingestion path does.
-  ScenarioSpec spec = parse_spec_file(kSourceDir + "/examples/campaigns/swf_replay.spec");
-  for (const std::size_t head : {std::size_t{0}, std::size_t{50}}) {
-    spec.workload.head = head;
-    CampaignOptions eager;
-    eager.swf_reader = SwfReaderKind::Eager;
-    eager.jobs = 1;
-    CampaignOptions streaming;
-    streaming.swf_reader = SwfReaderKind::Streaming;
-    streaming.jobs = 4;
-    const CampaignResult a = run_campaign(spec, eager);
-    const CampaignResult b = run_campaign(spec, streaming);
-    EXPECT_EQ(csv_of(a), csv_of(b)) << "head " << head;
-    EXPECT_EQ(json_of(a), json_of(b)) << "head " << head;
-  }
 }
 
 TEST(Campaign, PolicyMetricsComputeTheForkedFst) {

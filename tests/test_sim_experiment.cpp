@@ -183,6 +183,32 @@ TEST(ExperimentRunner, BrokenConfigErrorIsCachedAndRethrown) {
   EXPECT_THROW(runner.run_all({broken}, 2), std::invalid_argument);
 }
 
+// run_all rethrows the lowest-index error, not whichever lane failed first.
+// Cell 0 fails only after a full simulation (the policy-knowledge FST rejects
+// its max runtime) while cell 1 fails at scheduler construction, so on four
+// lanes cell 1's error usually comes first in time; cell 0's must win anyway.
+TEST(ExperimentRunner, RunAllRethrowsLowestIndexError) {
+  const Workload w = psched::workload::generate_small_workload(61, 60, 16, days(1));
+  metrics::FstOptions fst_options;
+  fst_options.policy_knowledge = true;
+  ExperimentRunner runner(w, {}, fst_options);
+  PolicyConfig broken;
+  broken.kind = PolicyKind::Depth;
+  broken.reservation_depth = 0;  // DepthScheduler rejects < 1
+  const std::vector<PolicyConfig> policies = {paper_policy(PaperPolicy::Cplant24MaxAll), broken,
+                                              paper_policy(PaperPolicy::Cplant24NomaxAll),
+                                              paper_policy(PaperPolicy::ConsNomax)};
+  for (int round = 0; round < 40; ++round) {
+    try {
+      runner.run_all(policies, 4);  // failed entries are evicted, so each round re-fails
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("max_runtime"), std::string::npos)
+          << "round " << round << ": " << error.what();
+    }
+  }
+}
+
 // Failed flights are evictable: a cancellation must not poison the config
 // for the rest of the process — the next fresh call retries and succeeds.
 // This is what --resume and --keep-going re-runs rely on.

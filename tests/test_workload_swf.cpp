@@ -13,8 +13,7 @@
 namespace psched::workload {
 namespace {
 
-/// Field-by-field workload equality — the byte-identity the streaming reader
-/// promises against the eager one.
+/// Field-by-field workload equality.
 void expect_same_jobs(const Workload& a, const Workload& b) {
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   EXPECT_EQ(a.system_size, b.system_size);
@@ -29,31 +28,16 @@ void expect_same_jobs(const Workload& a, const Workload& b) {
   }
 }
 
-/// Parse `text` through BOTH ingestion paths, assert the full SwfReadResult
-/// (workload, counters, sizing provenance) agrees, return the eager result.
-SwfReadResult read_both(const std::string& text, NodeCount system_size = 0,
-                        const SwfReadOptions& options = {}) {
-  std::istringstream eager_in(text);
-  const SwfReadResult eager = read_swf(eager_in, system_size, options);
-  std::istringstream streaming_in(text);
-  const SwfReadResult streaming = read_swf_streaming(streaming_in, system_size, options);
-  expect_same_jobs(eager.workload, streaming.workload);
-  EXPECT_EQ(eager.total_records, streaming.total_records);
-  EXPECT_EQ(eager.skipped_records, streaming.skipped_records);
-  EXPECT_EQ(eager.filtered_records, streaming.filtered_records);
-  EXPECT_EQ(eager.header_max_nodes, streaming.header_max_nodes);
-  EXPECT_EQ(eager.header_max_procs, streaming.header_max_procs);
-  EXPECT_EQ(eager.widest_job, streaming.widest_job);
-  EXPECT_EQ(eager.sizing, streaming.sizing);
-  EXPECT_EQ(eager.describe_sizing(), streaming.describe_sizing());
-  return eager;
+SwfReadResult read_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_swf_streaming(in);
 }
 
 TEST(Swf, ParsesMinimalRecord) {
   std::istringstream in(
       "; MaxNodes: 32\n"
       "1 100 -1 3600 8 -1 -1 8 7200 -1 1 3 2 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   ASSERT_EQ(result.workload.jobs.size(), 1u);
   const Job& job = result.workload.jobs[0];
   EXPECT_EQ(job.submit, 100);
@@ -67,14 +51,14 @@ TEST(Swf, ParsesMinimalRecord) {
 
 TEST(Swf, FallsBackToRequestedProcs) {
   std::istringstream in("1 0 -1 100 -1 -1 -1 16 200 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   ASSERT_EQ(result.workload.jobs.size(), 1u);
   EXPECT_EQ(result.workload.jobs[0].nodes, 16);
 }
 
 TEST(Swf, FallsBackWclToRuntime) {
   std::istringstream in("1 0 -1 100 4 -1 -1 4 -1 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   ASSERT_EQ(result.workload.jobs.size(), 1u);
   EXPECT_EQ(result.workload.jobs[0].wcl, 100);
 }
@@ -86,7 +70,7 @@ TEST(Swf, SkipsInvalidRecordsByDefault) {
   std::istringstream in(
       "1 0 -1 -1 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n"   // completed but runtime -1
       "2 5 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.total_records, 2u);
   EXPECT_EQ(result.skipped_records, 1u);
   EXPECT_EQ(result.workload.jobs.size(), 1u);
@@ -96,7 +80,7 @@ TEST(Swf, StrictModeThrowsOnInvalid) {
   std::istringstream in("1 0 -1 -1 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n");
   SwfReadOptions options;
   options.skip_invalid = false;
-  EXPECT_THROW(read_swf(in, 0, options), std::invalid_argument);
+  EXPECT_THROW(read_swf_streaming(in, 0, options), std::invalid_argument);
 }
 
 TEST(Swf, FiltersNonCompletedStatusesByDefault) {
@@ -111,7 +95,7 @@ TEST(Swf, FiltersNonCompletedStatusesByDefault) {
       "4 30 -1 40 4 -1 -1 4 200 -1 2 0 0 -1 -1 -1 -1 -1\n"    // partial
       "5 40 -1 60 4 -1 -1 4 200 -1 -1 0 0 -1 -1 -1 -1 -1\n")  // unknown
       ;
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.total_records, 5u);
   EXPECT_EQ(result.filtered_records, 3u);  // failed, cancelled, partial
   EXPECT_EQ(result.skipped_records, 0u);
@@ -127,13 +111,13 @@ TEST(Swf, AcceptedStatusesAreConfigurable) {
   SwfReadOptions options;
   options.accepted_statuses = {1, 5};
   std::istringstream accept_cancelled(trace);
-  const SwfReadResult widened = read_swf(accept_cancelled, 0, options);
+  const SwfReadResult widened = read_swf_streaming(accept_cancelled, 0, options);
   EXPECT_EQ(widened.workload.jobs.size(), 2u);
   EXPECT_EQ(widened.filtered_records, 0u);
 
   options.accepted_statuses.clear();  // empty list disables the filter
   std::istringstream accept_all(trace);
-  const SwfReadResult unfiltered = read_swf(accept_all, 0, options);
+  const SwfReadResult unfiltered = read_swf_streaming(accept_all, 0, options);
   EXPECT_EQ(unfiltered.workload.jobs.size(), 2u);
   EXPECT_EQ(unfiltered.filtered_records, 0u);
 }
@@ -144,7 +128,7 @@ TEST(Swf, FilteredRecordsAreNotCountedAsInvalid) {
   std::istringstream in("1 0 -1 -1 4 -1 -1 4 200 -1 5 0 0 -1 -1 -1 -1 -1\n");
   SwfReadOptions options;
   options.skip_invalid = false;  // strict: invalid records would throw
-  const SwfReadResult result = read_swf(in, 8, options);
+  const SwfReadResult result = read_swf_streaming(in, 8, options);
   EXPECT_EQ(result.filtered_records, 1u);
   EXPECT_EQ(result.skipped_records, 0u);
   EXPECT_TRUE(result.workload.jobs.empty());
@@ -159,7 +143,7 @@ TEST(Swf, HeaderSizesMachineInProcessorUnits) {
       "; MaxNodes: 128\n"
       "; MaxProcs: 512\n"
       "1 0 -1 100 4 -1 -1 4 200 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.workload.system_size, 512);
   // The sizing decision is reported, not just applied (CLIs surface it).
   EXPECT_EQ(result.sizing, SwfSizing::HeaderProcs);
@@ -178,7 +162,7 @@ TEST(Swf, JobWiderThanMaxNodesIngestsOnSmpTrace) {
       "; MaxNodes: 128\n"
       "; MaxProcs: 512\n"
       "1 0 -1 100 256 -1 -1 256 200 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   ASSERT_EQ(result.workload.jobs.size(), 1u);
   EXPECT_EQ(result.workload.jobs[0].nodes, 256);
   EXPECT_EQ(result.workload.system_size, 512);
@@ -191,7 +175,7 @@ TEST(Swf, WidestJobLiftsUndersizedHeader) {
   std::istringstream in(
       "; MaxNodes: 16\n"
       "1 0 -1 100 24 -1 -1 24 100 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   ASSERT_EQ(result.workload.jobs.size(), 1u);
   EXPECT_EQ(result.workload.system_size, 24);
   EXPECT_EQ(result.sizing, SwfSizing::WidestJob);
@@ -202,7 +186,7 @@ TEST(Swf, HeaderFallsBackToMaxProcsWithoutMaxNodes) {
   std::istringstream in(
       "; MaxProcs: 256\n"
       "1 0 -1 100 4 -1 -1 4 200 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.workload.system_size, 256);
 }
 
@@ -210,13 +194,13 @@ TEST(Swf, SystemSizeFromWidestJobWithoutHeader) {
   std::istringstream in(
       "1 0 -1 100 24 -1 -1 24 100 -1 1 0 0 -1 -1 -1 -1 -1\n"
       "2 5 -1 100 8 -1 -1 8 100 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.workload.system_size, 24);
 }
 
 TEST(Swf, ExplicitSystemSizeWins) {
   std::istringstream in("1 0 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in, /*system_size=*/512);
+  const SwfReadResult result = read_swf_streaming(in, /*system_size=*/512);
   EXPECT_EQ(result.workload.system_size, 512);
   EXPECT_EQ(result.sizing, SwfSizing::Explicit);
 }
@@ -225,7 +209,7 @@ TEST(Swf, SortsUnorderedRecords) {
   std::istringstream in(
       "1 500 -1 10 1 -1 -1 1 10 -1 1 0 0 -1 -1 -1 -1 -1\n"
       "2 100 -1 10 1 -1 -1 1 10 -1 1 0 0 -1 -1 -1 -1 -1\n");
-  const SwfReadResult result = read_swf(in);
+  const SwfReadResult result = read_swf_streaming(in);
   EXPECT_EQ(result.workload.jobs[0].submit, 100);
   EXPECT_EQ(result.workload.jobs[1].submit, 500);
 }
@@ -235,7 +219,7 @@ TEST(Swf, RoundTripPreservesJobs) {
   std::ostringstream out;
   write_swf(out, original, "round trip test");
   std::istringstream in(out.str());
-  const SwfReadResult reread = read_swf(in);
+  const SwfReadResult reread = read_swf_streaming(in);
   ASSERT_EQ(reread.workload.jobs.size(), original.jobs.size());
   EXPECT_EQ(reread.workload.system_size, original.system_size);
   EXPECT_EQ(reread.skipped_records, 0u);
@@ -261,7 +245,7 @@ TEST(Swf, RoundTripSurvivesForeignNonCompletedRecords) {
   out << "9001 0 -1 500 4 -1 -1 4 600 -1 0 1 1 -1 -1 -1 -1 -1\n"   // failed
       << "9002 0 -1 500 4 -1 -1 4 600 -1 5 1 1 -1 -1 -1 -1 -1\n";  // cancelled
   std::istringstream in(out.str());
-  const SwfReadResult reread = read_swf(in);
+  const SwfReadResult reread = read_swf_streaming(in);
   EXPECT_EQ(reread.total_records, original.jobs.size() + 2);
   EXPECT_EQ(reread.filtered_records, 2u);
   ASSERT_EQ(reread.workload.jobs.size(), original.jobs.size());
@@ -284,14 +268,14 @@ TEST(Swf, RoundTripThroughWclFallback) {
   std::istringstream archive(
       "; MaxNodes: 16\n"
       "1 50 -1 300 8 -1 -1 8 -1 -1 1 2 3 -1 -1 -1 -1 -1\n");
-  const SwfReadResult first = read_swf(archive);
+  const SwfReadResult first = read_swf_streaming(archive);
   ASSERT_EQ(first.workload.jobs.size(), 1u);
   EXPECT_EQ(first.workload.jobs[0].wcl, 300);  // fallback applied
 
   std::ostringstream out;
   write_swf(out, first.workload, "wcl fallback round trip");
   std::istringstream in(out.str());
-  const SwfReadResult second = read_swf(in);
+  const SwfReadResult second = read_swf_streaming(in);
   ASSERT_EQ(second.workload.jobs.size(), 1u);
   const Job& a = first.workload.jobs[0];
   const Job& b = second.workload.jobs[0];
@@ -305,24 +289,23 @@ TEST(Swf, RoundTripThroughWclFallback) {
 }
 
 TEST(Swf, MissingFileThrows) {
-  EXPECT_THROW(read_swf_file("/nonexistent/path.swf"), std::runtime_error);
+  EXPECT_THROW(read_swf_file_streaming("/nonexistent/path.swf"), std::runtime_error);
 }
 
 TEST(Swf, EmptyStreamYieldsEmptyWorkload) {
   std::istringstream in("; just a comment\n\n");
-  const SwfReadResult result = read_swf(in, 8);
+  const SwfReadResult result = read_swf_streaming(in, 8);
   EXPECT_TRUE(result.workload.jobs.empty());
   EXPECT_EQ(result.workload.system_size, 8);
 }
 
 // ---------------------------------------------------------------------------
-// Robustness battery: hostile archive shapes, exercised through BOTH readers
-// (read_both pins full parity on every case).
+// Robustness battery: hostile archive shapes.
 
 TEST(SwfRobustness, CrlfTracesParseIdentically) {
   // A trace saved on Windows: every line — header, blank, records — ends in
   // \r\n. The \r must not leak into the last field or make blank lines count.
-  const SwfReadResult result = read_both(
+  const SwfReadResult result = read_text(
       "; MaxNodes: 32\r\n"
       "\r\n"
       "1 100 -1 3600 8 -1 -1 8 7200 -1 1 3 2 -1 -1 -1 -1 -1\r\n"
@@ -335,7 +318,7 @@ TEST(SwfRobustness, CrlfTracesParseIdentically) {
 }
 
 TEST(SwfRobustness, InterleavedCommentsAndBlanksAreNotRecords) {
-  const SwfReadResult result = read_both(
+  const SwfReadResult result = read_text(
       "; UnixStartTime: 0\n"
       "1 10 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n"
       "\n"
@@ -352,10 +335,10 @@ TEST(SwfRobustness, InterleavedCommentsAndBlanksAreNotRecords) {
 }
 
 TEST(SwfRobustness, OutOfOrderSubmitsAreNormalized) {
-  // Archive traces are not reliably submit-sorted. Both readers must deliver
+  // Archive traces are not reliably submit-sorted. The reader must deliver
   // a normalized workload: sorted by submit, ties in ingest order, ids
   // renumbered to match positions.
-  const SwfReadResult result = read_both(
+  const SwfReadResult result = read_text(
       "1 500 -1 10 1 -1 -1 1 10 -1 1 7 0 -1 -1 -1 -1 -1\n"
       "2 100 -1 20 1 -1 -1 1 20 -1 1 8 0 -1 -1 -1 -1 -1\n"
       "3 100 -1 30 1 -1 -1 1 30 -1 1 9 0 -1 -1 -1 -1 -1\n"
@@ -371,25 +354,20 @@ TEST(SwfRobustness, OutOfOrderSubmitsAreNormalized) {
 }
 
 TEST(SwfRobustness, OversizedFieldRejectsWithLineNumber) {
-  // A submit field wider than 64 bits is corruption, not data — both readers
+  // A submit field wider than 64 bits is corruption, not data — the reader
   // must refuse with the offending line number, never silently clamp.
   const std::string text =
       "; MaxNodes: 8\n"
       "1 10 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n"
       "2 99999999999999999999 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n";
-  for (const bool streaming : {false, true}) {
-    std::istringstream in(text);
-    try {
-      if (streaming)
-        read_swf_streaming(in);
-      else
-        read_swf(in);
-      FAIL() << "expected std::runtime_error (streaming=" << streaming << ")";
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find("swf:3: SWF field 2 out of range"),
-                std::string::npos)
-          << error.what();
-    }
+  std::istringstream in(text);
+  try {
+    read_swf_streaming(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("swf:3: SWF field 2 out of range"),
+              std::string::npos)
+        << error.what();
   }
 }
 
@@ -401,18 +379,13 @@ TEST(SwfRobustness, StrictInvalidRecordCarriesLineNumber) {
       "2 20 -1 -1 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n";  // runtime missing
   SwfReadOptions options;
   options.skip_invalid = false;
-  for (const bool streaming : {false, true}) {
-    std::istringstream in(text);
-    try {
-      if (streaming)
-        read_swf_streaming(in, 0, options);
-      else
-        read_swf(in, 0, options);
-      FAIL() << "expected std::invalid_argument (streaming=" << streaming << ")";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find("swf:4: invalid record"), std::string::npos)
-          << error.what();
-    }
+  std::istringstream in(text);
+  try {
+    read_swf_streaming(in, 0, options);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("swf:4: invalid record"), std::string::npos)
+        << error.what();
   }
 }
 
@@ -422,35 +395,29 @@ TEST(SwfRobustness, FileReadersPrefixErrorsWithPath) {
     std::ofstream out(path);
     out << "1 99999999999999999999 -1 100 4 -1 -1 4 100 -1 1 0 0 -1 -1 -1 -1 -1\n";
   }
-  for (const bool streaming : {false, true}) {
-    try {
-      if (streaming)
-        read_swf_file_streaming(path);
-      else
-        read_swf_file(path);
-      FAIL() << "expected std::runtime_error (streaming=" << streaming << ")";
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find(path + ":1:"), std::string::npos)
-          << error.what();
-    }
+  try {
+    read_swf_file_streaming(path);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path + ":1:"), std::string::npos) << error.what();
   }
   std::remove(path.c_str());
 }
 
 TEST(SwfRobustness, StreamingMatchesEagerOnGeneratedTrace) {
-  // A multi-chunk trace (several thousand records, unordered after the load
-  // transform) through the full write -> read_both loop.
+  // A multi-chunk trace (several thousand records) through the full
+  // write -> read loop comes back job for job.
   const Workload original = generate_small_workload(21, 3000, 128, days(30));
   std::ostringstream out;
   write_swf(out, original, "streaming parity");
-  const SwfReadResult reread = read_both(out.str());
+  const SwfReadResult reread = read_text(out.str());
   EXPECT_EQ(reread.total_records, original.jobs.size());
   expect_same_jobs(reread.workload, original);
 }
 
 TEST(SwfRobustness, StreamingHeadMatchesEagerHeadPrefix) {
-  // The streaming head cap keeps the N earliest (submit, ingest-order)
-  // records in O(head) memory; it must pick the exact prefix the eager
+  // The in-scan head cap keeps the N earliest (submit, ingest-order)
+  // records in O(head) memory; it must pick the exact prefix a full read's
   // normalize + head() truncation picks, including across submit ties.
   std::ostringstream out;
   out << "; MaxNodes: 64\n";
@@ -460,19 +427,19 @@ TEST(SwfRobustness, StreamingHeadMatchesEagerHeadPrefix) {
         << (120 + i) << " -1 1 " << i % 7 << " 0 -1 -1 -1 -1 -1\n";
   const std::string text = out.str();
 
-  std::istringstream eager_in(text);
-  const SwfReadResult eager = read_swf(eager_in);
+  std::istringstream full_in(text);
+  const SwfReadResult full = read_swf_streaming(full_in);
   for (const std::size_t head : {std::size_t{1}, std::size_t{57}, std::size_t{200},
                                  std::size_t{500}}) {
     std::istringstream streaming_in(text);
     const SwfReadResult streamed = read_swf_streaming(streaming_in, 0, {}, head);
     expect_same_jobs(streamed.workload,
-                     workload::head(eager.workload, std::min(head, eager.workload.jobs.size())));
-    // Counters and sizing describe the whole trace in both paths — the head
+                     workload::head(full.workload, std::min(head, full.workload.jobs.size())));
+    // Counters and sizing describe the whole trace either way — the head
     // cap bounds memory, it does not hide records from provenance.
-    EXPECT_EQ(streamed.total_records, eager.total_records);
-    EXPECT_EQ(streamed.widest_job, eager.widest_job);
-    EXPECT_EQ(streamed.describe_sizing(), eager.describe_sizing());
+    EXPECT_EQ(streamed.total_records, full.total_records);
+    EXPECT_EQ(streamed.widest_job, full.widest_job);
+    EXPECT_EQ(streamed.describe_sizing(), full.describe_sizing());
   }
 }
 

@@ -15,11 +15,6 @@
 //     --wall-budget S  stop the whole campaign after S seconds (interrupted)
 //     --keep-going     keep scheduling cells after a failed cell (default:
 //                      halt; already-running cells still finish either way)
-//     --swf-reader R   SWF ingestion path for swf-sourced specs: "streaming"
-//                      (default; O(head + chunk) peak memory, archive-scale)
-//                      or "eager" (whole trace materialized). The results
-//                      store is byte-identical either way — the flag trades
-//                      memory, never output
 //     --dry-run        parse the spec, print the expanded cell plan, and exit
 //     --csv            print stdout tables as CSV instead of aligned text
 //     --trace FILE     arm the observability layer and export a Chrome
@@ -49,6 +44,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,6 +53,7 @@
 #include "obs/obs.hpp"
 #include "scenario/campaign.hpp"
 #include "util/atomic_file.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -92,7 +89,6 @@ void print_usage() {
       "  --cell-timeout S cancel a cell after S seconds -> timeout status row\n"
       "  --wall-budget S  stop the campaign after S seconds -> interrupted store\n"
       "  --keep-going     keep scheduling cells after a failure (default: halt)\n"
-      "  --swf-reader R   streaming (default) or eager SWF ingestion; identical stores\n"
       "  --dry-run        print the expanded cell plan without simulating\n"
       "  --csv            CSV tables on stdout\n"
       "  --trace FILE     export a Perfetto/Chrome trace-event JSON to FILE\n"
@@ -109,13 +105,9 @@ std::string ci_cell(const util::BootstrapCi& ci, std::size_t replicates) {
 }
 
 double parse_seconds(const std::string& arg, const char* text) {
-  try {
-    const double value = std::stod(text);
-    if (value <= 0.0) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    fail(arg + " wants a positive number of seconds, got '" + std::string(text) + "'");
-  }
+  const auto value = util::parse_number<double>(text, std::numeric_limits<double>::min());
+  if (!value) fail(arg + " wants a positive number of seconds, got '" + std::string(text) + "'");
+  return *value;
 }
 
 }  // namespace
@@ -143,9 +135,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--jobs") {
-      const int parsed = std::atoi(next());
-      if (parsed < 1) fail("--jobs must be >= 1");
-      options.jobs = static_cast<std::size_t>(parsed);
+      const char* text = next();
+      const auto jobs = util::parse_number<std::size_t>(text, 1);
+      if (!jobs) fail("--jobs wants an integer >= 1, got '" + std::string(text) + "'");
+      options.jobs = *jobs;
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-timeout") {
@@ -154,14 +147,6 @@ int main(int argc, char** argv) {
       wall_budget = parse_seconds(arg, next());
     } else if (arg == "--keep-going") {
       options.keep_going = true;
-    } else if (arg == "--swf-reader") {
-      const std::string reader = next();
-      if (reader == "streaming")
-        options.swf_reader = scenario::SwfReaderKind::Streaming;
-      else if (reader == "eager")
-        options.swf_reader = scenario::SwfReaderKind::Eager;
-      else
-        fail("--swf-reader wants 'streaming' or 'eager', got '" + reader + "'");
     } else if (arg == "--dry-run") {
       dry_run = true;
     } else if (arg == "--csv") {

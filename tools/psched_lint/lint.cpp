@@ -19,23 +19,36 @@ namespace fs = std::filesystem;
 struct RuleInfo {
   Rule rule;
   const char* name;
+  const char* summary;  ///< one line for --list-rules
 };
 
 constexpr RuleInfo kRules[] = {
-    {Rule::kRawRng, "raw-rng"},
-    {Rule::kWallClock, "wall-clock"},
-    {Rule::kParallelFpAccum, "parallel-fp-accum"},
-    {Rule::kSchedulerClone, "scheduler-clone"},
-    {Rule::kRawFileWrite, "raw-file-write"},
-    {Rule::kUnorderedIter, "unordered-iter"},
-    {Rule::kRawFaultEnv, "raw-fault-env"},
-    {Rule::kRawTraceEnv, "raw-trace-env"},
-    {Rule::kBadSuppression, "bad-suppression"},
+    {Rule::kRawRng, "raw-rng", "randomness outside util::Rng (seeded, forkable streams only)"},
+    {Rule::kWallClock, "wall-clock",
+     "wall-clock reads outside sanctioned files (simulation time only)"},
+    {Rule::kParallelFpAccum, "parallel-fp-accum",
+     "compound accumulation in parallel_for/submit lambdas (serial reductions only)"},
+    {Rule::kSchedulerClone, "scheduler-clone",
+     "Scheduler subclass missing the clone() override (fork contract)"},
+    {Rule::kRawFileWrite, "raw-file-write",
+     "direct file writes outside util::atomic_write_file (durability contract)"},
+    {Rule::kUnorderedIter, "unordered-iter",
+     "unordered-container iteration without a sorted order or a reason"},
+    {Rule::kRawEnv, "raw-env",
+     "getenv of PSCHED_FAULT*/PSCHED_TRACE outside the owning registry (read-once arming)"},
+    {Rule::kBadSuppression, "bad-suppression", "malformed psched-lint comment"},
 };
+
+bool ends_with(const std::string& path, const char* suffix) {
+  const std::string tail(suffix);
+  return path.size() >= tail.size() &&
+         path.compare(path.size() - tail.size(), tail.size(), tail) == 0;
+}
 
 // Files where a rule's flagged construct IS the sanctioned implementation.
 // Matched by path suffix so the list works from any checkout location (and is
-// itself testable through fixture files mirroring these suffixes).
+// itself testable through fixture files mirroring these suffixes). raw-env
+// sanctions per variable instead; see kOwnedEnv.
 struct Sanction {
   Rule rule;
   const char* path_suffix;
@@ -52,30 +65,33 @@ constexpr Sanction kSanctions[] = {
     // the journal's O_APPEND fd are the sanctioned raw-write call sites.
     {Rule::kRawFileWrite, "src/util/atomic_file.cpp"},
     {Rule::kRawFileWrite, "src/scenario/journal.cpp"},
-    // The fault registry is the one reader of PSCHED_FAULTS /
-    // PSCHED_FAULTS_REPORT: arming is parsed exactly once at static init so
-    // every fault point sees one consistent view.
-    {Rule::kRawFaultEnv, "src/util/fault.cpp"},
     // The chaos harness bounds *child process* wall time (hang detection,
     // kill legs); like StopToken deadlines, none of it feeds results.
     {Rule::kWallClock, "tools/psched_chaos.cpp"},
-    // The observability layer: src/obs/clock.cpp is the ONE sanctioned trace
-    // timestamp source (span timing never feeds simulation results), and
-    // src/obs/obs.cpp's static-init EnvInit is the one reader of PSCHED_TRACE
-    // — mirroring the fault registry's once-at-startup arming discipline.
+    // src/obs/clock.cpp is the ONE sanctioned trace timestamp source: span
+    // timing never feeds simulation results.
     {Rule::kWallClock, "src/obs/clock.cpp"},
-    {Rule::kRawTraceEnv, "src/obs/obs.cpp"},
 };
 
 bool is_sanctioned(Rule rule, const std::string& path) {
-  for (const Sanction& s : kSanctions) {
-    const std::string suffix(s.path_suffix);
-    if (s.rule == rule && path.size() >= suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0)
-      return true;
-  }
+  for (const Sanction& s : kSanctions)
+    if (s.rule == rule && ends_with(path, s.path_suffix)) return true;
   return false;
 }
+
+// Environment variables owned by a registry (rule raw-env): the one file that
+// may read each, and what everyone else should call instead.
+struct OwnedEnv {
+  const char* prefix;  ///< variable-name prefix, matched against string literals
+  const char* owner;   ///< path suffix of the sanctioned reader
+  const char* advice;
+};
+
+constexpr OwnedEnv kOwnedEnv[] = {
+    {"PSCHED_FAULT", "src/util/fault.cpp", "query util::fault (check/inject/report)"},
+    {"PSCHED_TRACE", "src/obs/obs.cpp",
+     "use obs::armed()/obs::arm()/obs::set_exit_trace_path()"},
+};
 
 // ---------------------------------------------------------------------------
 // Comment/string stripping (line structure preserved)
@@ -95,7 +111,7 @@ struct Literal {
 // Replaces comments, string/char literal contents, and preprocessor
 // directives with spaces so the tokenizer only ever sees code. Newlines are
 // kept, so token line numbers match the original file. String literal texts
-// are preserved out-of-band for the rules that need them (raw-fault-env).
+// are preserved out-of-band for the rules that need them (raw-env).
 struct StripResult {
   std::string code;
   std::vector<Comment> comments;
@@ -682,54 +698,31 @@ void rule_unordered_iter(const std::vector<Token>& tokens, const std::vector<Tok
   }
 }
 
-// Rule raw-fault-env: the PR 9 fault-injection contract. src/util/fault.cpp
-// parses PSCHED_FAULTS / PSCHED_FAULTS_REPORT exactly once at static init, so
-// every fault point shares one consistent arming view and chaos runs are
-// reproducible. A stray getenv("PSCHED_FAULT*") elsewhere re-reads the
-// environment at some later, racy point and silently diverges from the
-// registry — query util::fault (check / inject / report) instead. Setting the
-// variables (setenv in a test or harness) is fine; only reads are owned.
-void rule_raw_fault_env(const std::vector<Token>& tokens, const std::vector<Literal>& literals,
-                        const std::string& file, std::vector<Finding>& out) {
-  for (const Literal& literal : literals) {
-    if (literal.text.compare(0, 12, "PSCHED_FAULT") != 0) continue;
-    bool env_read = false;
-    for (const Token& t : tokens)
-      if ((t.line == literal.line || t.line + 1 == literal.line) &&
-          any_of_idents(t, {"getenv", "secure_getenv"}))
-        env_read = true;
-    if (env_read)
-      add(out, file, literal.line, Rule::kRawFaultEnv,
-          "getenv(\"" + literal.text +
-              "\") outside the fault registry — PSCHED_FAULTS is parsed once at startup "
-              "by src/util/fault.cpp; query util::fault (check/inject/report) instead of "
-              "re-reading the environment");
-  }
-}
-
-// Rule raw-trace-env: the observability twin of raw-fault-env. The obs
-// layer's EnvInit (src/obs/obs.cpp) reads PSCHED_TRACE exactly once at static
-// init, so every count()/Span site shares one consistent arming view for the
-// whole process — the byte-identity contract (traced vs untraced stores) is
-// only testable because arming cannot change mid-run. A getenv("PSCHED_TRACE")
-// anywhere else reintroduces exactly that hazard — call obs::armed() /
-// obs::arm() / obs::set_exit_trace_path() instead.
-void rule_raw_trace_env(const std::vector<Token>& tokens, const std::vector<Literal>& literals,
-                        const std::string& file, std::vector<Finding>& out) {
-  for (const Literal& literal : literals) {
-    if (literal.text.compare(0, 12, "PSCHED_TRACE") != 0) continue;
-    bool env_read = false;
-    for (const Token& t : tokens)
-      if ((t.line == literal.line || t.line + 1 == literal.line) &&
-          any_of_idents(t, {"getenv", "secure_getenv"}))
-        env_read = true;
-    if (env_read)
-      add(out, file, literal.line, Rule::kRawTraceEnv,
-          "getenv(\"" + literal.text +
-              "\") outside the obs registry — PSCHED_TRACE is read once at startup by "
-              "src/obs/obs.cpp; use obs::armed()/obs::arm()/obs::set_exit_trace_path() "
-              "instead of re-reading the environment");
-  }
+// Rule raw-env: each registry (the fault registry, the obs layer) parses its
+// arming variables exactly once at static init, so every fault point and
+// instrumentation site shares one consistent view for the whole process.
+// Chaos runs are reproducible, and traced vs untraced stores are comparable,
+// only because arming cannot change mid-run. A getenv of an owned variable
+// anywhere else re-reads the environment at some later, racy point and
+// silently diverges from its registry. The sanction is per variable: the
+// fault registry reading PSCHED_TRACE still fires. Setting the variables
+// (setenv in a test or harness) is fine; only reads are owned.
+void rule_raw_env(const std::vector<Token>& tokens, const std::vector<Literal>& literals,
+                  const std::string& file, std::vector<Finding>& out) {
+  for (const Literal& literal : literals)
+    for (const OwnedEnv& env : kOwnedEnv) {
+      if (literal.text.rfind(env.prefix, 0) != 0 || ends_with(file, env.owner)) continue;
+      bool env_read = false;
+      for (const Token& t : tokens)
+        if ((t.line == literal.line || t.line + 1 == literal.line) &&
+            any_of_idents(t, {"getenv", "secure_getenv"}))
+          env_read = true;
+      if (env_read)
+        add(out, file, literal.line, Rule::kRawEnv,
+            "getenv(\"" + literal.text + "\") outside its registry — " + env.prefix +
+                "* is read once at startup by " + env.owner + "; " + env.advice +
+                " instead of re-reading the environment");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -816,6 +809,12 @@ const char* rule_name(Rule rule) {
   return "unknown";
 }
 
+const char* rule_summary(Rule rule) {
+  for (const RuleInfo& info : kRules)
+    if (info.rule == rule) return info.summary;
+  return "";
+}
+
 bool rule_from_name(const std::string& name, Rule& out) {
   for (const RuleInfo& info : kRules) {
     if (info.rule == Rule::kBadSuppression) continue;
@@ -842,10 +841,7 @@ std::vector<Finding> lint_file(const FileInput& input) {
   if (!is_sanctioned(Rule::kRawFileWrite, input.path))
     rule_raw_file_write(tokens, input.path, findings);
   rule_unordered_iter(tokens, header_tokens, input.path, findings);
-  if (!is_sanctioned(Rule::kRawFaultEnv, input.path))
-    rule_raw_fault_env(tokens, stripped.literals, input.path, findings);
-  if (!is_sanctioned(Rule::kRawTraceEnv, input.path))
-    rule_raw_trace_env(tokens, stripped.literals, input.path, findings);
+  rule_raw_env(tokens, stripped.literals, input.path, findings);
 
   std::vector<Suppression> suppressions;
   parse_suppressions(stripped.comments, input.path, suppressions, findings);

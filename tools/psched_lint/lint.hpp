@@ -25,13 +25,15 @@ enum class Rule {
   kSchedulerClone,  ///< Scheduler subclass without a clone() override
   kRawFileWrite,    ///< direct file writes outside util::atomic_write_file
   kUnorderedIter,   ///< iterating an unordered container without justification
-  kRawFaultEnv,     ///< getenv("PSCHED_FAULT*") outside the fault registry
-  kRawTraceEnv,     ///< getenv("PSCHED_TRACE") outside the obs registry
-  kBadSuppression,  ///< malformed psched-lint comment (diagnostic, not a contract)
+  kRawEnv,          ///< getenv of a registry-owned variable outside its registry
+  kBadSuppression,  ///< malformed psched-lint comment (diagnostic, not a contract); keep last
 };
 
 /// Stable rule id used in reports and allow(<rule>) comments.
 const char* rule_name(Rule rule);
+
+/// One-line description of what `rule` enforces (the --list-rules catalog).
+const char* rule_summary(Rule rule);
 
 /// Parse an allow(<name>) rule id; returns false for unknown names.
 /// kBadSuppression is internal and deliberately not nameable.

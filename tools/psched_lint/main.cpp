@@ -22,24 +22,10 @@ void print_usage() {
 
 void print_rules() {
   using psched::lint::Rule;
-  struct Entry {
-    Rule rule;
-    const char* summary;
-  };
-  const Entry entries[] = {
-      {Rule::kRawRng, "randomness outside util::Rng (seeded, forkable streams only)"},
-      {Rule::kWallClock, "wall-clock reads outside sanctioned files (simulation time only)"},
-      {Rule::kParallelFpAccum,
-       "compound accumulation in parallel_for/submit lambdas (serial reductions only)"},
-      {Rule::kSchedulerClone, "Scheduler subclass missing the clone() override (fork contract)"},
-      {Rule::kRawFileWrite,
-       "direct file writes outside util::atomic_write_file (durability contract)"},
-      {Rule::kUnorderedIter, "unordered-container iteration without a sorted order or a reason"},
-      {Rule::kRawFaultEnv,
-       "getenv(\"PSCHED_FAULT*\") outside the fault registry (single-parse arming contract)"},
-  };
-  for (const Entry& entry : entries)
-    std::printf("%-18s %s\n", psched::lint::rule_name(entry.rule), entry.summary);
+  for (int i = 0; i < static_cast<int>(Rule::kBadSuppression); ++i) {
+    const Rule rule = static_cast<Rule>(i);
+    std::printf("%-18s %s\n", psched::lint::rule_name(rule), psched::lint::rule_summary(rule));
+  }
 }
 
 }  // namespace

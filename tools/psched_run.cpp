@@ -23,17 +23,17 @@
 //                         unchanged — see docs/observability.md)
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "metrics/breakdowns.hpp"
 #include "metrics/report.hpp"
 #include "obs/obs.hpp"
+#include "scenario/campaign.hpp"
 #include "sim/experiment.hpp"
-#include "workload/generator.hpp"
+#include "util/parse.hpp"
 #include "workload/swf.hpp"
 
 namespace {
@@ -43,6 +43,16 @@ using namespace psched;
 [[noreturn]] void fail(const std::string& message) {
   std::cerr << "psched_run: " << message << "\n(run with --help for usage)\n";
   std::exit(2);
+}
+
+/// The value of numeric flag `flag`, parsed as a whole token within
+/// [lo, hi]; anything else exits 2 naming the flag and the expected `what`.
+template <typename T>
+T parse_flag(const std::string& flag, const char* text, const char* what, T lo,
+             T hi = std::numeric_limits<T>::max()) {
+  const auto value = util::parse_number<T>(text, lo, hi);
+  if (!value) fail(flag + " wants " + what + ", got '" + text + "'");
+  return *value;
 }
 
 void print_usage() {
@@ -63,11 +73,8 @@ void print_usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string swf_path;
   std::string write_swf_path;
-  double scale = 1.0;
-  std::uint64_t seed = 20021201ULL;
-  NodeCount system_size = 0;
+  scenario::WorkloadSpec source;  // synthetic Ross unless --swf
   double decay = 0.9;
   Time tolerance = hours(24);
   bool csv = false;
@@ -76,6 +83,7 @@ int main(int argc, char** argv) {
   std::size_t jobs = 0;  // 0 = global pool size
   std::vector<PolicyConfig> policies;
 
+  constexpr double kPositive = std::numeric_limits<double>::min();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -86,34 +94,33 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     } else if (arg == "--swf") {
-      swf_path = next();
+      source.source = scenario::WorkloadSpec::Source::Swf;
+      source.swf_file = next();
     } else if (arg == "--write-swf") {
       write_swf_path = next();
     } else if (arg == "--scale") {
-      scale = std::strtod(next(), nullptr);
+      source.scale = parse_flag(arg, next(), "a number > 0", kPositive);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      source.seed = parse_flag(arg, next(), "an unsigned integer", std::uint64_t{0});
     } else if (arg == "--system-size") {
-      system_size = static_cast<NodeCount>(std::atoi(next()));
+      source.system_size = parse_flag(arg, next(), "an integer >= 1", NodeCount{1});
     } else if (arg == "--policy") {
       const std::string name = next();
       const auto policy = policy_from_name(name);
       if (!policy) fail("unknown policy '" + name + "'");
       policies.push_back(*policy);
     } else if (arg == "--decay") {
-      decay = std::strtod(next(), nullptr);
+      decay = parse_flag(arg, next(), "a number in (0, 1]", kPositive, 1.0);
     } else if (arg == "--tolerance") {
-      tolerance = std::atoll(next());
+      tolerance = parse_flag(arg, next(), "an integer number of seconds >= 0", Time{0});
     } else if (arg == "--jobs") {
-      const int parsed = std::atoi(next());
-      if (parsed < 1) fail("--jobs must be >= 1");
-      jobs = static_cast<std::size_t>(parsed);
+      jobs = parse_flag(arg, next(), "an integer >= 1", std::size_t{1});
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--by-width") {
       by_width = true;
     } else if (arg == "--by-user") {
-      by_user = std::atoi(next());
+      by_user = parse_flag(arg, next(), "an integer >= 0", 0);
     } else if (arg == "--trace") {
       obs::arm();
       obs::set_exit_trace_path(next());
@@ -123,33 +130,20 @@ int main(int argc, char** argv) {
   }
 
   // Trace.
-  Workload trace;
-  bool swf_source = false;
-  if (!swf_path.empty()) {
-    // Streaming ingestion: same bytes as the eager reader (counters, sizing
-    // and workload all pinned identical by tests), but peak memory stays
-    // O(chunk) over the ingest scan — archive traces don't double-buffer.
-    const workload::SwfReadResult read =
-        workload::read_swf_file_streaming(swf_path, system_size);
-    trace = read.workload;
-    swf_source = true;
-    std::cout << "# read " << trace.jobs.size() << " jobs from " << swf_path << " (of "
+  workload::SwfReadResult read;
+  const bool swf_source = source.source == scenario::WorkloadSpec::Source::Swf;
+  const Workload trace =
+      scenario::build_workload(source, source.seed, swf_source ? &read : nullptr);
+  if (swf_source) {
+    std::cout << "# read " << trace.jobs.size() << " jobs from " << source.swf_file << " (of "
               << read.total_records << " records: skipped " << read.skipped_records
               << " invalid, filtered " << read.filtered_records << " non-completed)\n"
               << "# machine: " << read.describe_sizing() << '\n';
   } else {
-    workload::GeneratorConfig generator;
-    generator.seed = seed;
-    generator.count_scale = scale;
-    if (system_size > 0) generator.system_size = system_size;
-    if (scale < 1.0)
-      generator.span = std::max<Time>(weeks(4), static_cast<Time>(
-          static_cast<double>(workload::kRossTraceSpan) * scale));
-    trace = workload::generate_ross_workload(generator);
-    std::cout << "# generated " << trace.jobs.size() << " synthetic jobs (seed " << seed
-              << ", scale " << scale << ")\n";
+    std::cout << "# generated " << trace.jobs.size() << " synthetic jobs (seed " << source.seed
+              << ", scale " << source.scale << ")\n"
+              << "# machine: " << trace.system_size << " nodes\n";
   }
-  if (!swf_source) std::cout << "# machine: " << trace.system_size << " nodes\n";
 
   if (!write_swf_path.empty()) {
     workload::write_swf_file(write_swf_path, trace);
