@@ -33,17 +33,19 @@ int main(int argc, char** argv) {
                                               paper_policy(PaperPolicy::ConsNomax),
                                               paper_policy(PaperPolicy::ConsMax)};
 
+  const std::vector<sim::ExperimentResult> runs =
+      bench::runner().run_all(policies, bench::jobs());
+
   util::TextTable table({"knowledge", "policy", "percent_unfair", "unfair_any", "avg_miss_s"});
   for (const metrics::FstKnowledge knowledge :
        {metrics::FstKnowledge::Estimates, metrics::FstKnowledge::Perfect}) {
-    for (const PolicyConfig& policy : policies) {
-      const sim::ExperimentResult& run = bench::runner().run(policy);
+    for (const sim::ExperimentResult& run : runs) {
       metrics::FstOptions options;
       options.knowledge = knowledge;
       const metrics::FstResult fst = metrics::hybrid_fairshare_fst(run.simulation, options);
       table.begin_row()
           .add(knowledge == metrics::FstKnowledge::Estimates ? "estimates" : "perfect")
-          .add(policy.display_name())
+          .add(run.policy.display_name())
           .add_percent(fst.percent_unfair)
           .add_percent(fst.percent_unfair_any)
           .add(fst.avg_miss_all, 0);
@@ -52,18 +54,17 @@ int main(int argc, char** argv) {
 
   // Policy-knowledge rows (forked engine): defined only without a
   // maximum-runtime limit — segment chaining has no per-original start.
-  for (const PolicyConfig& policy : policies) {
-    if (policy.max_runtime != kNoTime) continue;
-    const sim::ExperimentResult& run = bench::runner().run(policy);
+  for (const sim::ExperimentResult& run : runs) {
+    if (run.policy.max_runtime != kNoTime) continue;
     sim::EngineConfig config = bench::runner().base_config();
-    config.policy = policy;
+    config.policy = run.policy;
     metrics::FstResult fst;
     fst.fair_start =
         sim::policy_no_later_arrivals_fst(bench::runner().workload(), config);
     metrics::aggregate_fst(run.simulation, metrics::FstOptions{}, fst);
     table.begin_row()
         .add("policy")
-        .add(policy.display_name())
+        .add(run.policy.display_name())
         .add_percent(fst.percent_unfair)
         .add_percent(fst.percent_unfair_any)
         .add(fst.avg_miss_all, 0);

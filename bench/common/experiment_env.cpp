@@ -1,7 +1,10 @@
 #include "common/experiment_env.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <utility>
 
 #include "scenario/campaign.hpp"
 #include "util/parse.hpp"
@@ -9,19 +12,6 @@
 namespace psched::bench {
 
 namespace {
-double read_env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const double parsed = std::strtod(value, nullptr);
-  return parsed > 0.0 ? parsed : fallback;
-}
-
-std::uint64_t read_env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
 std::size_t g_jobs = 0;  // 0 = global pool size
 }  // namespace
 
@@ -55,21 +45,26 @@ void init(int argc, char** argv) {
 }
 
 double bench_scale() {
-  static const double scale = std::min(1.0, read_env_double("PSCHED_BENCH_SCALE", 1.0));
+  static const double scale = util::env_number("PSCHED_BENCH_SCALE", 1.0, "a number in (0, 1]",
+                                                std::numeric_limits<double>::min(), 1.0);
   return scale;
 }
+
+std::size_t jobs() { return g_jobs; }
 
 const Workload& ross_trace() {
   static const Workload trace = [] {
     scenario::WorkloadSpec spec;
     spec.scale = bench_scale();
-    return scenario::build_workload(spec, read_env_u64("PSCHED_BENCH_SEED", 20021201ULL));
+    return scenario::build_workload(
+        spec, util::env_number("PSCHED_BENCH_SEED", std::uint64_t{20021201}, "an unsigned integer",
+                               std::uint64_t{0}));
   }();
   return trace;
 }
 
-sim::ExperimentRunner& runner() {
-  static sim::ExperimentRunner shared(ross_trace());
+const sim::ExperimentRunner& runner() {
+  static const sim::ExperimentRunner shared(ross_trace());
   return shared;
 }
 
@@ -91,10 +86,10 @@ std::vector<metrics::PolicyReport> run_policies(const std::vector<PolicyConfig>&
   for (const PolicyConfig& policy : policies) std::cout << ' ' << policy.display_name();
   std::cout << '\n' << std::flush;
 
-  const auto results = runner().run_all(policies, g_jobs);
+  std::vector<sim::ExperimentResult> results = runner().run_all(policies, jobs());
   std::vector<metrics::PolicyReport> reports;
   reports.reserve(results.size());
-  for (const sim::ExperimentResult* result : results) reports.push_back(result->report);
+  for (sim::ExperimentResult& result : results) reports.push_back(std::move(result.report));
   return reports;
 }
 

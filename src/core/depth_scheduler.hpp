@@ -5,9 +5,11 @@
 //
 // At every scheduling event the first `depth` jobs in priority order receive
 // reservations (computed in that order); any other job may start immediately
-// if it violates none of them. depth == 1 behaves like EASY; depth large
-// enough to cover the queue approaches conservative-with-dynamic-reservations
-// (reservations are replanned every event, not sticky).
+// if it violates none of them. depth == 1 IS EASY / aggressive backfilling
+// (make_scheduler builds PolicyKind::Easy this way): only the head holds a
+// reservation. Depth large enough to cover the queue approaches
+// conservative-with-dynamic-reservations (reservations are replanned every
+// event, not sticky).
 
 #include <optional>
 

@@ -17,8 +17,9 @@
 // number of distinct job end times, which is far below the node count on a
 // 1000+ node machine. The seed implementation (one vector entry per node,
 // re-sorted with std::sort on every occupy) is preserved as
-// reference::ReferenceListScheduler and benchmarked side by side in
-// bench/perf_fst.cpp; observable behavior is identical.
+// reference::ReferenceListScheduler (oracles/reference_profile.hpp) and
+// benchmarked side by side in bench/perf_fst.cpp; observable behavior is
+// identical.
 
 #include <vector>
 

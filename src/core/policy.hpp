@@ -52,7 +52,7 @@ struct PolicyConfig {
   /// Injective encoding of every field (unlike display_name, which omits
   /// heavy_user_factor and can be overridden by `name`). Two configs have
   /// equal canonical keys iff they describe the same simulation — this is
-  /// the ExperimentRunner cache key.
+  /// the campaign dedupe and journal key.
   std::string canonical_key() const;
 };
 

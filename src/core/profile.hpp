@@ -27,8 +27,9 @@
 //     reservations) costs a longer walk, not a different algorithm.
 //
 // The pre-optimization implementation is preserved as
-// core/reference_profile.hpp; tests/test_core_profile_diff.cpp checks the
-// two against each other on randomized operation sequences.
+// oracles/reference_profile.hpp (test and bench builds only);
+// tests/test_core_profile_diff.cpp checks the two against each other on
+// randomized operation sequences.
 //
 // Thread safety: NONE, including for const queries — free_at, fits_at and
 // earliest_fit update the mutable cursor hint. A Profile must not be shared

@@ -32,11 +32,8 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"fst.forks", true},
     {"fst.forks_drained", true},
     {"fst.resolved_from_master", true},
-    {"experiment.cache_misses", true},
     {"journal.appends", true},
     {"store.atomic_writes", true},
-    {"experiment.cache_hits", false},
-    {"experiment.single_flight_waits", false},
     {"pool.tasks_leaf", false},
     {"pool.tasks_compound", false},
     {"pool.queue_depth_high_water", false},

@@ -13,13 +13,11 @@
 //
 // Counters come in two classes, split in every dump:
 //   * deterministic — byte-reproducible at any --jobs level (engine event
-//     counts, replans, fork counts, cache misses, journal appends, store
-//     writes): sums of per-cell-deterministic quantities, commutative
-//     across lanes.
+//     counts, replans, fork counts, journal appends, store writes): sums of
+//     per-cell-deterministic quantities, commutative across lanes.
 //   * scheduling — a function of how work landed on threads (pool task
-//     counts, queue high-water, cache hit/wait split, retry reissues, peak
-//     fork-batch bytes): real, useful, and deliberately excluded from
-//     determinism comparisons.
+//     counts, queue high-water, retry reissues, peak fork-batch bytes):
+//     real, useful, and deliberately excluded from determinism comparisons.
 //
 // Spans are scoped: construct with a static name, optionally set_arg() under
 // an armed() guard (so the disarmed path never allocates), and the
@@ -54,12 +52,9 @@ enum class Counter : std::size_t {
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start
   kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: forks answered without draining
-  kExperimentCacheMisses,       ///< sim/experiment.cpp: configs that became the flight
   kJournalAppends,              ///< scenario/journal.cpp: fsynced journal lines
   kStoreAtomicWrites,           ///< util/atomic_file.cpp: atomic_write_file calls
   // scheduling class
-  kExperimentCacheHits,         ///< sim/experiment.cpp: served from a Done entry
-  kExperimentSingleFlightWaits, ///< sim/experiment.cpp: joined a Running flight
   kPoolTasksLeaf,               ///< util/thread_pool.cpp: leaf chunks enqueued
   kPoolTasksCompound,           ///< util/thread_pool.cpp: compound tasks enqueued
   kPoolQueueDepthHighWater,     ///< util/thread_pool.cpp: max queued tasks (gauge)

@@ -238,7 +238,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     }
   }
 
-  // Shard: cells sharing (seed, engine knobs) sweep through one cached
+  // Shard: cells sharing (seed, engine knobs) sweep through one
   // ExperimentRunner; groups run in first-appearance order, so every output
   // is deterministic regardless of options.jobs.
   struct Group {
@@ -345,7 +345,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     run_options.on_finish = [&](std::size_t i, const sim::CellOutcome& outcome) {
       const std::size_t position = pending_positions[i];
       CellResult& cell = result.cells[position];
-      if (outcome.result != nullptr) {
+      if (outcome.result) {
         cell.status = CellStatus::Ok;
         cell.metrics.reserve(spec.metrics.size());
         for (const std::string& metric : spec.metrics)
@@ -372,9 +372,8 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
       if (result.breakdown_enabled) {
         CellResult::Breakdown& b = cell.breakdown;
         b.collected = true;
-        b.cache_hit = outcome.cache_hit;
         b.wall_seconds = outcome.wall_seconds;
-        if (outcome.result != nullptr) {
+        if (outcome.result) {
           b.events_delivered = outcome.result->simulation.events_delivered;
           b.scheduler_invocations = outcome.result->simulation.scheduler_invocations;
           b.sim_makespan_seconds = static_cast<double>(outcome.result->simulation.makespan());
@@ -405,10 +404,10 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
       }
     };
 
-    const std::vector<sim::CellOutcome> outcomes = runner.run_isolated(policies, run_options);
+    std::vector<sim::CellOutcome> outcomes = runner.run_isolated(policies, run_options);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].result != nullptr)
-        result.reports[pending_positions[i]] = outcomes[i].result->report;
+      if (outcomes[i].result)
+        result.reports[pending_positions[i]] = std::move(outcomes[i].result->report);
       if (outcomes[i].error && !options.keep_going) halted = true;
     }
   }
@@ -543,10 +542,7 @@ void write_summary_json(const CampaignResult& result, std::ostream& out) {
     for (std::size_t i = 0; i < result.cells.size(); ++i) {
       const CellResult& cell = result.cells[i];
       const CellResult::Breakdown& b = cell.breakdown;
-      const char* provenance = cell.restored      ? "journal"
-                               : !b.collected     ? "none"
-                               : b.cache_hit      ? "cache"
-                                                  : "computed";
+      const char* provenance = cell.restored ? "journal" : !b.collected ? "none" : "computed";
       out << "    {\"index\": " << cell.cell.index << ", \"policy\": \""
           << json_escape(cell.cell.policy.display_name()) << "\", \"seed\": " << cell.cell.seed
           << ", \"status\": \"" << cell_status_name(cell.status) << "\", \"provenance\": \""

@@ -1,10 +1,10 @@
 #pragma once
 // Campaign runner: expand a ScenarioSpec into PolicyConfig x workload x seed
-// cells, dedupe them, shard the simulations through the thread-safe
-// ExperimentRunner on the global pool, aggregate replicate seeds into
-// mean + bootstrap confidence intervals, and write a structured results
-// store (CSV rows per cell, JSON summary per aggregate) suitable for
-// tools/summarize_benches.py-style diffing.
+// cells, dedupe them (the one dedupe layer: each unique cell is simulated
+// once), shard the simulations through ExperimentRunner on the global pool,
+// aggregate replicate seeds into mean + bootstrap confidence intervals, and
+// write a structured results store (CSV rows per cell, JSON summary per
+// aggregate) suitable for tools/summarize_benches.py-style diffing.
 //
 // Determinism contract: cell order, simulation results, aggregates and both
 // writers are byte-identical for every parallelism level — each cell's
@@ -73,7 +73,6 @@ struct CellResult {
   /// the result rows stay byte-identical traced vs untraced.
   struct Breakdown {
     bool collected = false;      ///< this cell ran while obs was armed
-    bool cache_hit = false;      ///< served by the experiment cache/single-flight
     double wall_seconds = 0.0;   ///< lane wall time (errors included)
     std::uint64_t events_delivered = 0;
     std::uint64_t scheduler_invocations = 0;

@@ -1,6 +1,8 @@
 #include "sim/experiment.hpp"
 
 #include <atomic>
+#include <mutex>
+#include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/obs.hpp"
@@ -15,106 +17,54 @@ ExperimentRunner::ExperimentRunner(Workload workload, EngineConfig base,
   workload_.validate();
 }
 
-ExperimentRunner::CacheEntry& ExperimentRunner::entry_for(const PolicyConfig& policy) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<CacheEntry>& slot = cache_[policy.canonical_key()];
-  if (!slot) slot = std::make_unique<CacheEntry>();
-  return *slot;
+ExperimentResult ExperimentRunner::run(const PolicyConfig& policy, util::StopToken stop) const {
+  ExperimentResult result;
+  result.policy = policy;
+  EngineConfig config = base_;
+  config.policy = policy;
+  if (stop.valid()) config.stop = stop;
+  result.simulation = simulate(workload_, config);
+  result.report = metrics::evaluate(result.simulation, fst_options_);
+  if (fst_options_.policy_knowledge) {
+    // The forked-engine FST re-runs the policy itself, so it needs the
+    // workload and config — this is the one place with both in hand. The
+    // fork drain help-drains safely from inside a sweep lane's pool task.
+    PolicyFstOptions policy_options;
+    policy_options.fork_batch = fst_options_.fork_batch;
+    policy_options.stats = &result.fst_stats;
+    result.report.policy_fairness.fair_start =
+        policy_no_later_arrivals_fst(workload_, config, policy_options);
+    metrics::aggregate_fst(result.simulation, fst_options_, result.report.policy_fairness);
+    result.report.has_policy_fairness = true;
+  }
+  return result;
 }
 
-const ExperimentResult& ExperimentRunner::run(const PolicyConfig& policy, util::StopToken stop,
-                                              bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  CacheEntry& entry = entry_for(policy);
-  std::unique_lock<std::mutex> lock(entry.mutex);
-  if (entry.state == CacheEntry::State::Running) {
-    // Join the in-flight computation and share its outcome — including its
-    // error (retrying per joiner would simulate a broken config N times).
-    obs::count(obs::Counter::kExperimentSingleFlightWaits);
-    if (cache_hit != nullptr) *cache_hit = true;
-    entry.cv.wait(lock, [&] { return entry.state != CacheEntry::State::Running; });
-    if (entry.state == CacheEntry::State::Done) return *entry.result;
-    std::rethrow_exception(entry.error);
-  }
-  if (entry.state == CacheEntry::State::Done) {
-    obs::count(obs::Counter::kExperimentCacheHits);
-    if (cache_hit != nullptr) *cache_hit = true;
-    return *entry.result;
-  }
-
-  // Empty, or Failed: become the flight. A Failed entry is evicted here so a
-  // retry (e.g. after a cancellation or timeout) can succeed without a
-  // process restart; concurrent retriers serialize on the Running state.
-  obs::count(obs::Counter::kExperimentCacheMisses);
-  entry.state = CacheEntry::State::Running;
-  entry.error = nullptr;
-  lock.unlock();
-
-  std::unique_ptr<ExperimentResult> result;
-  std::exception_ptr error;
-  try {
-    result = std::make_unique<ExperimentResult>();
-    result->policy = policy;
-    EngineConfig config = base_;
-    config.policy = policy;
-    if (stop.valid()) config.stop = stop;
-    result->simulation = simulate(workload_, config);
-    result->report = metrics::evaluate(result->simulation, fst_options_);
-    if (fst_options_.policy_knowledge) {
-      // The forked-engine FST re-runs the policy itself, so it needs the
-      // workload and config — this is the one place with both in hand. The
-      // fork drain help-drains safely from inside a sweep lane's pool task.
-      PolicyFstOptions policy_options;
-      policy_options.fork_batch = fst_options_.fork_batch;
-      policy_options.stats = &result->fst_stats;
-      result->report.policy_fairness.fair_start =
-          policy_no_later_arrivals_fst(workload_, config, policy_options);
-      metrics::aggregate_fst(result->simulation, fst_options_,
-                             result->report.policy_fairness);
-      result->report.has_policy_fairness = true;
-    }
-  } catch (...) {
-    error = std::current_exception();
-    result.reset();
-  }
-
-  lock.lock();
-  if (error) {
-    entry.error = error;
-    entry.state = CacheEntry::State::Failed;
-  } else {
-    entry.result = std::move(result);
-    entry.state = CacheEntry::State::Done;  // terminal: references stay valid
-  }
-  entry.cv.notify_all();
-  if (entry.error) std::rethrow_exception(entry.error);
-  return *entry.result;
-}
-
-std::vector<const ExperimentResult*> ExperimentRunner::run_all(
-    const std::vector<PolicyConfig>& policies, std::size_t jobs, util::StopToken stop) {
+std::vector<ExperimentResult> ExperimentRunner::run_all(const std::vector<PolicyConfig>& policies,
+                                                       std::size_t jobs,
+                                                       util::StopToken stop) const {
   IsolatedRunOptions options;
   options.jobs = jobs;
   options.stop = stop;
   options.keep_going = false;
-  const std::vector<CellOutcome> outcomes = run_isolated(policies, options);
+  std::vector<CellOutcome> outcomes = run_isolated(policies, options);
   // The lowest-index error wins, so the rethrown exception does not depend on
   // which lane failed first.
   for (const CellOutcome& outcome : outcomes)
     if (outcome.error) std::rethrow_exception(outcome.error);
   // A tripped token can leave slots unvisited without any cell failing;
-  // callers dereference every slot, so surface the cancellation instead.
-  std::vector<const ExperimentResult*> results;
+  // callers read every slot, so surface the cancellation instead.
+  std::vector<ExperimentResult> results;
   results.reserve(outcomes.size());
-  for (const CellOutcome& outcome : outcomes) {
-    if (outcome.result == nullptr) throw SimulationCancelled(stop.reason());
-    results.push_back(outcome.result);
+  for (CellOutcome& outcome : outcomes) {
+    if (!outcome.result) throw SimulationCancelled(stop.reason());
+    results.push_back(std::move(*outcome.result));
   }
   return results;
 }
 
-std::vector<CellOutcome> ExperimentRunner::run_isolated(
-    const std::vector<PolicyConfig>& policies, const IsolatedRunOptions& options) {
+std::vector<CellOutcome> ExperimentRunner::run_isolated(const std::vector<PolicyConfig>& policies,
+                                                        const IsolatedRunOptions& options) const {
   obs::Span sweep_span("sweep");
   const std::size_t n = policies.size();
   std::vector<CellOutcome> outcomes(n);
@@ -131,7 +81,7 @@ std::vector<CellOutcome> ExperimentRunner::run_isolated(
     while (!halt.load(std::memory_order_relaxed) && !options.stop.stop_requested()) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      CellOutcome outcome;
+      CellOutcome& outcome = outcomes[i];  // each lane writes only its own slots
       {
         obs::Span cell_span("cell");
         const std::uint64_t cell_t0 = obs::armed() ? obs::now_us() : 0;
@@ -142,7 +92,7 @@ std::vector<CellOutcome> ExperimentRunner::run_isolated(
           const util::StopToken token =
               options.cell_stop ? options.cell_stop(i) : options.stop;
           if (options.on_start) options.on_start(i, token);
-          outcome.result = &run(policies[i], token, &outcome.cache_hit);
+          outcome.result = run(policies[i], token);
         } catch (...) {
           outcome.error = std::current_exception();
           if (!options.keep_going) halt.store(true, std::memory_order_relaxed);
@@ -152,18 +102,17 @@ std::vector<CellOutcome> ExperimentRunner::run_isolated(
         if (obs::armed())
           outcome.wall_seconds = static_cast<double>(obs::now_us() - cell_t0) * 1e-6;
       }
-      outcomes[i] = outcome;  // each lane writes only its own slots
       if (options.on_finish) {
         const std::lock_guard<std::mutex> guard(finish_mutex);
-        options.on_finish(i, outcomes[i]);
+        options.on_finish(i, outcome);
       }
     }
   };
 
-  // run() can block on an in-flight cache entry, so lanes are compound pool
-  // work (never help-drained). A sweep started from inside a pool task could
-  // then wait on workers that are all occupied by its ancestors, so it runs
-  // serially there instead.
+  // Lanes are compound pool work, never help-drained into another cell's
+  // wait (see util/thread_pool.hpp). A sweep started from inside a pool task
+  // could then wait on workers that are all occupied by its ancestors, so it
+  // runs serially there instead.
   if (jobs <= 1 || util::ThreadPool::in_pool_task()) {
     lane();
     return outcomes;

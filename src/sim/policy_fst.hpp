@@ -11,8 +11,9 @@
 // fork tails instead of the seed's n truncated re-simulations (O(n^2)
 // simulated events); bench/perf_fst.cpp measures the pair
 // (BM_PolicyFstForked vs BM_RefPolicyFstNaive) and the win grows with trace
-// length. The naive re-simulation is preserved below as the behavioral
-// oracle — tests pin the two byte-identical for every policy.
+// length. The naive re-simulation is preserved as the behavioral oracle in
+// oracles/policy_fst_naive.hpp (test and bench builds only) — tests pin the
+// two byte-identical for every policy.
 
 #include <cstddef>
 #include <vector>
@@ -56,13 +57,5 @@ struct PolicyFstOptions {
 std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
                                                const EngineConfig& config,
                                                const PolicyFstOptions& options = {});
-
-/// The seed implementation, preserved verbatim as the behavioral oracle: one
-/// truncated-workload re-simulation per job (O(n^2) simulated events
-/// overall). Reference for tests and BM_RefPolicyFstNaive; use
-/// policy_no_later_arrivals_fst everywhere else.
-std::vector<Time> policy_no_later_arrivals_fst_naive(const Workload& workload,
-                                                     const EngineConfig& config,
-                                                     const PolicyFstOptions& options = {});
 
 }  // namespace psched::sim

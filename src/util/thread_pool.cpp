@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "util/fault.hpp"
+#include "util/parse.hpp"
 
 namespace psched::util {
 
@@ -176,13 +176,9 @@ bool ThreadPool::try_run_one() {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("PSCHED_THREADS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) return static_cast<std::size_t>(parsed);
-    }
-    return std::size_t{0};  // hardware concurrency
-  }());
+  // 0 (unset or empty) selects hardware concurrency.
+  static ThreadPool pool(
+      env_number("PSCHED_THREADS", std::size_t{0}, "an integer >= 1", std::size_t{1}));
   return pool;
 }
 

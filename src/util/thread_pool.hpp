@@ -3,17 +3,17 @@
 // Used for the embarrassingly parallel layers of the study: per-job FST
 // computation and running independent policy simulations side by side.
 //
-// Two task classes keep nested waiting safe:
+// Two task classes keep nested waiting safe and cells isolated:
 //
 //  - *Leaf* tasks are the chunks parallel_for creates. They are pure compute
 //    (never block on shared state), so any thread stuck waiting for a
 //    parallel_for may execute them ("help-drain") without risk.
-//  - *Compound* tasks enter through submit(). They may block — e.g. on a
-//    single-flight experiment-cache entry — so they run only at worker-thread
-//    top level, never nested inside another task. Help-draining a compound
-//    task could otherwise re-enter a lock the helping thread already holds
-//    lower in its stack (a real deadlock: two run_all sweeps sharing a
-//    policy, one helping the other while its own simulation is in flight).
+//  - *Compound* tasks enter through submit(): whole units of work such as an
+//    ExperimentRunner sweep lane, which runs one cell after another. They run
+//    only at worker-thread top level, never nested inside another task, so
+//    cells stay isolated: a lane help-drained inside another cell's
+//    fork-drain wait would charge that cell's wall time and --cell-timeout
+//    with a whole other cell.
 
 #include <condition_variable>
 #include <cstddef>
@@ -100,8 +100,9 @@ class ThreadPool {
 };
 
 /// Shared process-wide pool, lazily constructed on first use. Size comes from
-/// the PSCHED_THREADS environment variable when set (>= 1), otherwise
-/// hardware concurrency.
+/// the PSCHED_THREADS environment variable when set (a whole integer >= 1;
+/// anything else exits 2 naming the variable), otherwise hardware
+/// concurrency.
 ThreadPool& global_pool();
 
 /// Convenience wrapper over global_pool().parallel_for.

@@ -39,6 +39,34 @@ TEST(PolicyConfig, ExplicitNameWins) {
   EXPECT_EQ(c.display_name(), "my-policy");
 }
 
+// display_name omits heavy_user_factor, so two configs differing only there
+// share a display name; the canonical key (the campaign dedupe and journal
+// key) must still tell them apart, or they would share one result.
+TEST(PolicyConfig, CanonicalKeyDistinguishesConfigsWithEqualDisplayNames) {
+  const PolicyConfig strict = paper_policy(PaperPolicy::Cplant24NomaxFair);
+  PolicyConfig lax = strict;
+  lax.heavy_user_factor = 1.0;  // bars far more users, same display name
+  ASSERT_EQ(strict.display_name(), lax.display_name());
+  EXPECT_NE(strict.canonical_key(), lax.canonical_key());
+  EXPECT_EQ(strict.canonical_key(), paper_policy(PaperPolicy::Cplant24NomaxFair).canonical_key());
+}
+
+// An explicit `name` also participates in identity: same fields + different
+// name means a different report (policy_name differs), and a name that
+// mimics another config's derived display name must not take its key.
+TEST(PolicyConfig, CanonicalKeyDistinguishesExplicitNames) {
+  const PolicyConfig derived;  // cplant24.nomax.all
+  PolicyConfig disguised;
+  disguised.starvation_delay = hours(72);
+  disguised.name = derived.display_name();
+  ASSERT_EQ(derived.display_name(), disguised.display_name());
+  EXPECT_NE(derived.canonical_key(), disguised.canonical_key());
+
+  PolicyConfig renamed = derived;
+  renamed.name = "my-policy";
+  EXPECT_NE(derived.canonical_key(), renamed.canonical_key());
+}
+
 TEST(PolicyFactory, BuildsEveryKind) {
   for (const PolicyKind kind :
        {PolicyKind::Fcfs, PolicyKind::Cplant, PolicyKind::Easy, PolicyKind::Conservative,

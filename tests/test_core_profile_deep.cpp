@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/profile.hpp"
-#include "core/reference_profile.hpp"
+#include "oracles/reference_profile.hpp"
 #include "util/rng.hpp"
 
 namespace psched {

@@ -1,6 +1,6 @@
 // Differential/property tests: the optimized hot-path Profile and
 // ListScheduler must be observably identical to the preserved seed
-// implementations (core/reference_profile.hpp) on randomized operation
+// implementations (oracles/reference_profile.hpp) on randomized operation
 // sequences. These are the guardrails that let the hot path be rewritten
 // aggressively.
 
@@ -10,7 +10,7 @@
 
 #include "core/list_scheduler.hpp"
 #include "core/profile.hpp"
-#include "core/reference_profile.hpp"
+#include "oracles/reference_profile.hpp"
 #include "util/rng.hpp"
 
 namespace psched {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "metrics/report.hpp"
 #include "metrics/selection.hpp"
@@ -54,7 +55,7 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
   const CampaignResult result = run_campaign(spec);
 
   // The reference, built without build_workload: the Ross generator with the
-  // span scaling spelled out, swept through a cached ExperimentRunner with
+  // span scaling spelled out, swept through an ExperimentRunner with
   // default engine settings (what the exp_* binaries run).
   workload::GeneratorConfig generator;
   generator.seed = spec.workload.seed;
@@ -64,8 +65,8 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
       static_cast<Time>(static_cast<double>(workload::kRossTraceSpan) * spec.workload.scale));
   sim::ExperimentRunner runner(workload::generate_ross_workload(generator));
   std::vector<metrics::PolicyReport> reference;
-  for (const sim::ExperimentResult* run : runner.run_all(paper))
-    reference.push_back(run->report);
+  for (sim::ExperimentResult& run : runner.run_all(paper))
+    reference.push_back(std::move(run.report));
 
   ASSERT_EQ(result.cells.size(), paper.size());
   for (std::size_t i = 0; i < paper.size(); ++i) {

@@ -256,6 +256,31 @@ starvation_delay_hours = 24, 72
       EXPECT_NE(plan.cells[i].key, plan.cells[j].key);
 }
 
+TEST(ScenarioSpec, ExpansionKeepsEqualDisplayNamesWithDistinctKeys) {
+  // heavy_user_factor is not part of the display name, so both cells print
+  // as cplant24.nomax.fair; the dedupe must key on the full config and keep
+  // both, or one factor's results would stand in for the other's.
+  const ScenarioSpec spec = parse(R"(
+[campaign]
+name = factors
+metrics = percent_unfair
+
+[policies]
+names = cplant24.nomax.fair
+
+[grid]
+heavy_user_factor = 4, 1
+)");
+  const CampaignPlan plan = expand_campaign(spec);
+  EXPECT_EQ(plan.expanded_cells, 2u);
+  ASSERT_EQ(plan.cells.size(), 2u);
+  EXPECT_EQ(plan.cells[0].policy.display_name(), "cplant24.nomax.fair");
+  EXPECT_EQ(plan.cells[1].policy.display_name(), "cplant24.nomax.fair");
+  EXPECT_EQ(plan.cells[0].policy.heavy_user_factor, 4.0);
+  EXPECT_EQ(plan.cells[1].policy.heavy_user_factor, 1.0);
+  EXPECT_NE(plan.cells[0].key, plan.cells[1].key);
+}
+
 TEST(ScenarioSpec, OverridesDropStalePresetNames) {
   // paper_policy configs carry a preset display name; a knob override must
   // re-derive it instead of simulating under a stale label.

@@ -25,19 +25,6 @@ TEST(DepthScheduler, RejectsBadDepth) {
   EXPECT_THROW(DepthScheduler(DepthConfig{PriorityKind::Fcfs, 0}), std::invalid_argument);
 }
 
-TEST(DepthScheduler, DepthOneMatchesEasyScenario) {
-  // The EASY Figure-2 scenario behaves identically at depth 1.
-  const Workload w = make_workload(8, {
-                                          make_job(0, 100, 6),
-                                          make_job(1, 50, 4),
-                                          make_job(2, 50, 2),
-                                      });
-  const SimulationResult depth = run_depth(w, 1);
-  const SimulationResult easy = test::run_policy(w, PolicyKind::Easy);
-  for (std::size_t i = 0; i < w.jobs.size(); ++i)
-    EXPECT_EQ(depth.records[i].start, easy.records[i].start) << "job " << i;
-}
-
 TEST(DepthScheduler, DeeperReservationsProtectMoreJobs) {
   // Two blocked jobs. The long backfiller J3 threads around J1's reservation
   // (6+2 = 8 fits) but would collide with J2's (7+2 > 8). At depth 1 only

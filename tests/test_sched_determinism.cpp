@@ -18,8 +18,8 @@
 #include <unordered_map>
 
 #include "core/conservative_scheduler.hpp"
-#include "core/reference_profile.hpp"
 #include "core/scheduler.hpp"
+#include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"

@@ -1,4 +1,6 @@
-#include "core/easy_scheduler.hpp"
+// Behaviour of the `easy` / PolicyKind::Easy spelling: aggressive
+// backfilling, which make_scheduler builds as a depth-1 DepthScheduler. The
+// suite keeps its EasyScheduler name so the test ids stay stable.
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
+#include <optional>
 #include <thread>
 
 #include "sim/policy_fst.hpp"
@@ -55,27 +54,19 @@ void expect_identical_records(const SimulationResult& a, const SimulationResult&
   }
 }
 
-TEST(ExperimentRunner, CachesByPolicyName) {
-  const Workload w = psched::workload::generate_small_workload(3, 100, 32, days(2));
-  ExperimentRunner runner(w);
-  const ExperimentResult& first = runner.run(paper_policy(PaperPolicy::Cplant24NomaxAll));
-  const ExperimentResult& second = runner.run(paper_policy(PaperPolicy::Cplant24NomaxAll));
-  EXPECT_EQ(&first, &second);  // same cached object
-}
-
 TEST(ExperimentRunner, RunAllCoversEveryPolicy) {
   const Workload w = psched::workload::generate_small_workload(5, 80, 32, days(2));
   ExperimentRunner runner(w);
-  const auto results = runner.run_all(all_paper_policies());
+  const std::vector<PolicyConfig> policies = all_paper_policies();
+  const std::vector<ExperimentResult> results = runner.run_all(policies);
   ASSERT_EQ(results.size(), 9u);
-  for (const ExperimentResult* r : results) {
-    EXPECT_FALSE(r->report.policy.empty());
-    EXPECT_EQ(r->simulation.original_job_count, w.jobs.size());
-    EXPECT_GT(r->report.standard.avg_turnaround, 0.0);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    // Input order, one result per policy.
+    EXPECT_EQ(results[i].policy.canonical_key(), policies[i].canonical_key());
+    EXPECT_EQ(results[i].report.policy, policies[i].display_name());
+    EXPECT_EQ(results[i].simulation.original_job_count, w.jobs.size());
+    EXPECT_GT(results[i].report.standard.avg_turnaround, 0.0);
   }
-  // All nine simulated distinctly.
-  for (std::size_t i = 0; i < results.size(); ++i)
-    for (std::size_t j = i + 1; j < results.size(); ++j) EXPECT_NE(results[i], results[j]);
 }
 
 TEST(ExperimentRunner, ReportsAreInternallyConsistent) {
@@ -84,39 +75,6 @@ TEST(ExperimentRunner, ReportsAreInternallyConsistent) {
   const ExperimentResult& r = runner.run(paper_policy(PaperPolicy::ConsNomax));
   EXPECT_EQ(r.report.fairness.fair_start.size(), r.simulation.records.size());
   EXPECT_EQ(r.report.standard.job_count, r.simulation.records.size());
-}
-
-// Regression: display_name omits heavy_user_factor, so these two configs
-// used to alias one cache slot and silently share a result.
-TEST(ExperimentRunner, CacheDistinguishesConfigsWithEqualDisplayNames) {
-  PolicyConfig strict = paper_policy(PaperPolicy::Cplant24NomaxFair);
-  PolicyConfig lax = strict;
-  lax.heavy_user_factor = 1.0;  // bars far more users, same display name
-  ASSERT_EQ(strict.display_name(), lax.display_name());
-  ASSERT_NE(strict.canonical_key(), lax.canonical_key());
-
-  const Workload w = psched::workload::generate_small_workload(17, 120, 32, days(2));
-  ExperimentRunner runner(w);
-  const ExperimentResult& strict_result = runner.run(strict);
-  const ExperimentResult& lax_result = runner.run(lax);
-  EXPECT_NE(&strict_result, &lax_result);
-  EXPECT_EQ(strict_result.policy.heavy_user_factor, 4.0);
-  EXPECT_EQ(lax_result.policy.heavy_user_factor, 1.0);
-}
-
-// An explicit `name` also participates in identity: same fields + different
-// name means a different report (policy_name differs), and a name that
-// mimics another config's derived display name must not steal its slot.
-TEST(ExperimentRunner, CacheDistinguishesExplicitNames) {
-  PolicyConfig derived;  // cplant24.nomax.all
-  PolicyConfig disguised;
-  disguised.starvation_delay = hours(72);
-  disguised.name = derived.display_name();
-  ASSERT_EQ(derived.display_name(), disguised.display_name());
-
-  const Workload w = psched::workload::generate_small_workload(19, 100, 32, days(2));
-  ExperimentRunner runner(w);
-  EXPECT_NE(&runner.run(derived), &runner.run(disguised));
 }
 
 TEST(ExperimentRunner, RunAllIsDeterministicAcrossJobCounts) {
@@ -131,47 +89,38 @@ TEST(ExperimentRunner, RunAllIsDeterministicAcrossJobCounts) {
     const auto parallel = parallel_runner.run_all(policies, jobs);
     ASSERT_EQ(parallel.size(), base.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
-      expect_identical_report(base[i]->report, parallel[i]->report);
-      expect_identical_records(base[i]->simulation, parallel[i]->simulation);
+      expect_identical_report(base[i].report, parallel[i].report);
+      expect_identical_records(base[i].simulation, parallel[i].simulation);
     }
   }
 }
 
-// Hammer one runner with duplicate policies from many threads: every
-// duplicate must resolve to the same cached object (single-flight), and the
-// cache must hold exactly one entry per distinct config.
+// One shared runner driven from many threads at once: run() is const and
+// lock-free, so every thread's simulation of the same policy must produce
+// the same report and records (the tools/run_sanitize.sh thread pass runs
+// this under ThreadSanitizer).
 TEST(ExperimentRunner, ConcurrentDuplicateStress) {
   const Workload w = psched::workload::generate_small_workload(29, 60, 32, days(1));
-  ExperimentRunner runner(w);
-
-  std::vector<PolicyConfig> policies;
-  for (int repeat = 0; repeat < 12; ++repeat)
-    for (const PaperPolicy p : {PaperPolicy::Cplant24NomaxAll, PaperPolicy::ConsNomax,
-                                PaperPolicy::Cplant24NomaxFair})
-      policies.push_back(paper_policy(p));
+  const ExperimentRunner runner(w);
+  const PolicyConfig policy = paper_policy(PaperPolicy::Cplant24NomaxFair);
 
   constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<const ExperimentResult*>> per_thread(kThreads);
+  std::vector<std::optional<ExperimentResult>> per_thread(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { per_thread[t] = runner.run_all(policies, 4); });
+    threads.emplace_back([&, t] { per_thread[t] = runner.run(policy); });
   for (auto& thread : threads) thread.join();
 
-  std::set<const ExperimentResult*> distinct;
-  for (const auto& results : per_thread) {
-    ASSERT_EQ(results.size(), policies.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_NE(results[i], nullptr);
-      EXPECT_EQ(results[i], per_thread[0][i]) << "duplicate simulated twice at " << i;
-      distinct.insert(results[i]);
-    }
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    expect_identical_report(per_thread[0]->report, per_thread[t]->report);
+    expect_identical_records(per_thread[0]->simulation, per_thread[t]->simulation);
   }
-  EXPECT_EQ(distinct.size(), 3u);  // one result per distinct config
 }
 
-// A config whose scheduler construction throws must report the same error to
-// every caller (cached single-flight error), not retry per caller.
+// A config whose scheduler construction throws reports its error to every
+// caller, through run() and through the sweep alike.
 TEST(ExperimentRunner, BrokenConfigErrorIsCachedAndRethrown) {
   const Workload w = psched::workload::generate_small_workload(31, 20, 16, days(1));
   ExperimentRunner runner(w);
@@ -200,7 +149,7 @@ TEST(ExperimentRunner, RunAllRethrowsLowestIndexError) {
                                               paper_policy(PaperPolicy::ConsNomax)};
   for (int round = 0; round < 40; ++round) {
     try {
-      runner.run_all(policies, 4);  // failed entries are evicted, so each round re-fails
+      runner.run_all(policies, 4);
       FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what()).find("max_runtime"), std::string::npos)
@@ -209,28 +158,13 @@ TEST(ExperimentRunner, RunAllRethrowsLowestIndexError) {
   }
 }
 
-// Failed flights are evictable: a cancellation must not poison the config
-// for the rest of the process — the next fresh call retries and succeeds.
-// This is what --resume and --keep-going re-runs rely on.
-TEST(ExperimentRunner, TransientFailureIsEvictedAndARetrySucceeds) {
-  const Workload w = psched::workload::generate_small_workload(37, 40, 16, days(1));
-  ExperimentRunner runner(w);
-  const PolicyConfig policy = paper_policy(PaperPolicy::ConsNomax);
-  util::StopSource stop;
-  stop.request_stop();
-  EXPECT_THROW(runner.run(policy, stop.token()), SimulationCancelled);
-  const ExperimentResult& retried = runner.run(policy);  // no token: retries
-  EXPECT_GT(retried.report.standard.avg_turnaround, 0.0);
-  EXPECT_EQ(&retried, &runner.run(policy));  // Done is terminal again
-}
-
 TEST(ExperimentRunner, RunAllSurfacesATrippedTokenAsCancellation) {
   const Workload w = psched::workload::generate_small_workload(41, 40, 16, days(1));
   ExperimentRunner runner(w);
   util::StopSource stop;
   stop.request_stop();
   EXPECT_THROW(runner.run_all(all_paper_policies(), 2, stop.token()), SimulationCancelled);
-  // And the runner is still usable afterwards (no poisoned entries).
+  // And the runner is still usable afterwards.
   EXPECT_EQ(runner.run_all(all_paper_policies(), 2).size(), 9u);
 }
 
@@ -249,11 +183,11 @@ TEST(ExperimentRunner, RunIsolatedContainsFailuresToTheirCell) {
   options.jobs = 2;
   const std::vector<CellOutcome> outcomes = runner.run_isolated(policies, options);
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_NE(outcomes[0].result, nullptr);
-  EXPECT_EQ(outcomes[1].result, nullptr);
+  EXPECT_TRUE(outcomes[0].result);
+  EXPECT_FALSE(outcomes[1].result);
   ASSERT_TRUE(outcomes[1].error != nullptr);
   EXPECT_THROW(std::rethrow_exception(outcomes[1].error), std::invalid_argument);
-  ASSERT_NE(outcomes[2].result, nullptr);
+  ASSERT_TRUE(outcomes[2].result);
 
   ExperimentRunner undisturbed(w);
   expect_identical_report(outcomes[2].result->report,
@@ -303,10 +237,10 @@ TEST(ExperimentRunner, RunIsolatedPerCellTokensCancelOnlyTheirCell) {
   const std::vector<CellOutcome> outcomes = runner.run_isolated(
       {paper_policy(PaperPolicy::Cplant24NomaxAll), paper_policy(PaperPolicy::ConsNomax)},
       options);
-  EXPECT_EQ(outcomes[0].result, nullptr);
+  EXPECT_FALSE(outcomes[0].result);
   ASSERT_TRUE(outcomes[0].error != nullptr);
   EXPECT_THROW(std::rethrow_exception(outcomes[0].error), SimulationCancelled);
-  EXPECT_NE(outcomes[1].result, nullptr);  // sibling unaffected
+  EXPECT_TRUE(outcomes[1].result);  // sibling unaffected
 }
 
 TEST(PolicyFst, MatchesDirectSimulationForLastJob) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "oracles/policy_fst_naive.hpp"
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"

@@ -290,8 +290,7 @@ int main(int argc, char** argv) {
           .add_int(static_cast<long long>(cell.cell.index))
           .add(cell.cell.policy.display_name())
           .add(scenario::cell_status_name(cell.status))
-          .add(cell.restored ? "journal" : !b.collected ? "none" : b.cache_hit ? "cache"
-                                                                               : "computed")
+          .add(cell.restored ? "journal" : !b.collected ? "none" : "computed")
           .add(b.wall_seconds, 3)
           .add_int(static_cast<long long>(b.events_delivered))
           .add_int(static_cast<long long>(b.scheduler_invocations))

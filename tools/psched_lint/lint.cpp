@@ -896,7 +896,7 @@ std::vector<Finding> lint_paths(const std::vector<fs::path>& paths) {
 
 std::vector<Finding> lint_tree(const fs::path& root) {
   std::vector<fs::path> paths;
-  for (const char* dir : {"src", "tools", "bench"}) {
+  for (const char* dir : {"src", "oracles", "tools", "bench"}) {
     const fs::path base = root / dir;
     if (!fs::exists(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base))

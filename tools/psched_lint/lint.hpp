@@ -62,7 +62,7 @@ std::vector<Finding> lint_file(const FileInput& input);
 /// directory when present) and scan it. Unreadable paths throw.
 std::vector<Finding> lint_paths(const std::vector<std::filesystem::path>& paths);
 
-/// Scan every C++ source under root/src, root/tools, root/bench.
+/// Scan every C++ source under root/src, root/oracles, root/tools, root/bench.
 std::vector<Finding> lint_tree(const std::filesystem::path& root);
 
 /// "file:line: [rule] message" — the one report format, shared by CLI & tests.

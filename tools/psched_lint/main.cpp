@@ -1,6 +1,6 @@
-// psched-lint CLI. Scans src/, tools/, bench/ (or an explicit file list) for
-// violations of the project's determinism/durability contracts and exits
-// non-zero on any finding. See docs/static_analysis.md for the rule catalog.
+// psched-lint CLI. Scans src/, oracles/, tools/, bench/ (or an explicit file
+// list) for violations of the project's determinism/durability contracts and
+// exits non-zero on any finding. See docs/static_analysis.md for the rule catalog.
 
 #include <cstdio>
 #include <filesystem>
@@ -15,8 +15,9 @@ void print_usage() {
   std::printf(
       "usage: psched_lint [--root DIR] [--list-rules] [file...]\n"
       "\n"
-      "With no files, scans DIR/src, DIR/tools, DIR/bench (DIR defaults to the\n"
-      "current directory). Exits 1 when any contract violation is found.\n"
+      "With no files, scans DIR/src, DIR/oracles, DIR/tools, DIR/bench (DIR\n"
+      "defaults to the current directory). Exits 1 when any contract violation\n"
+      "is found.\n"
       "Suppress a finding with: // psched-lint: allow(<rule>): <reason>\n");
 }
 

@@ -157,15 +157,15 @@ int main(int argc, char** argv) {
   base.fairshare_decay = decay;
   metrics::FstOptions fst_options;
   fst_options.tolerance = tolerance;
-  sim::ExperimentRunner runner(trace, base, fst_options);
+  const sim::ExperimentRunner runner(trace, base, fst_options);
 
   std::cout << "# simulating " << policies.size() << " policies";
   for (const PolicyConfig& policy : policies) std::cout << ' ' << policy.display_name();
   std::cout << "...\n" << std::flush;
-  const std::vector<const sim::ExperimentResult*> results = runner.run_all(policies, jobs);
+  const std::vector<sim::ExperimentResult> results = runner.run_all(policies, jobs);
 
   std::vector<metrics::PolicyReport> reports;
-  for (const sim::ExperimentResult* run : results) reports.push_back(run->report);
+  for (const sim::ExperimentResult& run : results) reports.push_back(run.report);
 
   const util::TextTable fairness = metrics::fairness_summary_table(reports);
   const util::TextTable performance = metrics::performance_summary_table(reports);
@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
               << "\n== avg turnaround by width ==\n" << (csv ? tat.csv() : tat.str());
   }
 
-  if (by_user > 0 && !policies.empty()) {
-    const sim::ExperimentResult& run = runner.run(policies.front());
+  if (by_user > 0) {
+    const sim::ExperimentResult& run = results.front();
     const auto users = metrics::user_breakdown(run.simulation, &run.report.fairness, tolerance);
     util::TextTable table({"user", "jobs", "proc_hours", "avg_wait_s", "avg_miss_s", "unfair"});
     for (std::size_t u = 0; u < std::min<std::size_t>(users.size(),

@@ -3,7 +3,7 @@
 #
 #   tools/run_ci.sh            tier-1 gate (default):
 #     1. configure + build (-Werror -Wshadow are on by default)
-#     2. psched-lint contract check over src/, tools/, bench/
+#     2. psched-lint contract check over src/, oracles/, tools/, bench/
 #     3. ctest (the correctness contract; includes the lint fixture tests)
 #     4. compile-gate the opt-in experiment/example binaries under -Werror
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample

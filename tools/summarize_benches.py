@@ -77,7 +77,7 @@ def main():
         "generated_by": "tools/run_benches.sh",
         "note": "ns_per_op is wall time per benchmark iteration; "
                 "speedup_vs_reference = reference ns_per_op / optimized ns_per_op "
-                "(reference = preserved seed implementation, see core/reference_profile.hpp)",
+                "(reference = preserved seed implementation, see oracles/reference_profile.hpp)",
         "host": host,
         "cases": dict(sorted(cases.items())),
         "speedup_vs_reference": dict(sorted(speedups.items())),
