@@ -23,22 +23,33 @@ const Workload& bench_trace(std::size_t jobs) {
   return it->second;
 }
 
-void run_policy_bench(benchmark::State& state, PolicyKind kind) {
+void run_policy_bench(benchmark::State& state, const PolicyConfig& policy) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const Workload& trace = bench_trace(jobs);
   for (auto _ : state) {
     sim::EngineConfig config;
-    config.policy.kind = kind;
-    config.policy.priority = PriorityKind::Fairshare;
+    config.policy = policy;
     config.record_snapshots = false;
     benchmark::DoNotOptimize(sim::simulate(trace, config).records.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs));
 }
 
+void run_policy_bench(benchmark::State& state, PolicyKind kind) {
+  PolicyConfig policy;
+  policy.kind = kind;
+  policy.priority = PriorityKind::Fairshare;
+  run_policy_bench(state, policy);
+}
+
 void BM_SimFcfs(benchmark::State& state) { run_policy_bench(state, PolicyKind::Fcfs); }
 void BM_SimEasy(benchmark::State& state) { run_policy_bench(state, PolicyKind::Easy); }
 void BM_SimCplant(benchmark::State& state) { run_policy_bench(state, PolicyKind::Cplant); }
+// cplant24.nomax.fair: the heavy-user bar re-checks barred jobs hourly, so
+// this is the costliest paper policy per simulated job.
+void BM_SimCplantFair(benchmark::State& state) {
+  run_policy_bench(state, paper_policy(PaperPolicy::Cplant24NomaxFair));
+}
 void BM_SimConservative(benchmark::State& state) {
   run_policy_bench(state, PolicyKind::Conservative);
 }
@@ -49,6 +60,7 @@ void BM_SimConservativeDynamic(benchmark::State& state) {
 BENCHMARK(BM_SimFcfs)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimEasy)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimCplant)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimCplantFair)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimConservative)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimConservativeDynamic)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 

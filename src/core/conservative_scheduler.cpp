@@ -8,7 +8,8 @@
 
 namespace psched {
 
-ConservativeScheduler::ConservativeScheduler(ConservativeConfig config) : config_(config) {}
+ConservativeScheduler::ConservativeScheduler(ConservativeConfig config)
+    : config_(config), queue_(config.priority) {}
 
 std::string ConservativeScheduler::name() const {
   std::string n = config_.dynamic_reservations ? "consdyn" : "cons";
@@ -16,17 +17,14 @@ std::string ConservativeScheduler::name() const {
   return n;
 }
 
-void ConservativeScheduler::on_submit(JobId id) {
-  waiting_.push_back(id);
-  reservations_.emplace(id, kNoTime);
-  pending_arrivals_.push_back(id);
-}
+void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
 void ConservativeScheduler::on_complete(JobId id) { pending_completions_.push_back(id); }
 
-Time ConservativeScheduler::reservation(JobId id) const {
-  const auto it = reservations_.find(id);
-  return it == reservations_.end() ? kNoTime : it->second;
+void ConservativeScheduler::seat(Entry& entry, Time from) {
+  Profile& plan = *plan_;
+  entry.reservation = plan.earliest_fit(from, entry.wcl, entry.nodes);
+  plan.add_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
 }
 
 void ConservativeScheduler::seed_running_usage(Time now) {
@@ -34,12 +32,12 @@ void ConservativeScheduler::seed_running_usage(Time now) {
     plan_.emplace(ctx().total_nodes(), now);
   else
     plan_->reset(now);
-  planned_end_.clear();
+  planned_runs_.clear();
   plan_->begin_batch();
   for (const RunningView& r : ctx().running()) {
     const Time end = assumed_running_end(r, now);
     plan_->add_usage(now, end, r.nodes);
-    planned_end_.emplace(r.id, end);
+    planned_runs_.push_back({r.id, r.nodes, end});
   }
   plan_->end_batch();
 }
@@ -47,17 +45,14 @@ void ConservativeScheduler::seed_running_usage(Time now) {
 void ConservativeScheduler::compression_pass(Time now) {
   Profile& plan = *plan_;
   bool moved = false;
-  priority_order_ = sorted_by_priority(waiting_, config_.priority);
-  order_fresh_ = true;
-  for (const JobId id : priority_order_) {
-    const Job& job = ctx().job(id);
-    const Time current = reservations_.at(id);
-    plan.remove_usage(current, current + job.wcl, job.nodes);
-    const Time improved = plan.earliest_fit(now, job.wcl, job.nodes);
+  for (Entry& entry : queue_) {
+    const Time current = entry.reservation;
+    plan.remove_usage(current, current + entry.wcl, entry.nodes);
+    const Time improved = plan.earliest_fit(now, entry.wcl, entry.nodes);
     const Time chosen = improved < current ? improved : current;
-    plan.add_usage(chosen, chosen + job.wcl, job.nodes);
+    plan.add_usage(chosen, chosen + entry.wcl, entry.nodes);
     if (chosen != current) moved = true;
-    reservations_[id] = chosen;
+    entry.reservation = chosen;
   }
   compress_active_ = moved;
   capacity_freed_ = false;
@@ -66,37 +61,28 @@ void ConservativeScheduler::compression_pass(Time now) {
 void ConservativeScheduler::full_replan(Time now) {
   obs::count(obs::Counter::kSchedReplanFull);
   seed_running_usage(now);
-  Profile& plan = *plan_;
 
   if (config_.dynamic_reservations) {
     // Plan from scratch in priority order at every event.
-    last_order_ = sorted_by_priority(waiting_, config_.priority);
-    for (const JobId id : last_order_) {
-      const Job& job = ctx().job(id);
-      const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[id] = start;
-    }
+    for (Entry& entry : queue_) seat(entry, now);
   } else {
     // Static conservative. Pass 1: re-seat stored reservations in stored-start
     // order; a slot only moves later if an over-running job broke it. Brand-new
     // arrivals (kNoTime) are seated last so they cannot delay anyone.
-    std::vector<JobId> seat_order = waiting_;
-    std::sort(seat_order.begin(), seat_order.end(), [&](JobId a, JobId b) {
-      const Time ra = reservations_.at(a);
-      const Time rb = reservations_.at(b);
-      const Time ka = ra == kNoTime ? std::numeric_limits<Time>::max() : ra;
-      const Time kb = rb == kNoTime ? std::numeric_limits<Time>::max() : rb;
+    std::vector<std::size_t> seat_order(queue_.size());
+    for (std::size_t i = 0; i < seat_order.size(); ++i) seat_order[i] = i;
+    const auto key = [](const Entry& entry) {
+      return entry.reservation == kNoTime ? std::numeric_limits<Time>::max() : entry.reservation;
+    };
+    std::sort(seat_order.begin(), seat_order.end(), [&](std::size_t a, std::size_t b) {
+      const Time ka = key(queue_[a]);
+      const Time kb = key(queue_[b]);
       if (ka != kb) return ka < kb;
-      return a < b;
+      return queue_[a].id < queue_[b].id;
     });
-    for (const JobId id : seat_order) {
-      const Job& job = ctx().job(id);
-      const Time stored = reservations_.at(id);
-      const Time from = stored == kNoTime ? now : std::max(stored, now);
-      const Time start = plan.earliest_fit(from, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[id] = start;
+    for (const std::size_t i : seat_order) {
+      Entry& entry = queue_[i];
+      seat(entry, entry.reservation == kNoTime ? now : std::max(entry.reservation, now));
     }
 
     // Pass 2: improvement attempts in priority order — higher-priority jobs get
@@ -105,12 +91,12 @@ void ConservativeScheduler::full_replan(Time now) {
     compression_pass(now);
   }
 
-  pending_arrivals_.clear();
   pending_completions_.clear();
   capacity_freed_ = false;
 }
 
-bool ConservativeScheduler::incremental_replan(Time now) {
+bool ConservativeScheduler::incremental_replan(Time now,
+                                               const std::vector<JobId>* seated_before_resort) {
   // Counts attempts: a false return falls through to full_replan, so
   // full + incremental together bound the replan work actually done.
   obs::count(obs::Counter::kSchedReplanIncremental);
@@ -120,14 +106,16 @@ bool ConservativeScheduler::incremental_replan(Time now) {
   // Static mode handles it by returning the usage and compressing; dynamic
   // mode must rebuild (every reservation may shift onto the freed space).
   for (const JobId id : pending_completions_) {
-    const auto it = planned_end_.find(id);
-    if (it == planned_end_.end()) return false;  // job unknown to the plan
-    if (it->second > now) {
+    const auto it = std::find_if(planned_runs_.begin(), planned_runs_.end(),
+                                 [id](const PlannedRun& run) { return run.id == id; });
+    if (it == planned_runs_.end()) return false;  // job unknown to the plan
+    if (it->end > now) {
       if (config_.dynamic_reservations) return false;
-      plan.remove_usage(now, it->second, ctx().job(id).nodes);
+      plan.remove_usage(now, it->end, it->nodes);
       capacity_freed_ = true;
     }
-    planned_end_.erase(it);
+    *it = planned_runs_.back();
+    planned_runs_.pop_back();
   }
   pending_completions_.clear();
 
@@ -136,29 +124,23 @@ bool ConservativeScheduler::incremental_replan(Time now) {
     // the order the current plan was built in. Jobs launched since remain in
     // the plan as running usage over exactly their reservation interval, so
     // eliding them keeps the planning prefix byte-identical.
-    std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
-    std::vector<JobId> previous;
-    previous.reserve(last_order_.size());
-    for (const JobId id : last_order_)
-      if (reservations_.count(id) != 0) previous.push_back(id);
+    const std::size_t size = queue_.size();
     std::size_t prefix = 0;
-    while (prefix < order.size() && prefix < previous.size() &&
-           order[prefix] == previous[prefix])
-      ++prefix;
-    if (prefix * 2 < order.size()) return false;  // mostly reshuffled: rebuild is cheaper
-    for (std::size_t i = prefix; i < previous.size(); ++i) {
-      const Job& job = ctx().job(previous[i]);
-      const Time start = reservations_.at(previous[i]);
-      plan.remove_usage(start, start + job.wcl, job.nodes);
+    if (seated_before_resort != nullptr) {
+      const std::vector<JobId>& before = *seated_before_resort;
+      while (prefix < size && prefix < before.size() && queue_[prefix].id == before[prefix])
+        ++prefix;
+    } else {
+      while (prefix < size && queue_[prefix].reservation != kNoTime) ++prefix;
     }
-    for (std::size_t i = prefix; i < order.size(); ++i) {
-      const Job& job = ctx().job(order[i]);
-      const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[order[i]] = start;
+    if (prefix * 2 < size) return false;  // mostly reshuffled: rebuild is cheaper
+    // The seated entries past the prefix are exactly the old plan's suffix.
+    for (std::size_t i = prefix; i < size; ++i) {
+      const Entry& entry = queue_[i];
+      if (entry.reservation != kNoTime)
+        plan.remove_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
     }
-    last_order_ = std::move(order);
-    pending_arrivals_.clear();
+    for (std::size_t i = prefix; i < size; ++i) seat(queue_[i], now);
     return true;
   }
 
@@ -166,14 +148,12 @@ bool ConservativeScheduler::incremental_replan(Time now) {
   // pass 1 re-seats them at exactly their stored slots), so only the new
   // jobs need seating — last, in record-id order, matching the naive
   // tie-break for kNoTime entries.
-  std::sort(pending_arrivals_.begin(), pending_arrivals_.end());
-  for (const JobId id : pending_arrivals_) {
-    const Job& job = ctx().job(id);
-    const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
-    plan.add_usage(start, start + job.wcl, job.nodes);
-    reservations_[id] = start;
-  }
-  pending_arrivals_.clear();
+  std::vector<std::size_t> arrivals;
+  for (std::size_t i = 0; i < queue_.size(); ++i)
+    if (queue_[i].reservation == kNoTime) arrivals.push_back(i);
+  std::sort(arrivals.begin(), arrivals.end(),
+            [&](std::size_t a, std::size_t b) { return queue_[a].id < queue_[b].id; });
+  for (const std::size_t i : arrivals) seat(queue_[i], now);
 
   // The compression pass is a provable no-op unless capacity was freed or
   // the previous pass still moved reservations (cascades may continue).
@@ -183,8 +163,18 @@ bool ConservativeScheduler::incremental_replan(Time now) {
 
 void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
-  order_fresh_ = false;
   const Time now = ctx().now();
+
+  // Bring the priority order up to date. Dynamic mode's prefix reuse
+  // compares against the order the plan was built in, so keep the seated
+  // ids in their pre-sort order when the order is about to re-sort.
+  std::optional<std::vector<JobId>> seated_before_resort;
+  if (config_.dynamic_reservations && queue_.stale(ctx())) {
+    seated_before_resort.emplace();
+    for (const Entry& entry : queue_)
+      if (entry.reservation != kNoTime) seated_before_resort->push_back(entry.id);
+  }
+  queue_.refresh(ctx());
 
   // While any running job over-runs its estimate, its assumed horizon moves
   // with now and can push reservations around — replan from scratch exactly
@@ -201,41 +191,33 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
     full_replan(now);
   } else {
     plan_->advance_origin(now);
-    if (!incremental_replan(now)) full_replan(now);
+    if (!incremental_replan(now, seated_before_resort ? &*seated_before_resort : nullptr))
+      full_replan(now);
   }
   plan_valid_ = !overrun;
 
-  // Launch everything whose reservation came due, highest priority first.
-  // The replan path usually just computed this exact order (last_order_ in
-  // dynamic mode, the compression pass's sort otherwise); avoid re-sorting.
-  if (config_.dynamic_reservations) {
-    priority_order_ = last_order_;
-  } else if (!order_fresh_) {
-    priority_order_ = sorted_by_priority(waiting_, config_.priority);
-  }
+  // Launch everything whose reservation came due, highest priority first;
+  // every other reservation bounds the next wakeup.
   NodeCount free = ctx().free_nodes();
   std::optional<Time> wake;
-  for (const JobId id : priority_order_) {
-    const Time start = reservations_.at(id);
-    if (start <= now) {
-      const Job& job = ctx().job(id);
-      if (job.nodes > free)
-        throw std::logic_error("ConservativeScheduler: reservation due but nodes not free");
-      starts.push_back(id);
-      free -= job.nodes;
-      reservations_.erase(id);
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-      if (start == now) {
-        // The launched job's reservation usage [now, now + wcl) stays in the
-        // plan as its running usage (est_end == now + wcl).
-        planned_end_.emplace(id, now + job.wcl);
-      } else {
-        plan_valid_ = false;  // stale reservation interval; rebuild next event
-      }
-    } else if (!wake || start < *wake) {
-      wake = start;
+  queue_.retain([&](const Entry& entry) {
+    if (entry.reservation > now) {
+      if (!wake || entry.reservation < *wake) wake = entry.reservation;
+      return true;
     }
-  }
+    if (entry.nodes > free)
+      throw std::logic_error("ConservativeScheduler: reservation due but nodes not free");
+    starts.push_back(entry.id);
+    free -= entry.nodes;
+    if (entry.reservation == now) {
+      // The launched job's reservation usage [now, now + wcl) stays in the
+      // plan as its running usage (est_end == now + wcl).
+      planned_runs_.push_back({entry.id, entry.nodes, now + entry.wcl});
+    } else {
+      plan_valid_ = false;  // stale reservation interval; rebuild next event
+    }
+    return false;
+  });
   wakeup_ = wake;
 }
 

@@ -24,14 +24,21 @@
 //     compression pass, which is skipped once the plan reaches a fixed point
 //     (no capacity freed and the previous pass moved nothing — provably a
 //     no-op);
-//   * dynamic mode reuses the longest priority-order prefix shared with the
-//     previous plan and replans only the suffix, falling back to a full
-//     rebuild when priorities reshuffle;
+//   * dynamic mode keeps the longest prefix of the priority order that the
+//     current plan was built in and replans only the suffix, falling back to
+//     a full rebuild when more than half the queue reshuffled. While the
+//     priority epoch holds still that prefix is the run of already-seated
+//     entries at the head of the queue (arrivals are unseated until their
+//     first replan); after a re-sort it is the common prefix of the
+//     pre-sort seated order and the post-sort order;
 //   * a full rebuild also happens whenever a running job over-runs its
 //     estimate (the assumed over-run horizon then changes every event).
+// Each job's reservation lives in its WaitQueue entry (kNoTime = not yet
+// seated), so a replan walks the queue with no per-job lookups, started jobs
+// leave in the launch loop's one compaction pass, and clone() copies
+// O(queue depth + running jobs) with nothing indexed by record id.
 
 #include <optional>
-#include <unordered_map>
 
 #include "core/scheduler.hpp"
 
@@ -53,18 +60,17 @@ class ConservativeScheduler final : public Scheduler {
   std::optional<Time> next_wakeup() const override;
   /// Copies the whole incremental-planning state — the persistent plan
   /// `Profile` (its value semantics are pinned by
-  /// ProfileDeep.CopiesAreIndependentAndMatchReplays), reservations, pending
-  /// event queues and the fixed-point compression flags — so a fork replans
-  /// byte-identically to the original from the clone point on.
+  /// ProfileDeep.CopiesAreIndependentAndMatchReplays), the wait queue with
+  /// its reservations and sort epoch, pending completions and the
+  /// fixed-point compression flags — so a fork replans byte-identically to
+  /// the original from the clone point on.
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
   const ConservativeConfig& config() const { return config_; }
 
-  /// Current reservation of a waiting job (kNoTime before its first
-  /// scheduling event). Exposed for tests/metrics.
-  Time reservation(JobId id) const;
-
  private:
+  using Entry = WaitQueue::Entry;
+
   /// Rebuild the plan profile and all reservations from scratch for "now"
   /// (the pre-optimization per-event behavior). Static mode keeps each
   /// stored slot unless an improvement (searched in priority order) is
@@ -73,40 +79,44 @@ class ConservativeScheduler final : public Scheduler {
 
   /// Apply this event's arrivals/completions to the persistent plan without
   /// reseating unaffected reservations. Returns false if the plan cannot be
-  /// patched (caller falls back to full_replan).
-  bool incremental_replan(Time now);
+  /// patched (caller falls back to full_replan). `seated_before_resort` is
+  /// set when this event re-sorted the queue (dynamic mode only): the ids
+  /// of the entries that were seated, in their pre-sort order.
+  bool incremental_replan(Time now, const std::vector<JobId>* seated_before_resort);
 
   /// Seed running-job usage into a freshly reset plan profile; fills
-  /// planned_end_.
+  /// planned_runs_.
   void seed_running_usage(Time now);
 
   /// One compression round: in priority order, each job moves to a strictly
   /// earlier slot if one exists. Updates compress_active_/capacity_freed_.
   void compression_pass(Time now);
 
+  /// Seat `entry` at its earliest fit from `from` and store the slot.
+  void seat(Entry& entry, Time from);
+
   ConservativeConfig config_;
-  std::vector<JobId> waiting_;
-  std::unordered_map<JobId, Time> reservations_;  // stored starts (kNoTime = new)
+  /// Waiting jobs in priority order; Entry::reservation is the stored start
+  /// (kNoTime until the job's first replan).
+  WaitQueue queue_;
   std::optional<Time> wakeup_;
 
   // --- persistent planning state (incremental replanning) -------------------
   std::optional<Profile> plan_;  ///< running usage + all reservations
   bool plan_valid_ = false;      ///< plan_ mirrors the last event's schedule
-  /// Assumed end of each running job's usage inside plan_.
-  std::unordered_map<JobId, Time> planned_end_;
-  std::vector<JobId> pending_arrivals_;     ///< submitted since last event
+  /// A running job's usage inside plan_: [.., end) on `nodes` nodes.
+  struct PlannedRun {
+    JobId id;
+    NodeCount nodes;
+    Time end;
+  };
+  std::vector<PlannedRun> planned_runs_;    ///< every running job in plan_
   std::vector<JobId> pending_completions_;  ///< completed since last event
   /// A completion freed future capacity since the last compression pass.
   bool capacity_freed_ = false;
   /// The last compression pass moved at least one reservation (so the next
   /// one may cascade further and cannot be skipped).
   bool compress_active_ = false;
-  /// Dynamic mode: priority order the current plan was built in.
-  std::vector<JobId> last_order_;
-  /// Scratch: priority order of waiting_ computed during this event's
-  /// replan (compression pass), reusable by the launch loop.
-  std::vector<JobId> priority_order_;
-  bool order_fresh_ = false;  ///< priority_order_ matches waiting_ right now
 };
 
 }  // namespace psched

@@ -4,7 +4,8 @@
 
 namespace psched {
 
-CplantScheduler::CplantScheduler(CplantConfig config) : config_(config) {}
+CplantScheduler::CplantScheduler(CplantConfig config)
+    : config_(config), queue_(config.priority) {}
 
 std::string CplantScheduler::name() const {
   if (!starvation_enabled()) return "noguarantee";
@@ -13,40 +14,36 @@ std::string CplantScheduler::name() const {
   return n;
 }
 
-void CplantScheduler::on_submit(JobId id) { waiting_.push_back(id); }
+void CplantScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
 void CplantScheduler::on_complete(JobId) {}
-
-bool CplantScheduler::user_is_heavy(UserId user) const {
-  const double mean = ctx().mean_positive_usage();
-  if (mean <= 0.0) return false;
-  return ctx().user_usage(user) > config_.heavy_user_factor * mean;
-}
 
 void CplantScheduler::promote_starving_jobs() {
   if (!starvation_enabled()) return;
   const Time now = ctx().now();
-  std::vector<JobId> eligible;
-  for (const JobId id : waiting_) {
-    const Job& job = ctx().job(id);
-    if (now - job.submit < config_.starvation_delay) continue;
-    if (config_.bar_heavy_users && user_is_heavy(job.user)) continue;
-    eligible.push_back(id);
-  }
-  // The starvation queue is FCFS by submission.
-  std::sort(eligible.begin(), eligible.end(), [&](JobId a, JobId b) {
-    const Job& ja = ctx().job(a);
-    const Job& jb = ctx().job(b);
-    return ja.submit != jb.submit ? ja.submit < jb.submit : a < b;
+  // Heavy users: usage above factor x the mean positive usage, read once
+  // per event (under AtDecayBoundary it only moves at a publish).
+  const double mean = config_.bar_heavy_users ? ctx().mean_positive_usage() : 0.0;
+  const bool bar = mean > 0.0;
+  const double heavy_above = config_.heavy_user_factor * mean;
+  std::vector<WaitQueue::Entry> eligible;
+  queue_.retain([&](const WaitQueue::Entry& job) {
+    if (now - job.submit < config_.starvation_delay) return true;
+    if (bar && ctx().user_usage(job.user) > heavy_above) return true;
+    eligible.push_back(job);
+    return false;
   });
-  for (const JobId id : eligible) {
-    starve_.push_back(id);
-    waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-  }
+  // The starvation queue is FCFS by submission.
+  std::sort(eligible.begin(), eligible.end(),
+            [](const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
+              return a.submit != b.submit ? a.submit < b.submit : a.id < b.id;
+            });
+  for (const WaitQueue::Entry& job : eligible) starve_.push_back(job.id);
 }
 
 void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
+  queue_.refresh(ctx());
   promote_starving_jobs();
 
   const Time now = ctx().now();
@@ -101,18 +98,15 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
     starve_ = std::move(still_starving);
   }
 
-  std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
-  for (const JobId id : order) {
-    if (try_start(id)) waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-  }
+  queue_.retain([&](const WaitQueue::Entry& job) { return !try_start(job.id); });
 
   // Timers: the head reservation, the next starvation-eligibility instant,
   // and (with the heavy-user bar) a periodic recheck for barred jobs.
   std::optional<Time> wake = head_reservation;
   if (starvation_enabled()) {
     bool any_barred_now = false;
-    for (const JobId id : waiting_) {
-      const Time eligible_at = ctx().job(id).submit + config_.starvation_delay;
+    for (const WaitQueue::Entry& job : queue_) {
+      const Time eligible_at = job.submit + config_.starvation_delay;
       if (eligible_at > now) {
         if (!wake || eligible_at < *wake) wake = eligible_at;
       } else {

@@ -48,12 +48,11 @@ class CplantScheduler final : public Scheduler {
 
  private:
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
-  bool user_is_heavy(UserId user) const;
   void promote_starving_jobs();
 
   CplantConfig config_;
-  std::vector<JobId> waiting_;  // main queue (unordered; sorted per decision)
-  std::deque<JobId> starve_;    // starvation queue, FCFS by submit
+  WaitQueue queue_;           // main queue, priority order
+  std::deque<JobId> starve_;  // starvation queue, FCFS by submit
   std::optional<Time> wakeup_;
 };
 

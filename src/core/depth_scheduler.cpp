@@ -1,11 +1,11 @@
 #include "core/depth_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace psched {
 
-DepthScheduler::DepthScheduler(DepthConfig config) : config_(config) {
+DepthScheduler::DepthScheduler(DepthConfig config)
+    : config_(config), queue_(config.priority) {
   if (config_.reservation_depth < 1)
     throw std::invalid_argument("DepthScheduler: reservation_depth must be >= 1");
 }
@@ -16,33 +16,30 @@ std::string DepthScheduler::name() const {
   return n;
 }
 
-void DepthScheduler::on_submit(JobId id) { waiting_.push_back(id); }
+void DepthScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
 void DepthScheduler::on_complete(JobId) {}
 
 void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
-  if (waiting_.empty()) return;
+  if (queue_.empty()) return;
+  queue_.refresh(ctx());
 
   const Time now = ctx().now();
   NodeCount free = ctx().free_nodes();
   Profile& profile = scratch_profile(now);
   add_running_to_profile(profile);
 
-  const std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
-  std::vector<JobId> started;
   std::optional<Time> earliest_reservation;
   int reserved = 0;
 
-  for (const JobId id : order) {
-    const Job& job = ctx().job(id);
+  queue_.retain([&](const WaitQueue::Entry& job) {
     // Anyone may start if it fits and violates no reservation made so far.
     if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-      starts.push_back(id);
-      started.push_back(id);
+      starts.push_back(job.id);
       profile.add_usage(now, now + job.wcl, job.nodes);
       free -= job.nodes;
-      continue;
+      return false;
     }
     // Blocked: the first `depth` blocked jobs (in priority order) pin
     // reservations that later jobs must respect.
@@ -52,10 +49,8 @@ void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
       if (!earliest_reservation || at < *earliest_reservation) earliest_reservation = at;
       ++reserved;
     }
-  }
-
-  for (const JobId id : started)
-    waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
+    return true;
+  });
   wakeup_ = earliest_reservation;
 }
 

@@ -37,7 +37,7 @@ class DepthScheduler final : public Scheduler {
 
  private:
   DepthConfig config_;
-  std::vector<JobId> waiting_;
+  WaitQueue queue_;
   std::optional<Time> wakeup_;
 };
 

@@ -26,6 +26,7 @@ void FairshareTracker::accrue(Time dt) {
   const auto seconds = static_cast<double>(dt);
   for (UserState& u : users_)
     if (u.running > 0) u.usage += static_cast<double>(u.running) * seconds;
+  if (update_ == FairshareUpdate::Continuous) ++epoch_;
 }
 
 void FairshareTracker::advance(Time to) {
@@ -37,6 +38,8 @@ void FairshareTracker::advance(Time to) {
       if (decay_factor_ < 1.0) u.usage *= decay_factor_;
       u.published = u.usage;  // boundary = priority refresh point
     }
+    published_mean_ = mean_positive(/*published=*/true);
+    ++epoch_;
     next_decay_ += decay_period_;
   }
   accrue(to - now_);
@@ -72,10 +75,15 @@ double FairshareTracker::live_usage(UserId user) const {
 }
 
 double FairshareTracker::mean_positive_usage() const {
+  return update_ == FairshareUpdate::Continuous ? mean_positive(/*published=*/false)
+                                                : published_mean_;
+}
+
+double FairshareTracker::mean_positive(bool published) const {
   double total = 0.0;
   std::size_t count = 0;
   for (const UserState& u : users_) {
-    const double value = update_ == FairshareUpdate::Continuous ? u.usage : u.published;
+    const double value = published ? u.published : u.usage;
     if (value > 0.0) {
       total += value;
       ++count;

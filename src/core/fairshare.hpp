@@ -8,8 +8,16 @@
 // engine calls advance() at every event boundary, and the tracker integrates
 // running-processor counts over the elapsed interval, applying the decay at
 // each period boundary it crosses.
+//
+// Queue order depends only on usage(), so the tracker versions it: epoch()
+// moves whenever usage() can change, and a scheduler's WaitQueue keeps its
+// order between moves. Under the default AtDecayBoundary that is once per
+// publish boundary (a daily re-sort instead of one per event); under
+// Continuous it is every accrual. The heavy-user threshold
+// (mean_positive_usage) is likewise computed once per publish.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -50,8 +58,16 @@ class FairshareTracker {
   double live_usage(UserId user) const;
 
   /// Mean usage over users with positive usage; 0 if none. Used by the
-  /// "bar heavy users from the starvation queue" policy.
+  /// "bar heavy users from the starvation queue" policy. Under
+  /// AtDecayBoundary it is computed at each publish and read back in O(1);
+  /// under Continuous it scans the users on every call.
   double mean_positive_usage() const;
+
+  /// Version of usage(): moves at every publish boundary and, under
+  /// Continuous, at every accrual that adds usage. While it holds still,
+  /// usage() returns the same value for every user (see
+  /// SchedulerContext::priority_epoch).
+  std::uint64_t epoch() const { return epoch_; }
 
   /// Number of distinct users ever observed.
   std::size_t user_count() const { return users_.size(); }
@@ -68,6 +84,8 @@ class FairshareTracker {
 
   void accrue(Time dt);
   UserState& state(UserId user);
+  /// Mean of the positive values over users, in user-index order.
+  double mean_positive(bool published) const;
 
   double decay_factor_;
   Time decay_period_;
@@ -75,6 +93,8 @@ class FairshareTracker {
   Time next_decay_;
   FairshareUpdate update_;
   NodeCount total_running_ = 0;
+  std::uint64_t epoch_ = 0;
+  double published_mean_ = 0.0;  ///< mean_positive(true) as of the last publish
   std::vector<UserState> users_;  // dense by UserId
 };
 

@@ -1,34 +1,31 @@
 #include "core/fcfs_scheduler.hpp"
 
-#include <algorithm>
-
 namespace psched {
 
-FcfsScheduler::FcfsScheduler(PriorityKind priority) : priority_(priority) {}
+FcfsScheduler::FcfsScheduler(PriorityKind priority) : priority_(priority), queue_(priority) {}
 
 std::string FcfsScheduler::name() const {
   return priority_ == PriorityKind::Fcfs ? "fcfs" : "fcfs.fairshare";
 }
 
-void FcfsScheduler::on_submit(JobId id) { waiting_.push_back(id); }
+void FcfsScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
 void FcfsScheduler::on_complete(JobId) {}
 
 void FcfsScheduler::collect_starts(std::vector<JobId>& starts) {
+  queue_.refresh(ctx());
   NodeCount free = ctx().free_nodes();
-  std::vector<JobId> order = sorted_by_priority(waiting_, priority_);
-  std::size_t started = 0;
-  for (const JobId id : order) {
-    const Job& job = ctx().job(id);
-    if (job.nodes > free) break;  // strict: the head blocks everyone behind it
-    starts.push_back(id);
-    free -= job.nodes;
-    ++started;
-  }
-  if (started > 0) {
-    for (std::size_t i = 0; i < started; ++i)
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), order[i]));
-  }
+  bool blocked = false;
+  queue_.retain([&](const WaitQueue::Entry& entry) {
+    // Strict: the head blocks everyone behind it.
+    if (blocked || entry.nodes > free) {
+      blocked = true;
+      return true;
+    }
+    starts.push_back(entry.id);
+    free -= entry.nodes;
+    return false;
+  });
 }
 
 }  // namespace psched

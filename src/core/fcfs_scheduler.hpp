@@ -4,8 +4,6 @@
 // nodes are idle. "Fair" in arrival order but poor utilization — the paper's
 // motivating strawman and a useful lower bound in tests.
 
-#include <deque>
-
 #include "core/scheduler.hpp"
 
 namespace psched {
@@ -24,7 +22,7 @@ class FcfsScheduler final : public Scheduler {
 
  private:
   PriorityKind priority_;
-  std::vector<JobId> waiting_;
+  WaitQueue queue_;
 };
 
 }  // namespace psched

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace psched {
 
 const SchedulerContext& Scheduler::ctx() const {
@@ -10,38 +12,40 @@ const SchedulerContext& Scheduler::ctx() const {
   return *ctx_;
 }
 
-bool Scheduler::priority_less(const Job& a, const Job& b, PriorityKind kind) const {
-  if (kind == PriorityKind::Fairshare) {
-    const double ua = ctx().user_usage(a.user);
-    const double ub = ctx().user_usage(b.user);
-    if (ua != ub) return ua < ub;  // lower decayed usage goes first
-  }
+namespace {
+
+bool key_less(const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
+  if (a.usage != b.usage) return a.usage < b.usage;  // lower decayed usage goes first
   if (a.submit != b.submit) return a.submit < b.submit;
   return a.id < b.id;
 }
 
-std::vector<JobId> Scheduler::sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const {
-  // Decorate-sort-undecorate: one context/job lookup per id instead of two
-  // virtual calls per comparison. Key order mirrors priority_less exactly.
-  struct Key {
-    double usage;
-    Time submit;
-    JobId id;
-  };
-  std::vector<Key> keys;
-  keys.reserve(ids.size());
-  for (const JobId id : ids) {
-    const Job& job = ctx().job(id);
-    keys.push_back({kind == PriorityKind::Fairshare ? ctx().user_usage(job.user) : 0.0,
-                    job.submit, id});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.usage != b.usage) return a.usage < b.usage;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  });
-  for (std::size_t i = 0; i < keys.size(); ++i) ids[i] = keys[i].id;
-  return ids;
+}  // namespace
+
+void WaitQueue::push(const SchedulerContext& ctx, const Job& job) {
+  Entry entry;
+  entry.usage = kind_ == PriorityKind::Fairshare ? ctx.user_usage(job.user) : 0.0;
+  entry.submit = job.submit;
+  entry.wcl = job.wcl;
+  entry.id = job.id;
+  entry.user = job.user;
+  entry.nodes = job.nodes;
+  entries_.insert(std::upper_bound(entries_.begin(), entries_.end(), entry, key_less), entry);
+}
+
+bool WaitQueue::stale(const SchedulerContext& ctx) const {
+  if (kind_ == PriorityKind::Fcfs) return false;
+  const std::uint64_t epoch = ctx.priority_epoch();
+  return epoch == kVolatilePriorityEpoch || epoch != sorted_epoch_;
+}
+
+bool WaitQueue::refresh(const SchedulerContext& ctx) {
+  if (!stale(ctx)) return false;
+  sorted_epoch_ = ctx.priority_epoch();
+  for (Entry& entry : entries_) entry.usage = ctx.user_usage(entry.user);
+  std::sort(entries_.begin(), entries_.end(), key_less);
+  obs::count(obs::Counter::kSchedPriorityResorts);
+  return true;
 }
 
 Time Scheduler::assumed_running_end(const RunningView& r, Time now) {

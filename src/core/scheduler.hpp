@@ -5,6 +5,7 @@
 // questions at every scheduling event: "which waiting jobs start right now?"
 // and "when do you next need to act without an external event?".
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +28,10 @@ struct RunningView {
   Time est_end = 0;
 };
 
+/// SchedulerContext::priority_epoch() value meaning "user_usage() may change
+/// between any two calls": consumers must re-read usages every time.
+inline constexpr std::uint64_t kVolatilePriorityEpoch = ~std::uint64_t{0};
+
 /// Read-only window onto engine state, implemented by sim::SimulationEngine
 /// (and by lightweight fixtures in tests).
 class SchedulerContext {
@@ -41,11 +46,87 @@ class SchedulerContext {
   virtual double user_usage(UserId user) const = 0;
   /// Mean usage over users with positive usage (heavy-user bar threshold).
   virtual double mean_positive_usage() const = 0;
+  /// Version stamp of user_usage(). Contract: while two calls return the
+  /// same value other than kVolatilePriorityEpoch, user_usage() returned the
+  /// same value for every user in between; a moved epoch never comes back.
+  /// The engine forwards FairshareTracker::epoch(). The default reports
+  /// kVolatilePriorityEpoch, so a context that does not track changes makes
+  /// every WaitQueue re-read and re-sort at every refresh.
+  virtual std::uint64_t priority_epoch() const { return kVolatilePriorityEpoch; }
 };
 
 /// Queue ordering used by the policies. Fairshare is the Sandia production
 /// order; Fcfs is used for baselines and for the CONS_P fairness metric.
 enum class PriorityKind { Fairshare, Fcfs };
+
+/// The waiting set every built-in policy keeps, in priority order: ascending
+/// (usage key, submit, id), where the usage key is the user's published
+/// fairshare usage under PriorityKind::Fairshare and 0 under Fcfs. Keys are
+/// stored per entry and stay valid while the context's priority_epoch()
+/// holds still, so the order is maintained rather than recomputed per
+/// event: arrivals go in by binary insertion, starts leave in one compaction
+/// pass (retain), and refresh() re-reads usages and re-sorts only after the
+/// epoch moved (at every call under a volatile epoch, never under Fcfs,
+/// whose keys are constant). Nothing is indexed by record id, so copying a
+/// queue (Scheduler::clone) costs O(queue depth).
+class WaitQueue {
+ public:
+  struct Entry {
+    double usage = 0.0;  ///< priority key (0 under Fcfs)
+    Time submit = 0;
+    Time wcl = 0;
+    /// Policy-owned slot: the conservative family's stored reservation
+    /// (kNoTime until first seated). The other policies leave it alone.
+    Time reservation = kNoTime;
+    JobId id = kInvalidJob;
+    UserId user = 0;
+    NodeCount nodes = 0;
+  };
+
+  explicit WaitQueue(PriorityKind kind) : kind_(kind) {}
+
+  /// Insert a newly submitted job at its priority position under the
+  /// context's current usage.
+  void push(const SchedulerContext& ctx, const Job& job);
+
+  /// True if refresh() would re-read usages and re-sort.
+  bool stale(const SchedulerContext& ctx) const;
+
+  /// Bring the order up to date with the context; returns true if it
+  /// re-sorted (counted as obs scheduler.priority_resorts). Call once per
+  /// scheduling event before relying on the order.
+  bool refresh(const SchedulerContext& ctx);
+
+  /// Call keep(entry) on every entry in queue order and drop the entries it
+  /// rejects, in one compaction pass. keep may only write Entry::reservation.
+  template <typename Keep>
+  void retain(Keep&& keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (!keep(entries_[i])) continue;
+      if (kept != i) entries_[kept] = entries_[i];
+      ++kept;
+    }
+    entries_.resize(kept);
+  }
+
+  // Iteration in priority order. Callers may only write Entry::reservation.
+  std::vector<Entry>::iterator begin() { return entries_.begin(); }
+  std::vector<Entry>::iterator end() { return entries_.end(); }
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+  Entry& operator[](std::size_t i) { return entries_[i]; }
+  const Entry& operator[](std::size_t i) const { return entries_[i]; }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+ private:
+  PriorityKind kind_;
+  /// Epoch the stored usage keys were read at; the volatile value means
+  /// "never sorted", so the first refresh always re-reads.
+  std::uint64_t sorted_epoch_ = kVolatilePriorityEpoch;
+  std::vector<Entry> entries_;
+};
 
 class Scheduler {
  public:
@@ -94,14 +175,6 @@ class Scheduler {
     copy->ctx_ = nullptr;
     return copy;
   }
-
-  /// true if a's queue priority is ahead of b's under `kind`.
-  bool priority_less(const Job& a, const Job& b, PriorityKind kind) const;
-
-  /// Waiting ids sorted by priority (stable, deterministic tie-breaks).
-  /// Sort keys are materialized once per id instead of re-derived through
-  /// the context on every comparison.
-  std::vector<JobId> sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const;
 
   /// Fill `profile` with usage of all running jobs. Jobs past their
   /// estimated end are assumed to run on for max(kOverrunGrace, elapsed

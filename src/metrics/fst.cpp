@@ -38,8 +38,8 @@ Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKno
     list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
 
   // Fairshare order: lower decayed usage first; ties by submit then id —
-  // identical to Scheduler::priority_less so the metric matches the policy's
-  // notion of a socially just order.
+  // identical to the WaitQueue order (core/scheduler.hpp) so the metric
+  // matches the policy's notion of a socially just order.
   std::vector<const SnapshotWaiting*>& order = scratch.order;
   order.clear();
   order.reserve(snapshot.waiting.size());

@@ -28,6 +28,7 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"engine.scheduler_invocations", true},
     {"scheduler.replan_full", true},
     {"scheduler.replan_incremental", true},
+    {"scheduler.priority_resorts", true},
     {"profile.gap_index.probes", true},
     {"fst.forks", true},
     {"fst.forks_drained", true},

@@ -48,6 +48,7 @@ enum class Counter : std::size_t {
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
+  kSchedPriorityResorts,        ///< core/scheduler.cpp: WaitQueue re-sorts after an epoch move
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace psched {
 namespace {
 
@@ -94,6 +97,75 @@ TEST(Fairshare, MeanPositiveUsage) {
   t.advance(10);
   // users 0 and 2 have usage 100 and 300; user 1 has none.
   EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 200.0);
+}
+
+TEST(Fairshare, MeanPositiveUsageIsPublishedAtBoundaries) {
+  FairshareTracker t(0.5, kDay, 0, FairshareUpdate::AtDecayBoundary);
+  t.on_job_start(0, 10);
+  t.on_job_start(2, 30);
+  t.advance(kDay - 1);
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.0);  // nothing published yet
+  t.advance(kDay);
+  // Published: 0.5 x (10 and 30 nodes x one day); user 1 has none.
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.5 * static_cast<double>(20 * kDay));
+  t.on_job_start(5, 100);  // live accrual alone does not move the mean
+  t.advance(kDay + 500);
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.5 * static_cast<double>(20 * kDay));
+}
+
+/// usage() of every user seen so far, in user order.
+std::vector<double> all_usages(const FairshareTracker& t) {
+  std::vector<double> out;
+  for (UserId u = 0; u < 8; ++u) out.push_back(t.usage(u));
+  return out;
+}
+
+TEST(Fairshare, EpochMovesExactlyWhenUsageCanChange) {
+  // AtDecayBoundary: usage() is the published value, so the epoch moves at
+  // each publish boundary and nowhere else — not on job start/stop, not on
+  // accrual between boundaries, not on a new user.
+  {
+    FairshareTracker t(0.5, kDay, 0, FairshareUpdate::AtDecayBoundary);
+    std::uint64_t epoch = t.epoch();
+    std::vector<double> usages = all_usages(t);
+    const auto step = [&](Time to, bool boundary) {
+      t.advance(to);
+      const bool moved = t.epoch() != epoch;
+      EXPECT_EQ(moved, boundary) << "advance to " << to;
+      if (!moved) {
+        EXPECT_EQ(all_usages(t), usages) << "usage moved without the epoch";
+      }
+      epoch = t.epoch();
+      usages = all_usages(t);
+    };
+    t.on_job_start(0, 4);
+    step(1000, false);
+    t.on_job_start(3, 2);  // a user the tracker has not seen yet
+    EXPECT_EQ(t.epoch(), epoch);
+    step(kDay - 1, false);
+    step(kDay, true);
+    t.on_job_stop(0, 4);
+    EXPECT_EQ(t.epoch(), epoch);
+    step(kDay + 600, false);
+    step(3 * kDay + 5, true);  // crossing two boundaries moves it too
+  }
+  // Continuous: usage() is live, so every accrual moves the epoch, and an
+  // interval with nothing running does not.
+  {
+    FairshareTracker t(0.5, kDay, 0, FairshareUpdate::Continuous);
+    std::uint64_t epoch = t.epoch();
+    t.advance(100);  // nothing running yet
+    EXPECT_EQ(t.epoch(), epoch);
+    t.on_job_start(1, 3);
+    EXPECT_EQ(t.epoch(), epoch);
+    const std::vector<double> before = all_usages(t);
+    t.advance(200);
+    EXPECT_NE(t.epoch(), epoch);
+    EXPECT_NE(all_usages(t), before);
+    epoch = t.epoch();
+    t.advance(200);  // zero-length advance accrues nothing
+    EXPECT_EQ(t.epoch(), epoch);
+  }
 }
 
 TEST(Fairshare, UnknownUsersAreZero) {

@@ -1,11 +1,13 @@
-// Tests of the Scheduler base-class helpers (priority ordering, running-job
-// profile construction) through a minimal fixture context.
+// Tests of the Scheduler base-class helpers (running-job profile
+// construction) and of the seed priority-order oracle the WaitQueue is
+// checked against, through a minimal fixture context.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "core/scheduler.hpp"
+#include "oracles/priority_order.hpp"
 #include "test_helpers.hpp"
 
 namespace psched {
@@ -53,9 +55,10 @@ class ProbeScheduler final : public Scheduler {
   void collect_starts(std::vector<JobId>&) override {}
 
   using Scheduler::add_running_to_profile;
-  using Scheduler::priority_less;
-  using Scheduler::sorted_by_priority;
 };
+
+using reference::priority_less;
+using reference::sorted_by_priority;
 
 class SchedulerBaseTest : public ::testing::Test {
  protected:
@@ -76,13 +79,10 @@ TEST_F(SchedulerBaseTest, UnattachedSchedulerThrows) {
   ProbeScheduler detached;
   Profile profile(4, 0);
   EXPECT_THROW(detached.add_running_to_profile(profile), std::logic_error);
-  // A single-element sort never invokes the comparator; two elements do.
-  std::vector<JobId> ids{0, 1};
-  EXPECT_THROW(detached.sorted_by_priority(ids, PriorityKind::Fcfs), std::logic_error);
 }
 
 TEST_F(SchedulerBaseTest, FcfsPriorityOrdersBySubmitThenId) {
-  const auto order = probe_.sorted_by_priority({2, 1, 0}, PriorityKind::Fcfs);
+  const auto order = sorted_by_priority(ctx_, {2, 1, 0}, PriorityKind::Fcfs);
   EXPECT_EQ(order, (std::vector<JobId>{0, 1, 2}));
 }
 
@@ -90,13 +90,13 @@ TEST_F(SchedulerBaseTest, FairsharePriorityOrdersByUsage) {
   ctx_.usage_[0] = 5000.0;  // user 0 heavy
   ctx_.usage_[1] = 10.0;
   ctx_.usage_[2] = 100.0;
-  const auto order = probe_.sorted_by_priority({0, 1, 2}, PriorityKind::Fairshare);
+  const auto order = sorted_by_priority(ctx_, {0, 1, 2}, PriorityKind::Fairshare);
   EXPECT_EQ(order, (std::vector<JobId>{1, 2, 0}));
 }
 
 TEST_F(SchedulerBaseTest, FairshareTiesFallBackToSubmit) {
   // All users unknown (usage 0): fairshare degenerates to FCFS.
-  const auto order = probe_.sorted_by_priority({2, 0, 1}, PriorityKind::Fairshare);
+  const auto order = sorted_by_priority(ctx_, {2, 0, 1}, PriorityKind::Fairshare);
   EXPECT_EQ(order, (std::vector<JobId>{0, 1, 2}));
 }
 
@@ -105,9 +105,9 @@ TEST_F(SchedulerBaseTest, PriorityLessIsStrictWeakOrdering) {
   ctx_.usage_[1] = 1.0;
   const Job& a = ctx_.job(0);
   const Job& b = ctx_.job(1);
-  EXPECT_FALSE(probe_.priority_less(a, a, PriorityKind::Fairshare));
-  EXPECT_NE(probe_.priority_less(a, b, PriorityKind::Fairshare),
-            probe_.priority_less(b, a, PriorityKind::Fairshare));
+  EXPECT_FALSE(priority_less(ctx_, a, a, PriorityKind::Fairshare));
+  EXPECT_NE(priority_less(ctx_, a, b, PriorityKind::Fairshare),
+            priority_less(ctx_, b, a, PriorityKind::Fairshare));
 }
 
 TEST_F(SchedulerBaseTest, RunningProfileUsesEstimatedEnds) {

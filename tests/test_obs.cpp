@@ -303,6 +303,9 @@ TEST_F(ObsTest, DeterministicCountersAreReproducibleAcrossJobs) {
   // The run actually exercised the subsystems the catalog claims to cover.
   EXPECT_GT(serial.at("engine.events_delivered"), 0u);
   EXPECT_GT(serial.at("scheduler.replan_full"), 0u);
+  // Wait-queue re-sorts (one per fairshare publish per queue, forks
+  // included) are part of the reproducible work count.
+  EXPECT_GT(serial.at("scheduler.priority_resorts"), 0u);
   EXPECT_GT(serial.at("fst.forks"), 0u);           // policy_* metric in the spec
 }
 

@@ -19,6 +19,7 @@
 
 #include "core/conservative_scheduler.hpp"
 #include "core/scheduler.hpp"
+#include "oracles/priority_order.hpp"
 #include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
@@ -57,7 +58,7 @@ class ReferenceConservativeScheduler final : public Scheduler {
 
     NodeCount free = ctx().free_nodes();
     std::optional<Time> wake;
-    for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+    for (const JobId id : reference::sorted_by_priority(ctx(), waiting_, config_.priority)) {
       const Time start = reservations_.at(id);
       if (start <= now) {
         const Job& job = ctx().job(id);
@@ -79,7 +80,7 @@ class ReferenceConservativeScheduler final : public Scheduler {
  private:
   void replan(reference::ReferenceProfile& profile, Time now) {
     if (config_.dynamic_reservations) {
-      for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+      for (const JobId id : reference::sorted_by_priority(ctx(), waiting_, config_.priority)) {
         const Job& job = ctx().job(id);
         const Time start = profile.earliest_fit(now, job.wcl, job.nodes);
         profile.add_usage(start, start + job.wcl, job.nodes);
@@ -106,7 +107,7 @@ class ReferenceConservativeScheduler final : public Scheduler {
       reservations_[id] = start;
     }
 
-    for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+    for (const JobId id : reference::sorted_by_priority(ctx(), waiting_, config_.priority)) {
       const Job& job = ctx().job(id);
       const Time current = reservations_.at(id);
       profile.remove_usage(current, current + job.wcl, job.nodes);
@@ -240,6 +241,33 @@ TEST(SchedulerDeterminism, DeepBurstQueue) {
   config.policy.kind = PolicyKind::Cplant;
   config.record_snapshots = false;
   EXPECT_EQ(schedule_digest(sim::simulate(w, config)), 0xf9c9c7e801dbfd2bull);
+}
+
+TEST(SchedulerDeterminism, ContinuousFairshareUpdates) {
+  // Under Continuous the usage keys move at every accrual, so the priority
+  // epoch moves at almost every event: the wait queue re-sorts on nearly
+  // every call, and dynamic mode takes its prefix from the re-sort path.
+  sim::EngineConfig config;
+  config.fairshare_update = FairshareUpdate::Continuous;
+  for (const std::uint64_t seed : {71u, 72u}) {
+    const Workload w = workload::generate_small_workload(seed, 400, 128, days(10));
+    run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);
+    run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
+  }
+  const Workload burst = burst_workload(300);
+  run_and_compare(burst, /*dynamic=*/false, PriorityKind::Fairshare, config);
+  run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
+TEST(SchedulerDeterminism, PublishesUnderADeepQueue) {
+  // A 20-minute publish period re-sorts the maintained order many times
+  // while hundreds of reservations are held, with arrivals binary-inserted
+  // between publishes.
+  sim::EngineConfig config;
+  config.fairshare_period = minutes(20);
+  const Workload burst = burst_workload(400);
+  run_and_compare(burst, /*dynamic=*/false, PriorityKind::Fairshare, config);
+  run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
 TEST(SchedulerDeterminism, ChainedSegments) {

@@ -181,5 +181,46 @@ TEST(PolicyFstFork, SingleForkMatchesTruncatedSimulation) {
   }
 }
 
+// Wait queues keep their priority order between fairshare publishes and a
+// clone carries the sort epoch along, so a fork taken before a publish
+// boundary and drained across it must re-sort exactly where the truncated
+// run does. One such fork per policy class and priority-ordered queue.
+TEST(PolicyFstFork, ForkDrainedAcrossAPublishBoundary) {
+  const Workload w = workload::generate_small_workload(23, 120, 32, days(3));
+  std::vector<PolicyConfig> policies = nine_policies_nomax();
+  for (const char* name : {"easy.fairshare", "fcfs.fairshare", "depth4"})
+    policies.push_back(*policy_from_name(name));
+  const auto publish_index = [](Time t) { return util::floor_div(t, days(1)); };
+
+  for (const PolicyConfig& policy : policies) {
+    SCOPED_TRACE(policy.display_name());
+    EngineConfig config;
+    config.policy = policy;
+    config.record_snapshots = false;
+    // The first job whose truncated-run start lies past a publish boundary
+    // its arrival precedes.
+    JobId target = kInvalidJob;
+    Time expected = kNoTime;
+    for (JobId id = 0; id < static_cast<JobId>(w.jobs.size()) && target == kInvalidJob; ++id) {
+      const Job& job = w.jobs[static_cast<std::size_t>(id)];
+      const Time start = simulate(w.truncate(static_cast<std::size_t>(id) + 1), config)
+                             .records.at(static_cast<std::size_t>(id))
+                             .start;
+      if (publish_index(start) > publish_index(job.submit)) {
+        target = id;
+        expected = start;
+      }
+    }
+    ASSERT_NE(target, kInvalidJob) << "no job waits across a publish";
+
+    SimulationEngine master(w, config);
+    Time forked_start = kNoTime;
+    master.run_with_arrival_hook([&](JobId id) {
+      if (id == target) forked_start = master.fork_for_arrival(id)->run_until_started(id);
+    });
+    EXPECT_EQ(forked_start, expected) << "target " << target;
+  }
+}
+
 }  // namespace
 }  // namespace psched::sim

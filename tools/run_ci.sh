@@ -18,7 +18,11 @@
 #     8. an archive-scale replay smoke: a ~50k-job synthetic trace exported
 #        to SWF and replayed once through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget
-#     9. the campaign benchmark driver's self-test at smoke scale
+#     9. a work-count gate: the conservative pair on a deep queue
+#        (bench/campaigns/cons_deep_queue.spec) with --stats, failing if a
+#        deterministic count (events, full/incremental replans, priority
+#        re-sorts) grows past bench/campaigns/cons_deep_queue.counts
+#    10. the campaign benchmark driver's self-test at smoke scale
 #        (campaignbench/selftest.py, about a minute): builds the driver
 #        against the library, runs every workload and checks its results,
 #        so a library change that breaks the driver fails here
@@ -150,6 +154,16 @@ SPEC
     --jobs 1 --wall-budget 180 >/dev/null
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/store/cells.csv"
+
+  echo "== work-count gate: conservative pair on a deep queue =="
+  # Deterministic counters are exact on any host and at any --jobs, so an
+  # algorithmic regression (more replans, more re-sorts, more events) fails
+  # here without timing noise. A count that shrinks is reported for a
+  # baseline update and does not fail.
+  "$BUILD"/psched_campaign bench/campaigns/cons_deep_queue.spec --jobs 2 --stats \
+    > "$BUILD/work-counts.txt"
+  python3 tools/check_work_counts.py bench/campaigns/cons_deep_queue.counts \
+    "$BUILD/work-counts.txt"
 
   echo "== campaign benchmark driver self-test =="
   python3 campaignbench/selftest.py
