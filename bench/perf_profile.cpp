@@ -122,10 +122,11 @@ BENCHMARK(BM_RefProfileEarliestFitContended)->Arg(256)->Arg(1024);
 // --- deep-queue cases (the ROADMAP's 10k+ reservation scenario) --------------
 //
 // BM_ProfileEarliestFitDeep queries a prebuilt deep profile; BM_ProfilePack
-// replays the conservative replan inner loop — alternate earliest_fit and
-// add_usage until `n` reservations are seated — which is where deep queues
-// spend their time. The Ref pairs record the speedup over the seed
-// implementation.
+// replays the conservative replan inner loop — seat jobs from time 0 until
+// `n` reservations are held — which is where deep queues spend their time.
+// The optimized side seats with Profile::reserve, the seed side with
+// earliest_fit followed by add_usage. The Ref pairs record the speedup over
+// the seed implementation.
 
 template <typename ProfileT>
 void run_earliest_fit_deep(benchmark::State& state) {
@@ -165,6 +166,15 @@ void BM_RefProfileEarliestFitDeep(benchmark::State& state) {
 BENCHMARK(BM_ProfileEarliestFitDeep)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RefProfileEarliestFitDeep)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
+Time seat_from_zero(Profile& profile, Time duration, NodeCount nodes) {
+  return profile.reserve(0, duration, nodes);
+}
+Time seat_from_zero(reference::ReferenceProfile& profile, Time duration, NodeCount nodes) {
+  const Time at = profile.earliest_fit(0, duration, nodes);
+  profile.add_usage(at, at + duration, nodes);
+  return at;
+}
+
 template <typename ProfileT>
 void run_pack(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -181,10 +191,7 @@ void run_pack(benchmark::State& state) {
     state.PauseTiming();
     ProfileT profile(512, 0);
     state.ResumeTiming();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Time at = profile.earliest_fit(0, lengths[i], widths[i]);
-      profile.add_usage(at, at + lengths[i], widths[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i) seat_from_zero(profile, lengths[i], widths[i]);
     benchmark::DoNotOptimize(profile.breakpoints());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

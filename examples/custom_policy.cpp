@@ -50,9 +50,7 @@ class WidestFirstScheduler final : public Scheduler {
         continue;
       }
       if (!reserved) {  // head reservation for the widest blocked job
-        const Time at = profile.earliest_fit(now, job.wcl, job.nodes);
-        profile.add_usage(at, at + job.wcl, job.nodes);
-        wakeup_ = at;
+        wakeup_ = profile.reserve(now, job.wcl, job.nodes);
         reserved = true;
       }
       keep.push_back(id);

@@ -1,6 +1,7 @@
 #include "core/conservative_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -21,10 +22,63 @@ void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(i
 
 void ConservativeScheduler::on_complete(JobId id) { pending_completions_.push_back(id); }
 
+namespace {
+
+/// Lower bound on the next dynamic seat's slot, from the last kFloorSeats
+/// seats of the same from-`now` loop (see the implementation note in the
+/// header).
+class FitFloor {
+ public:
+  explicit FitFloor(Time now) : now_(now) {}
+
+  /// The latest slot among remembered seats no longer and no wider than
+  /// `entry`; the compares are branch-free, so they stay cheap on every seat.
+  Time floor(const WaitQueue::Entry& entry) const {
+    Time floor = now_;
+    for (std::size_t k = 0; k < used_; ++k) {
+      const Seat& seat = seats_[k];
+      const bool bounds = seat.wcl <= entry.wcl && seat.nodes <= entry.nodes;
+      floor = std::max(floor, bounds ? seat.slot : floor);
+    }
+    return floor;
+  }
+
+  /// Remembers a seat. One at `now` bounds nothing, so it is not kept: on a
+  /// shallow queue most seats start at `now`, and the floor then compares
+  /// against few seats.
+  void record(const WaitQueue::Entry& entry) {
+    if (entry.reservation <= now_) return;
+    seats_[next_] = {entry.wcl, entry.nodes, entry.reservation};
+    next_ = (next_ + 1) % kFloorSeats;
+    used_ = std::min(used_ + 1, kFloorSeats);
+  }
+
+ private:
+  static constexpr std::size_t kFloorSeats = 8;
+  struct Seat {
+    Time wcl;
+    NodeCount nodes;
+    Time slot;
+  };
+  Time now_;
+  std::array<Seat, kFloorSeats> seats_{};
+  std::size_t next_ = 0;
+  std::size_t used_ = 0;  ///< seats_[0, used_) hold real seats
+};
+
+}  // namespace
+
 void ConservativeScheduler::seat(Entry& entry, Time from) {
-  Profile& plan = *plan_;
-  entry.reservation = plan.earliest_fit(from, entry.wcl, entry.nodes);
-  plan.add_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
+  entry.reservation = plan_->reserve(from, entry.wcl, entry.nodes);
+}
+
+void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now) {
+  FitFloor floor(now);
+  for (std::size_t i = first; i < queue_.size(); ++i) {
+    Entry& entry = queue_[i];
+    seat(entry, floor.floor(entry));
+    floor.record(entry);
+  }
 }
 
 void ConservativeScheduler::seed_running_usage(Time now) {
@@ -48,9 +102,11 @@ void ConservativeScheduler::compression_pass(Time now) {
   for (Entry& entry : queue_) {
     const Time current = entry.reservation;
     plan.remove_usage(current, current + entry.wcl, entry.nodes);
-    const Time improved = plan.earliest_fit(now, entry.wcl, entry.nodes);
-    const Time chosen = improved < current ? improved : current;
-    plan.add_usage(chosen, chosen + entry.wcl, entry.nodes);
+    // The job's own window is free again and current >= now, so the new
+    // slot can only be earlier or the same.
+    const Time chosen = plan.reserve(now, entry.wcl, entry.nodes);
+    if (chosen > current)
+      throw std::logic_error("ConservativeScheduler: compression moved a reservation later");
     if (chosen != current) moved = true;
     entry.reservation = chosen;
   }
@@ -64,7 +120,7 @@ void ConservativeScheduler::full_replan(Time now) {
 
   if (config_.dynamic_reservations) {
     // Plan from scratch in priority order at every event.
-    for (Entry& entry : queue_) seat(entry, now);
+    seat_all_from_now(0, now);
   } else {
     // Static conservative. Pass 1: re-seat stored reservations in stored-start
     // order; a slot only moves later if an over-running job broke it. Brand-new
@@ -140,7 +196,7 @@ bool ConservativeScheduler::incremental_replan(Time now,
       if (entry.reservation != kNoTime)
         plan.remove_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
     }
-    for (std::size_t i = prefix; i < size; ++i) seat(queue_[i], now);
+    seat_all_from_now(prefix, now);
     return true;
   }
 

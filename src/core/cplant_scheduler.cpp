@@ -64,9 +64,7 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
       starve_.pop_front();
       continue;
     }
-    const Time reserve_at = profile.earliest_fit(now, head.wcl, head.nodes);
-    profile.add_usage(reserve_at, reserve_at + head.wcl, head.nodes);
-    head_reservation = reserve_at;
+    head_reservation = profile.reserve(now, head.wcl, head.nodes);
     break;
   }
 

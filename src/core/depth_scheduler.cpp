@@ -44,8 +44,7 @@ void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
     // Blocked: the first `depth` blocked jobs (in priority order) pin
     // reservations that later jobs must respect.
     if (reserved < config_.reservation_depth) {
-      const Time at = profile.earliest_fit(now, job.wcl, job.nodes);
-      profile.add_usage(at, at + job.wcl, job.nodes);
+      const Time at = profile.reserve(now, job.wcl, job.nodes);
       if (!earliest_reservation || at < *earliest_reservation) earliest_reservation = at;
       ++reserved;
     }

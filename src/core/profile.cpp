@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace psched {
 
 namespace {
@@ -168,32 +170,73 @@ bool Profile::fits_at(Time start, Time duration, NodeCount nodes) const {
   return true;
 }
 
+Profile::Fit Profile::find_fit(Time earliest, Time duration, NodeCount nodes) const {
+  // Single forward pass that alternates two tight loops: extend the open
+  // window at `candidate` step by step until it spans `duration` (found) or
+  // hits a step without `nodes` free, then skip blocked steps to the next
+  // feasible step, which opens the next candidate window. The tail step
+  // always has free == capacity >= nodes, so the skip needs no bound check
+  // and the scan always ends with a window.
+  const Step* steps = steps_.data();
+  const std::size_t n = steps_.size();
+  const std::size_t begin = step_index(earliest);
+  std::size_t i = begin;
+  std::size_t first = begin;
+  Time candidate = earliest;
+  for (;;) {
+    if (steps[i].free >= nodes) {
+      const Time end = candidate + duration;
+      while (i + 1 < n && steps[i + 1].at < end && steps[i + 1].free >= nodes) ++i;
+      if (i + 1 >= n || steps[i + 1].at >= end) break;
+      ++i;  // steps[i] blocks the window
+    }
+    while (steps[i].free < nodes) ++i;
+    candidate = steps[i].at;
+    first = i;
+  }
+  if (obs::armed()) {
+    obs::count(obs::Counter::kProfileFitCalls);
+    obs::count(obs::Counter::kProfileFitSteps, i - begin);
+  }
+  return {candidate, first, i};
+}
+
 Time Profile::earliest_fit(Time earliest, Time duration, NodeCount nodes) const {
   if (nodes > capacity_)
     throw std::invalid_argument("Profile::earliest_fit: job wider than machine");
   earliest = std::max(earliest, origin_);
   if (duration <= 0 || nodes <= 0) return earliest;
+  return find_fit(earliest, duration, nodes).start;
+}
 
-  // Single forward pass: maintain the start of the current feasible run of
-  // steps; the first candidate whose run extends `duration` past it wins.
-  // The tail step always has free == capacity >= nodes, so the scan always
-  // terminates with a candidate.
-  const std::size_t n = steps_.size();
-  std::size_t i = step_index(earliest);
-  bool open = steps_[i].free >= nodes;  // a feasible window is in progress
-  Time candidate = earliest;
-  for (;;) {
-    if (open && (i + 1 >= n || steps_[i + 1].at >= candidate + duration)) return candidate;
-    ++i;
-    if (steps_[i].free >= nodes) {
-      if (!open) {
-        open = true;
-        candidate = steps_[i].at;
-      }
-    } else {
-      open = false;
-    }
+Time Profile::reserve(Time earliest, Time duration, NodeCount nodes) {
+  if (nodes < 0) throw std::invalid_argument("Profile::reserve: negative nodes");
+  if (nodes > capacity_) throw std::invalid_argument("Profile::reserve: job wider than machine");
+  earliest = std::max(earliest, origin_);
+  if (duration <= 0 || nodes == 0) return earliest;
+
+  // Split the window out exactly where add_usage would: at its start unless
+  // a step begins there, and at its end unless the next step begins there.
+  // find_fit proved every step in between has `nodes` free.
+  const Fit fit = find_fit(earliest, duration, nodes);
+  const Time end = fit.start + duration;
+  const auto at = [this](std::size_t k) { return steps_.begin() + static_cast<std::ptrdiff_t>(k); };
+  std::size_t first = fit.first;
+  std::size_t stop = fit.last + 1;
+  if (steps_[first].at < fit.start) {
+    steps_.insert(at(first + 1), {fit.start, steps_[first].free});
+    ++first;
+    ++stop;
   }
+  if (stop == steps_.size() || steps_[stop].at != end)
+    steps_.insert(at(stop), {end, steps_[stop - 1].free});
+  for (std::size_t k = first; k < stop; ++k) steps_[k].free -= nodes;
+  hint_ = first;
+  if (batch_depth_ == 0)
+    coalesce_range(first, stop);
+  else
+    batch_dirty_ = true;
+  return fit.start;
 }
 
 void Profile::check_invariants() const {

@@ -17,10 +17,16 @@
 //     lookup instead of O(log n).
 //   * Mutations coalesce only the steps adjacent to the touched window
 //     (range-local), not the whole array.
-//   * earliest_fit() is a single forward sliding-window pass over the
+//   * The slot search is a single forward sliding-window pass over the
 //     breakpoints: O(k) in the number of breakpoints scanned, where the
 //     pre-optimization implementation restarted the window scan after every
 //     blocking step (O(k^2) worst case).
+//   * reserve() seats a job in one pass: the scan hands back the winning
+//     window's first and last step, and the usage is subtracted there in
+//     place. It does not search for the slot again or re-validate a window
+//     the scan has just proved feasible, as earliest_fit() followed by
+//     add_usage() would. Every scheduler seats through it; earliest_fit()
+//     is the const query.
 //   * A batch/transaction API lets replanners stage many reservations and
 //     pay for one normalization pass at commit.
 //   * Queries take the same path at every depth: a deep plan (10k+
@@ -97,6 +103,12 @@ class Profile {
   /// must ensure nodes <= capacity, else std::invalid_argument).
   Time earliest_fit(Time earliest, Time duration, NodeCount nodes) const;
 
+  /// Seat a job at its earliest fit: returns s = earliest_fit(earliest,
+  /// duration, nodes) and leaves exactly the profile add_usage(s, s +
+  /// duration, nodes) would, in one scan. Same exceptions as that pair
+  /// (std::invalid_argument for nodes < 0 or nodes > capacity).
+  Time reserve(Time earliest, Time duration, NodeCount nodes);
+
   std::size_t breakpoints() const { return steps_.size(); }
 
   /// Internal consistency: strictly increasing step times starting at
@@ -112,6 +124,18 @@ class Profile {
     Time at;         // step applies from this instant
     NodeCount free;  // free nodes in [at, next.at)
   };
+
+  /// A feasible window found by find_fit: it starts at `start`, inside step
+  /// `first`, and its last overlapped step is `last`.
+  struct Fit {
+    Time start;
+    std::size_t first;
+    std::size_t last;
+  };
+
+  /// The forward sliding-window scan behind earliest_fit and reserve.
+  /// Requires 0 < nodes <= capacity, duration > 0 and earliest >= origin.
+  Fit find_fit(Time earliest, Time duration, NodeCount nodes) const;
 
   /// Index of the step covering time t (t >= origin). Probes the cursor
   /// hint first; falls back to binary search. Updates the hint.

@@ -148,9 +148,8 @@ FstResult cons_p_fst(const SimulationResult& result, const FstOptions& options) 
 
   Profile profile(result.system_size, order.front()->job.submit);
   for (const JobRecord* r : order) {
-    const Time start = profile.earliest_fit(r->job.submit, r->job.runtime, r->job.nodes);
-    profile.add_usage(start, start + r->job.runtime, r->job.nodes);
-    fst.fair_start[static_cast<std::size_t>(r->job.id)] = start;
+    fst.fair_start[static_cast<std::size_t>(r->job.id)] =
+        profile.reserve(r->job.submit, r->job.runtime, r->job.nodes);
   }
 
   aggregate_fst(result, options, fst);

@@ -30,6 +30,8 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"scheduler.replan_incremental", true},
     {"scheduler.priority_resorts", true},
     {"profile.gap_index.probes", true},
+    {"profile.fit_calls", true},
+    {"profile.fit_steps", true},
     {"fst.forks", true},
     {"fst.forks_drained", true},
     {"fst.resolved_from_master", true},

@@ -50,6 +50,8 @@ enum class Counter : std::size_t {
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kSchedPriorityResorts,        ///< core/scheduler.cpp: WaitQueue re-sorts after an epoch move
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
+  kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit + reserve)
+  kProfileFitSteps,             ///< core/profile.cpp: profile steps those scans advanced
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start
   kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: forks answered without draining

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/list_scheduler.hpp"
@@ -135,6 +137,112 @@ TEST(ProfileDiff, BatchedMutationsMatchUnbatchedReference) {
     // After commit the structures are identical (one normalization pass).
     ASSERT_EQ(opt.debug_string(), ref.debug_string());
   }
+}
+
+/// Breakpoint times of a profile, parsed from its debug_string.
+std::vector<Time> breakpoint_times(const std::string& debug) {
+  std::vector<Time> times;
+  for (std::size_t at = debug.find('['); at != std::string::npos; at = debug.find('[', at + 1))
+    times.push_back(std::stoll(debug.substr(at + 1)));
+  return times;
+}
+
+TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
+  // reserve() must return earliest_fit's slot and leave exactly the vector
+  // add_usage leaves. `split` is an optimized Profile seated the two-call
+  // way (it shares opt's batch state, so the comparison is exact inside a
+  // batch too); `ref` is the seed oracle, compared whenever no batch is
+  // open. Half the rounds put every time on a 100 s grid so windows often
+  // end exactly on a breakpoint, and some calls aim a window's end at the
+  // next step; `earliest` is mostly off-grid (mid-step).
+  util::Rng rng(20261017);
+  int mid_step = 0, ends_on_breakpoint = 0, into_tail = 0, batched = 0;
+  for (int round = 0; round < 24; ++round) {
+    const NodeCount capacity = static_cast<NodeCount>(rng.uniform_int(4, 512));
+    const Time origin = 500;
+    const bool grid = round % 2 == 0;
+    const bool batch = round % 3 == 1;
+    const auto time_at = [&](Time lo, Time hi) {
+      const Time t = rng.uniform_int(lo, hi);
+      return grid ? t - t % 100 : t;
+    };
+    Profile opt(capacity, origin);
+    Profile split(capacity, origin);
+    reference::ReferenceProfile ref(capacity, origin);
+    std::vector<Interval> live;
+    if (batch) {
+      opt.begin_batch();
+      split.begin_batch();
+    }
+    for (int op = 0; op < 300; ++op) {
+      const double dice = rng.uniform01();
+      if (dice < 0.2) {
+        Interval iv;
+        iv.from = time_at(origin, 40'000);
+        iv.to = iv.from + std::max<Time>(100, time_at(0, 8'000));
+        iv.nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+        if (ref.fits_at(iv.from, iv.to - iv.from, iv.nodes)) {
+          opt.add_usage(iv.from, iv.to, iv.nodes);
+          split.add_usage(iv.from, iv.to, iv.nodes);
+          ref.add_usage(iv.from, iv.to, iv.nodes);
+          live.push_back(iv);
+        }
+      } else if (dice < 0.35 && !live.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const Interval iv = live[pick];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        opt.remove_usage(iv.from, iv.to, iv.nodes);
+        split.remove_usage(iv.from, iv.to, iv.nodes);
+        ref.remove_usage(iv.from, iv.to, iv.nodes);
+      } else {
+        const std::vector<Time> before = breakpoint_times(ref.debug_string());
+        const Time earliest = rng.uniform_int(0, 45'000);  // may precede origin
+        Time duration = std::max<Time>(1, time_at(0, 6'000));
+        const auto next = std::upper_bound(before.begin(), before.end(), earliest);
+        if (next != before.end() && rng.uniform01() < 0.3)
+          duration = *next - std::max(earliest, origin);  // a window ending on a step
+        const NodeCount nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+        const Time expected = ref.earliest_fit(earliest, duration, nodes);
+        ASSERT_EQ(split.earliest_fit(earliest, duration, nodes), expected);
+        const Time slot = opt.reserve(earliest, duration, nodes);
+        ASSERT_EQ(slot, expected) << "reserve slot diverged at round " << round << " op " << op;
+        split.add_usage(slot, slot + duration, nodes);
+        ref.add_usage(slot, slot + duration, nodes);
+        live.push_back({slot, slot + duration, nodes});
+        const Time end = slot + duration;
+        if (earliest > origin && !std::binary_search(before.begin(), before.end(), earliest))
+          ++mid_step;
+        if (std::binary_search(before.begin(), before.end(), end)) ++ends_on_breakpoint;
+        if (end > before.back()) ++into_tail;
+        if (batch) ++batched;
+      }
+      ASSERT_EQ(opt.debug_string(), split.debug_string()) << "round " << round << " op " << op;
+      if (!batch) {
+        ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "op " << op;
+      }
+      ASSERT_NO_THROW(opt.check_invariants());
+    }
+    if (batch) {
+      opt.end_batch();
+      split.end_batch();
+    }
+    ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "round " << round;
+
+    // Empty requests seat nothing and answer like earliest_fit.
+    const std::string held = opt.debug_string();
+    EXPECT_EQ(opt.reserve(100, 3600, 0), origin);
+    EXPECT_EQ(opt.reserve(9'000, 0, 1), 9'000);
+    EXPECT_EQ(opt.reserve(9'000, -5, 1), ref.earliest_fit(9'000, -5, 1));
+    EXPECT_THROW(opt.reserve(0, 3600, capacity + 1), std::invalid_argument);
+    EXPECT_THROW(opt.reserve(0, 3600, -1), std::invalid_argument);
+    EXPECT_EQ(opt.debug_string(), held);
+  }
+  // Every case named above came up often (the sequence is deterministic).
+  EXPECT_GT(mid_step, 200);
+  EXPECT_GT(ends_on_breakpoint, 200);
+  EXPECT_GT(into_tail, 200);
+  EXPECT_GT(batched, 200);
 }
 
 TEST(ProfileDiff, FailedAddLeavesNoTrace) {

@@ -243,6 +243,47 @@ TEST(SchedulerDeterminism, DeepBurstQueue) {
   EXPECT_EQ(schedule_digest(sim::simulate(w, config)), 0xf9c9c7e801dbfd2bull);
 }
 
+/// A burst whose jobs repeat a few shapes that nest: wcl from {30, 60,
+/// 120} minutes and width from {2, 4, 8, 16} nodes, so many queued jobs
+/// share a shape exactly and most pairs dominate one another. Runtimes
+/// fall short of the wcl by random amounts, so completions free capacity
+/// early and dynamic replans re-seat the deep queue often.
+Workload nested_shape_burst(std::size_t jobs) {
+  util::Rng rng(8080);
+  constexpr Time kWcl[] = {1800, 3600, 7200};
+  constexpr NodeCount kNodes[] = {2, 4, 8, 16};
+  WorkloadBuilder b;
+  b.system_size = 64;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(rng.uniform_int(0, 5));
+    job.submit = rng.uniform_int(0, 1800);
+    job.nodes = kNodes[rng.uniform_int(0, 3)];
+    job.wcl = kWcl[rng.uniform_int(0, 2)];
+    job.runtime = rng.uniform_int(job.wcl / 4, job.wcl);
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+TEST(SchedulerDeterminism, DynamicSeatFloorOnNestedShapes) {
+  // Dynamic replans seat each job from a floor taken from the last 8 seats
+  // of no larger shape. With twelve nested shapes in a 300-job burst (far
+  // more than 8 queued at once), about 85% of the seats here start from a
+  // floor later than `now`.
+  const Workload w = nested_shape_burst(300);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fcfs);
+  run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare);
+  sim::EngineConfig config;
+  config.fairshare_period = minutes(20);  // re-sorts: the suffix path
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
 TEST(SchedulerDeterminism, ContinuousFairshareUpdates) {
   // Under Continuous the usage keys move at every accrual, so the priority
   // epoch moves at almost every event: the wait queue re-sorts on nearly
