@@ -20,7 +20,21 @@ std::string ConservativeScheduler::name() const {
 
 void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
-void ConservativeScheduler::on_complete(JobId id) { pending_completions_.push_back(id); }
+void ConservativeScheduler::on_complete(JobId id) {
+  const auto it = std::find_if(planned_runs_.begin(), planned_runs_.end(),
+                               [id](const PlannedRun& run) { return run.id == id; });
+  if (it == planned_runs_.end()) {
+    // Unknown to the plan: rebuild, and prove nothing about old seats.
+    plan_valid_ = false;
+    freed_horizon_ = kUnbounded;
+    return;
+  }
+  // Its planned usage [now, end) leaves the plan at the next replan.
+  freed_horizon_ = std::max(freed_horizon_, it->end);
+  completed_runs_.push_back(*it);
+  *it = planned_runs_.back();
+  planned_runs_.pop_back();
+}
 
 namespace {
 
@@ -72,13 +86,23 @@ void ConservativeScheduler::seat(Entry& entry, Time from) {
   entry.reservation = plan_->reserve(from, entry.wcl, entry.nodes);
 }
 
-void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now) {
+void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now, std::size_t reordered) {
   FitFloor floor(now);
+  Time freed = freed_horizon_;  // frees ahead of the next seat end by here
   for (std::size_t i = first; i < queue_.size(); ++i) {
     Entry& entry = queue_[i];
-    seat(entry, floor.floor(entry));
+    const Time old = entry.reservation;
+    const Time from = floor.floor(entry);
+    if (old == kNoTime || i >= reordered) {
+      seat(entry, from);
+    } else {
+      entry.reservation =
+          plan_->reserve(from, entry.wcl, entry.nodes, std::max(from, std::min(freed, old)), old);
+      if (entry.reservation != old) freed = std::max(freed, old + entry.wcl);
+    }
     floor.record(entry);
   }
+  freed_horizon_ = kNothingFreed;
 }
 
 void ConservativeScheduler::seed_running_usage(Time now) {
@@ -97,30 +121,39 @@ void ConservativeScheduler::seed_running_usage(Time now) {
 }
 
 void ConservativeScheduler::compression_pass(Time now) {
+  // Nothing freed reaches past now: every seat is still its earliest fit.
+  if (freed_horizon_ <= now) return;
   Profile& plan = *plan_;
-  bool moved = false;
+  Time freed = freed_horizon_;  // frees since the next seat was placed end by here
+  Time moved = kNothingFreed;   // frees by this pass
   for (Entry& entry : queue_) {
     const Time current = entry.reservation;
-    plan.remove_usage(current, current + entry.wcl, entry.nodes);
+    const Time end = current + entry.wcl;
+    plan.remove_usage(current, end, entry.nodes);
     // The job's own window is free again and current >= now, so the new
     // slot can only be earlier or the same.
-    const Time chosen = plan.reserve(now, entry.wcl, entry.nodes);
+    const Time chosen =
+        plan.reserve(now, entry.wcl, entry.nodes, std::min(freed, current), current);
     if (chosen > current)
       throw std::logic_error("ConservativeScheduler: compression moved a reservation later");
-    if (chosen != current) moved = true;
+    if (chosen != current) {
+      freed = std::max(freed, end);
+      moved = std::max(moved, end);
+    }
     entry.reservation = chosen;
   }
-  compress_active_ = moved;
-  capacity_freed_ = false;
+  freed_horizon_ = moved;
 }
 
-void ConservativeScheduler::full_replan(Time now) {
+void ConservativeScheduler::full_replan(Time now, obs::Counter cause, std::size_t reordered) {
   obs::count(obs::Counter::kSchedReplanFull);
+  obs::count(cause);
+  completed_runs_.clear();
   seed_running_usage(now);
 
   if (config_.dynamic_reservations) {
     // Plan from scratch in priority order at every event.
-    seat_all_from_now(0, now);
+    seat_all_from_now(0, now, reordered);
   } else {
     // Static conservative. Pass 1: re-seat stored reservations in stored-start
     // order; a slot only moves later if an over-running job broke it. Brand-new
@@ -138,7 +171,11 @@ void ConservativeScheduler::full_replan(Time now) {
     });
     for (const std::size_t i : seat_order) {
       Entry& entry = queue_[i];
-      seat(entry, entry.reservation == kNoTime ? now : std::max(entry.reservation, now));
+      const Time old = entry.reservation;
+      seat(entry, old == kNoTime ? now : std::max(old, now));
+      // A moved seat freed its old window.
+      if (old != kNoTime && entry.reservation != old)
+        freed_horizon_ = std::max(freed_horizon_, old + entry.wcl);
     }
 
     // Pass 2: improvement attempts in priority order — higher-priority jobs get
@@ -146,34 +183,26 @@ void ConservativeScheduler::full_replan(Time now) {
     // slot unless the found one is strictly earlier.
     compression_pass(now);
   }
-
-  pending_completions_.clear();
-  capacity_freed_ = false;
 }
 
-bool ConservativeScheduler::incremental_replan(Time now,
-                                               const std::vector<JobId>* seated_before_resort) {
-  // Counts attempts: a false return falls through to full_replan, so
-  // full + incremental together bound the replan work actually done.
+void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered) {
+  // Counts attempts: a fallback to full_replan counts there too, so full +
+  // incremental together bound the replan work actually done.
   obs::count(obs::Counter::kSchedReplanIncremental);
   Profile& plan = *plan_;
 
   // A completion whose planned usage extends past now frees future capacity.
   // Static mode handles it by returning the usage and compressing; dynamic
   // mode must rebuild (every reservation may shift onto the freed space).
-  for (const JobId id : pending_completions_) {
-    const auto it = std::find_if(planned_runs_.begin(), planned_runs_.end(),
-                                 [id](const PlannedRun& run) { return run.id == id; });
-    if (it == planned_runs_.end()) return false;  // job unknown to the plan
-    if (it->end > now) {
-      if (config_.dynamic_reservations) return false;
-      plan.remove_usage(now, it->end, it->nodes);
-      capacity_freed_ = true;
+  for (const PlannedRun& run : completed_runs_) {
+    if (run.end <= now) continue;
+    if (config_.dynamic_reservations) {
+      full_replan(now, obs::Counter::kSchedReplanFullCompletion, reordered);
+      return;
     }
-    *it = planned_runs_.back();
-    planned_runs_.pop_back();
+    plan.remove_usage(now, run.end, run.nodes);
   }
-  pending_completions_.clear();
+  completed_runs_.clear();
 
   if (config_.dynamic_reservations) {
     // Replan only the suffix of the priority order that no longer matches
@@ -181,23 +210,23 @@ bool ConservativeScheduler::incremental_replan(Time now,
     // the plan as running usage over exactly their reservation interval, so
     // eliding them keeps the planning prefix byte-identical.
     const std::size_t size = queue_.size();
-    std::size_t prefix = 0;
-    if (seated_before_resort != nullptr) {
-      const std::vector<JobId>& before = *seated_before_resort;
-      while (prefix < size && prefix < before.size() && queue_[prefix].id == before[prefix])
-        ++prefix;
-    } else {
+    std::size_t prefix = reordered;
+    if (prefix > size) {
+      prefix = 0;
       while (prefix < size && queue_[prefix].reservation != kNoTime) ++prefix;
     }
-    if (prefix * 2 < size) return false;  // mostly reshuffled: rebuild is cheaper
+    if (prefix * 2 < size) {  // mostly reshuffled: rebuild is cheaper
+      full_replan(now, obs::Counter::kSchedReplanFullReshuffle, reordered);
+      return;
+    }
     // The seated entries past the prefix are exactly the old plan's suffix.
     for (std::size_t i = prefix; i < size; ++i) {
       const Entry& entry = queue_[i];
       if (entry.reservation != kNoTime)
         plan.remove_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
     }
-    seat_all_from_now(prefix, now);
-    return true;
+    seat_all_from_now(prefix, now, reordered);
+    return;
   }
 
   // Static mode: existing reservations are untouched by arrivals (the naive
@@ -210,27 +239,31 @@ bool ConservativeScheduler::incremental_replan(Time now,
   std::sort(arrivals.begin(), arrivals.end(),
             [&](std::size_t a, std::size_t b) { return queue_[a].id < queue_[b].id; });
   for (const std::size_t i : arrivals) seat(queue_[i], now);
-
-  // The compression pass is a provable no-op unless capacity was freed or
-  // the previous pass still moved reservations (cascades may continue).
-  if (capacity_freed_ || compress_active_) compression_pass(now);
-  return true;
+  compression_pass(now);
 }
 
 void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
   const Time now = ctx().now();
 
-  // Bring the priority order up to date. Dynamic mode's prefix reuse
-  // compares against the order the plan was built in, so keep the seated
-  // ids in their pre-sort order when the order is about to re-sort.
-  std::optional<std::vector<JobId>> seated_before_resort;
+  // Bring the priority order up to date. In dynamic mode a job's seat
+  // depends on the jobs ahead of it, so note where a re-sort changed them:
+  // the jobs at index >= `reordered` (past the common prefix of the seated
+  // pre-sort order and the new order) have new jobs ahead. No re-sort, no
+  // such index.
+  std::size_t reordered = std::numeric_limits<std::size_t>::max();
   if (config_.dynamic_reservations && queue_.stale(ctx())) {
-    seated_before_resort.emplace();
+    std::vector<JobId> seated_before;
     for (const Entry& entry : queue_)
-      if (entry.reservation != kNoTime) seated_before_resort->push_back(entry.id);
+      if (entry.reservation != kNoTime) seated_before.push_back(entry.id);
+    queue_.refresh(ctx());
+    reordered = 0;
+    while (reordered < queue_.size() && reordered < seated_before.size() &&
+           queue_[reordered].id == seated_before[reordered])
+      ++reordered;
+  } else {
+    queue_.refresh(ctx());
   }
-  queue_.refresh(ctx());
 
   // While any running job over-runs its estimate, its assumed horizon moves
   // with now and can push reservations around — replan from scratch exactly
@@ -243,12 +276,13 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
     }
   }
 
-  if (!plan_valid_ || overrun) {
-    full_replan(now);
+  if (overrun) {
+    full_replan(now, obs::Counter::kSchedReplanFullOverrun, reordered);
+  } else if (!plan_valid_) {
+    full_replan(now, obs::Counter::kSchedReplanFullRebuild, reordered);
   } else {
     plan_->advance_origin(now);
-    if (!incremental_replan(now, seated_before_resort ? &*seated_before_resort : nullptr))
-      full_replan(now);
+    incremental_replan(now, reordered);
   }
   plan_valid_ = !overrun;
 
@@ -270,7 +304,9 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
       // plan as its running usage (est_end == now + wcl).
       planned_runs_.push_back({entry.id, entry.nodes, now + entry.wcl});
     } else {
-      plan_valid_ = false;  // stale reservation interval; rebuild next event
+      // Stale reservation interval: rebuild next event, proving nothing.
+      plan_valid_ = false;
+      freed_horizon_ = kUnbounded;
     }
     return false;
   });

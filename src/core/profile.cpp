@@ -1,6 +1,7 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -170,18 +171,32 @@ bool Profile::fits_at(Time start, Time duration, NodeCount nodes) const {
   return true;
 }
 
-Profile::Fit Profile::find_fit(Time earliest, Time duration, NodeCount nodes) const {
+Profile::Fit Profile::find_fit(Time earliest, Time duration, NodeCount nodes, Time skip_from,
+                               Time skip_to) const {
   // Single forward pass that alternates two tight loops: extend the open
   // window at `candidate` step by step until it spans `duration` (found) or
   // hits a step without `nodes` free, then skip blocked steps to the next
   // feasible step, which opens the next candidate window. The tail step
   // always has free == capacity >= nodes, so the skip needs no bound check
   // and the scan always ends with a window.
+  //
+  // Candidates only grow, so the skip range is met at most once: the first
+  // candidate at or past `jump_at` jumps to skip_to if it is still inside
+  // the range, and jump_at then moves out of reach. That keeps the range to
+  // one compare per window; the loops themselves are unchanged (the scan is
+  // codegen-sensitive).
+  constexpr Time kNever = std::numeric_limits<Time>::max();
+  Time jump_at = skip_from < skip_to ? skip_from : kNever;
+  if (earliest >= jump_at) {
+    if (earliest < skip_to) earliest = skip_to;
+    jump_at = kNever;
+  }
   const Step* steps = steps_.data();
   const std::size_t n = steps_.size();
   const std::size_t begin = step_index(earliest);
   std::size_t i = begin;
   std::size_t first = begin;
+  std::size_t jumped = 0;  // steps passed over by the jump, not scanned
   Time candidate = earliest;
   for (;;) {
     if (steps[i].free >= nodes) {
@@ -193,10 +208,19 @@ Profile::Fit Profile::find_fit(Time earliest, Time duration, NodeCount nodes) co
     while (steps[i].free < nodes) ++i;
     candidate = steps[i].at;
     first = i;
+    if (candidate >= jump_at) {
+      if (candidate < skip_to) {
+        const std::size_t to = step_index(skip_to);
+        jumped = to - i;
+        i = first = to;
+        candidate = skip_to;
+      }
+      jump_at = kNever;
+    }
   }
   if (obs::armed()) {
     obs::count(obs::Counter::kProfileFitCalls);
-    obs::count(obs::Counter::kProfileFitSteps, i - begin);
+    obs::count(obs::Counter::kProfileFitSteps, i - begin - jumped);
   }
   return {candidate, first, i};
 }
@@ -206,10 +230,11 @@ Time Profile::earliest_fit(Time earliest, Time duration, NodeCount nodes) const 
     throw std::invalid_argument("Profile::earliest_fit: job wider than machine");
   earliest = std::max(earliest, origin_);
   if (duration <= 0 || nodes <= 0) return earliest;
-  return find_fit(earliest, duration, nodes).start;
+  return find_fit(earliest, duration, nodes, 0, 0).start;
 }
 
-Time Profile::reserve(Time earliest, Time duration, NodeCount nodes) {
+Time Profile::reserve(Time earliest, Time duration, NodeCount nodes, Time skip_from,
+                      Time skip_to) {
   if (nodes < 0) throw std::invalid_argument("Profile::reserve: negative nodes");
   if (nodes > capacity_) throw std::invalid_argument("Profile::reserve: job wider than machine");
   earliest = std::max(earliest, origin_);
@@ -218,7 +243,7 @@ Time Profile::reserve(Time earliest, Time duration, NodeCount nodes) {
   // Split the window out exactly where add_usage would: at its start unless
   // a step begins there, and at its end unless the next step begins there.
   // find_fit proved every step in between has `nodes` free.
-  const Fit fit = find_fit(earliest, duration, nodes);
+  const Fit fit = find_fit(earliest, duration, nodes, skip_from, skip_to);
   const Time end = fit.start + duration;
   const auto at = [this](std::size_t k) { return steps_.begin() + static_cast<std::ptrdiff_t>(k); };
   std::size_t first = fit.first;

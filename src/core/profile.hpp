@@ -26,7 +26,8 @@
 //     place. It does not search for the slot again or re-validate a window
 //     the scan has just proved feasible, as earliest_fit() followed by
 //     add_usage() would. Every scheduler seats through it; earliest_fit()
-//     is the const query.
+//     is the const query. A replanner that knows a start range cannot fit
+//     passes it as a skip range, which the scan jumps in one lookup.
 //   * A batch/transaction API lets replanners stage many reservations and
 //     pay for one normalization pass at commit.
 //   * Queries take the same path at every depth: a deep plan (10k+
@@ -107,7 +108,20 @@ class Profile {
   /// duration, nodes) and leaves exactly the profile add_usage(s, s +
   /// duration, nodes) would, in one scan. Same exceptions as that pair
   /// (std::invalid_argument for nodes < 0 or nodes > capacity).
-  Time reserve(Time earliest, Time duration, NodeCount nodes);
+  ///
+  /// Skip range: a caller that has proven no start in [skip_from, skip_to)
+  /// fits (a replanner re-seating a reservation it placed earlier) may pass
+  /// that range, and the scan jumps it with one lookup instead of stepping
+  /// through it. The range is checked once per candidate window, not per
+  /// step. It changes nothing when the proof holds: the slot and the profile
+  /// are those of the call without it. If the earliest fit lies inside the
+  /// range after all, the job is seated at the earliest fit at or after
+  /// skip_to instead. An empty range (skip_from >= skip_to, the default) or
+  /// one wholly before `earliest` is ignored; skip_to must leave skip_to +
+  /// duration representable. Jumped steps do not count as scanned
+  /// (profile.fit_steps).
+  Time reserve(Time earliest, Time duration, NodeCount nodes, Time skip_from = 0,
+               Time skip_to = 0);
 
   std::size_t breakpoints() const { return steps_.size(); }
 
@@ -133,9 +147,11 @@ class Profile {
     std::size_t last;
   };
 
-  /// The forward sliding-window scan behind earliest_fit and reserve.
+  /// The forward sliding-window scan behind earliest_fit and reserve; a
+  /// candidate start inside [skip_from, skip_to) jumps to skip_to.
   /// Requires 0 < nodes <= capacity, duration > 0 and earliest >= origin.
-  Fit find_fit(Time earliest, Time duration, NodeCount nodes) const;
+  Fit find_fit(Time earliest, Time duration, NodeCount nodes, Time skip_from,
+               Time skip_to) const;
 
   /// Index of the step covering time t (t >= origin). Probes the cursor
   /// hint first; falls back to binary search. Updates the hint.

@@ -27,6 +27,10 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"engine.events_delivered", true},
     {"engine.scheduler_invocations", true},
     {"scheduler.replan_full", true},
+    {"scheduler.replan_full.overrun", true},
+    {"scheduler.replan_full.completion", true},
+    {"scheduler.replan_full.reshuffle", true},
+    {"scheduler.replan_full.rebuild", true},
     {"scheduler.replan_incremental", true},
     {"scheduler.priority_resorts", true},
     {"profile.gap_index.probes", true},

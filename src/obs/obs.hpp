@@ -47,6 +47,10 @@ enum class Counter : std::size_t {
   kEngineEventsDelivered,       ///< sim/engine.cpp: events consumed by run_loop
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
+  kSchedReplanFullOverrun,      ///< ... of them while a running job is past its estimate
+  kSchedReplanFullCompletion,   ///< ... because a completion freed future capacity (dynamic)
+  kSchedReplanFullReshuffle,    ///< ... because over half the queue reshuffled (dynamic)
+  kSchedReplanFullRebuild,      ///< ... because the plan was invalid (first, stale, post-over-run)
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kSchedPriorityResorts,        ///< core/scheduler.cpp: WaitQueue re-sorts after an epoch move
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe

@@ -245,6 +245,121 @@ TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
   EXPECT_GT(batched, 200);
 }
 
+TEST(ProfileDiff, ReserveWithSkipRange) {
+  // A skip range that holds no feasible start must not change reserve():
+  // `opt` seats with the range, `plain` without it, `ref` (the seed oracle)
+  // with earliest_fit + add_usage, and all three must agree on the slot and
+  // the vector. Ranges are drawn as: empty (from >= to); ending exactly at
+  // the earliest fit, so the fit starts at `to`; holding `earliest`;
+  // anywhere at all; and ending past the last breakpoint (with `earliest`
+  // past it too, since every start there fits). A drawn range that does
+  // hold a feasible start checks the documented fallback instead: the seat
+  // moves to the earliest fit at or after `to`.
+  util::Rng rng(20261018);
+  int empty = 0, fit_at_to = 0, earliest_inside = 0, to_at_tail = 0, to_past_last = 0,
+      fallback = 0;
+  for (int round = 0; round < 24; ++round) {
+    const NodeCount capacity = static_cast<NodeCount>(rng.uniform_int(4, 256));
+    const Time origin = 500;
+    const bool grid = round % 2 == 0;
+    const auto time_at = [&](Time lo, Time hi) {
+      const Time t = rng.uniform_int(lo, hi);
+      return grid ? t - t % 100 : t;
+    };
+    Profile opt(capacity, origin);
+    Profile plain(capacity, origin);
+    reference::ReferenceProfile ref(capacity, origin);
+    std::vector<Interval> live;
+    for (int op = 0; op < 300; ++op) {
+      const double dice = rng.uniform01();
+      if (dice < 0.2) {
+        Interval iv;
+        iv.from = time_at(origin, 40'000);
+        iv.to = iv.from + std::max<Time>(100, time_at(0, 8'000));
+        iv.nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+        if (ref.fits_at(iv.from, iv.to - iv.from, iv.nodes)) {
+          opt.add_usage(iv.from, iv.to, iv.nodes);
+          plain.add_usage(iv.from, iv.to, iv.nodes);
+          ref.add_usage(iv.from, iv.to, iv.nodes);
+          live.push_back(iv);
+        }
+      } else if (dice < 0.35 && !live.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const Interval iv = live[pick];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        opt.remove_usage(iv.from, iv.to, iv.nodes);
+        plain.remove_usage(iv.from, iv.to, iv.nodes);
+        ref.remove_usage(iv.from, iv.to, iv.nodes);
+      } else {
+        const Time last = breakpoint_times(ref.debug_string()).back();
+        const int kind = static_cast<int>(rng.uniform_int(0, 4));
+        // Kind 4 starts past the last breakpoint, where every start fits.
+        const Time earliest = kind == 4 ? last + rng.uniform_int(1, 3'000)
+                                        : rng.uniform_int(0, 45'000);  // may precede origin
+        const Time duration = std::max<Time>(1, time_at(0, 6'000));
+        const NodeCount nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+        const Time lowest = std::max(earliest, origin);
+        const Time expected = ref.earliest_fit(earliest, duration, nodes);
+        Time from = 0, to = 0;
+        switch (kind) {
+          case 0:  // empty
+            from = time_at(0, 45'000);
+            to = from - time_at(0, 3'000);
+            break;
+          case 1:  // the fit starts exactly at `to`
+            from = rng.uniform_int(0, expected);
+            to = expected;
+            break;
+          case 2:  // `earliest` inside the range
+            from = rng.uniform_int(0, lowest);
+            to = std::max(expected, lowest + 1);
+            break;
+          case 3:  // anywhere
+            from = time_at(0, 45'000);
+            to = from + time_at(1, 20'000);
+            break;
+          default:  // ending past the last breakpoint, at or before `earliest`
+            to = rng.uniform_int(last + 1, lowest);
+            from = rng.uniform_int(0, to - 1);
+            break;
+        }
+        // The range holds no feasible start iff the first one at or after
+        // its start lies at or after its end.
+        const bool holds_fit = from < to && to > lowest &&
+                               ref.earliest_fit(std::max(from, lowest), duration, nodes) < to;
+        const Time want =
+            holds_fit && expected >= from ? ref.earliest_fit(to, duration, nodes) : expected;
+        const Time slot = opt.reserve(earliest, duration, nodes, from, to);
+        ASSERT_EQ(slot, want) << "round " << round << " op " << op << " skip [" << from << ", "
+                              << to << ")";
+        if (holds_fit) {
+          ++fallback;
+          plain.add_usage(slot, slot + duration, nodes);
+        } else {
+          ASSERT_EQ(plain.reserve(earliest, duration, nodes), slot);
+          if (from >= to) ++empty;
+          if (from < to && to == expected) ++fit_at_to;
+          if (from <= lowest && lowest < to) ++earliest_inside;
+          if (from < to && to >= last) ++(to > last ? to_past_last : to_at_tail);
+        }
+        ref.add_usage(slot, slot + duration, nodes);
+        live.push_back({slot, slot + duration, nodes});
+      }
+      ASSERT_EQ(opt.debug_string(), plain.debug_string()) << "round " << round << " op " << op;
+      ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "round " << round << " op " << op;
+      ASSERT_NO_THROW(opt.check_invariants());
+    }
+  }
+  // Every case named above came up (the sequence is deterministic).
+  EXPECT_GT(empty, 200);
+  EXPECT_GT(fit_at_to, 200);
+  EXPECT_GT(earliest_inside, 200);
+  EXPECT_GT(to_at_tail, 100);
+  EXPECT_GT(to_past_last, 200);
+  EXPECT_GT(fallback, 100);
+}
+
 TEST(ProfileDiff, FailedAddLeavesNoTrace) {
   Profile opt(10, 0);
   reference::ReferenceProfile ref(10, 0);

@@ -311,6 +311,48 @@ TEST(SchedulerDeterminism, PublishesUnderADeepQueue) {
   run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
+/// A burst in which about a third of the jobs run past their wcl (1.2-3x)
+/// and the rest finish well before it (10-50%). Over-runs keep the plan in
+/// full rebuilds for long stretches, and early completions free capacity
+/// between them, so re-seats lean on the freed-capacity horizon carried
+/// across those rebuilds: completions, seats moved by compression and by
+/// pass 1 of a static rebuild, and dynamic seats moved either way.
+Workload overrun_burst(std::size_t jobs) {
+  util::Rng rng(9090);
+  WorkloadBuilder b;
+  b.system_size = 64;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(rng.uniform_int(0, 7));
+    job.submit = rng.uniform_int(0, 3600);
+    job.nodes = static_cast<NodeCount>(rng.uniform_int(1, 16));
+    job.wcl = rng.uniform_int(600, 6000);
+    if (rng.uniform_int(0, 2) == 0)
+      job.runtime = job.wcl + rng.uniform_int(job.wcl / 5, 2 * job.wcl);
+    else
+      job.runtime = rng.uniform_int(job.wcl / 10, job.wcl / 2);
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+TEST(SchedulerDeterminism, OverrunsAndEarlyCompletionsOnADeepQueue) {
+  const Workload burst = overrun_burst(400);
+  sim::EngineConfig config;
+  config.wcl_enforcement = sim::WclEnforcement::Never;
+  for (const bool dynamic : {false, true}) {
+    run_and_compare(burst, dynamic, PriorityKind::Fairshare, config);
+    run_and_compare(burst, dynamic, PriorityKind::Fcfs, config);
+  }
+  config.fairshare_period = minutes(20);  // re-sorts while over-runs rebuild
+  run_and_compare(burst, /*dynamic=*/false, PriorityKind::Fairshare, config);
+  run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
 TEST(SchedulerDeterminism, ChainedSegments) {
   sim::EngineConfig config;
   config.policy.max_runtime = hours(8);
