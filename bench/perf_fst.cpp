@@ -43,8 +43,8 @@ void record_pool_counters(benchmark::State& state, bool parallel) {
   state.counters["pool_threads"] = static_cast<double>(util::global_pool().size());
 }
 
-/// The seed per-snapshot FST computation, verbatim: a freshly allocated
-/// per-node list scheduler and a freshly allocated order buffer per snapshot.
+/// The seed per-snapshot FST computation: a freshly allocated per-node list
+/// scheduler per snapshot, scheduling the stored (fairshare-ordered) prefix.
 Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size,
                             metrics::FstKnowledge knowledge) {
   const bool perfect = knowledge == metrics::FstKnowledge::Perfect;
@@ -52,18 +52,9 @@ Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_si
   for (const SnapshotRunning& r : snapshot.running)
     list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
 
-  std::vector<const SnapshotWaiting*> order;
-  order.reserve(snapshot.waiting.size());
-  for (const SnapshotWaiting& w : snapshot.waiting) order.push_back(&w);
-  std::sort(order.begin(), order.end(), [](const SnapshotWaiting* a, const SnapshotWaiting* b) {
-    if (a->priority != b->priority) return a->priority < b->priority;
-    if (a->submit != b->submit) return a->submit < b->submit;
-    return a->id < b->id;
-  });
-
-  for (const SnapshotWaiting* w : order) {
-    const Time start = list.schedule(w->nodes, perfect ? w->runtime : w->wcl, snapshot.at);
-    if (w->id == snapshot.id) return start;
+  for (const SnapshotWaiting& w : snapshot.waiting) {
+    const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+    if (w.id == snapshot.id) return start;
   }
   throw std::logic_error("reference_snapshot_fst: target job missing from its own snapshot");
 }

@@ -256,13 +256,13 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
     std::vector<JobId> seated_before;
     for (const Entry& entry : queue_)
       if (entry.reservation != kNoTime) seated_before.push_back(entry.id);
-    queue_.refresh(ctx());
+    refresh_queue(queue_);
     reordered = 0;
     while (reordered < queue_.size() && reordered < seated_before.size() &&
            queue_[reordered].id == seated_before[reordered])
       ++reordered;
   } else {
-    queue_.refresh(ctx());
+    refresh_queue(queue_);
   }
 
   // While any running job over-runs its estimate, its assumed horizon moves

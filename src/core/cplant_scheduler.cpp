@@ -4,6 +4,11 @@
 
 namespace psched {
 
+namespace {
+/// How often to re-test barred jobs for entry when no other event fires.
+constexpr Time kHeavyRecheckInterval = hours(1);
+}  // namespace
+
 CplantScheduler::CplantScheduler(CplantConfig config)
     : config_(config), queue_(config.priority) {}
 
@@ -43,7 +48,7 @@ void CplantScheduler::promote_starving_jobs() {
 
 void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
-  queue_.refresh(ctx());
+  refresh_queue(queue_);
   promote_starving_jobs();
 
   const Time now = ctx().now();
@@ -112,7 +117,7 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
       }
     }
     if (any_barred_now) {
-      const Time recheck = now + config_.heavy_recheck_interval;
+      const Time recheck = now + kHeavyRecheckInterval;
       if (!wake || recheck < *wake) wake = recheck;
     }
   }

@@ -27,8 +27,6 @@ struct CplantConfig {
   Time starvation_delay = hours(24);
   bool bar_heavy_users = false;
   double heavy_user_factor = 1.0;
-  /// How often to re-test barred jobs for entry when no other event fires.
-  Time heavy_recheck_interval = hours(1);
 };
 
 class CplantScheduler final : public Scheduler {

@@ -23,7 +23,7 @@ void DepthScheduler::on_complete(JobId) {}
 void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
   if (queue_.empty()) return;
-  queue_.refresh(ctx());
+  refresh_queue(queue_);
 
   const Time now = ctx().now();
   NodeCount free = ctx().free_nodes();

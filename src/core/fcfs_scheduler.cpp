@@ -13,7 +13,7 @@ void FcfsScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 void FcfsScheduler::on_complete(JobId) {}
 
 void FcfsScheduler::collect_starts(std::vector<JobId>& starts) {
-  queue_.refresh(ctx());
+  refresh_queue(queue_);
   NodeCount free = ctx().free_nodes();
   bool blocked = false;
   queue_.retain([&](const WaitQueue::Entry& entry) {

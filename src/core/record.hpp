@@ -39,12 +39,13 @@ struct SnapshotWaiting {
   NodeCount nodes = 0;
   Time runtime = 0;      ///< actual runtime (perfect knowledge)
   Time wcl = 0;          ///< wall clock limit (the scheduler's knowledge)
-  Time submit = 0;
-  double priority = 0.0;  ///< fairshare usage of the owner (lower goes first)
 };
 
 /// System state captured at one job's arrival: the input of the paper's
-/// hybrid FST metric (section 4.1). `waiting` includes the arriving job.
+/// hybrid FST metric (section 4.1). `waiting` holds the jobs ahead of the
+/// arrival in FST order — fairshare order, ascending (usage at the arrival,
+/// submit, id) — then the arrival itself, last; the jobs behind it cannot
+/// affect its fair start and are not stored.
 struct ArrivalSnapshot {
   JobId id = kInvalidJob;
   Time at = kNoTime;

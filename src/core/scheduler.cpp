@@ -22,7 +22,7 @@ bool key_less(const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
 
 }  // namespace
 
-void WaitQueue::push(const SchedulerContext& ctx, const Job& job) {
+std::size_t WaitQueue::push(const SchedulerContext& ctx, const Job& job) {
   Entry entry;
   entry.usage = kind_ == PriorityKind::Fairshare ? ctx.user_usage(job.user) : 0.0;
   entry.submit = job.submit;
@@ -30,7 +30,11 @@ void WaitQueue::push(const SchedulerContext& ctx, const Job& job) {
   entry.id = job.id;
   entry.user = job.user;
   entry.nodes = job.nodes;
-  entries_.insert(std::upper_bound(entries_.begin(), entries_.end(), entry, key_less), entry);
+  // Take the index before inserting: a reallocating insert moves begin().
+  const auto at = std::upper_bound(entries_.begin(), entries_.end(), entry, key_less);
+  const auto index = static_cast<std::size_t>(at - entries_.begin());
+  entries_.insert(at, entry);
+  return index;
 }
 
 bool WaitQueue::stale(const SchedulerContext& ctx) const {
@@ -44,6 +48,11 @@ bool WaitQueue::refresh(const SchedulerContext& ctx) {
   sorted_epoch_ = ctx.priority_epoch();
   for (Entry& entry : entries_) entry.usage = ctx.user_usage(entry.user);
   std::sort(entries_.begin(), entries_.end(), key_less);
+  return true;
+}
+
+bool Scheduler::refresh_queue(WaitQueue& queue) const {
+  if (!queue.refresh(ctx())) return false;
   obs::count(obs::Counter::kSchedPriorityResorts);
   return true;
 }

@@ -59,7 +59,8 @@ class SchedulerContext {
 /// order; Fcfs is used for baselines and for the CONS_P fairness metric.
 enum class PriorityKind { Fairshare, Fcfs };
 
-/// The waiting set every built-in policy keeps, in priority order: ascending
+/// The waiting set every built-in policy keeps (and the engine, whose prefix
+/// up to an arrival is that arrival's FST snapshot), in priority order: ascending
 /// (usage key, submit, id), where the usage key is the user's published
 /// fairshare usage under PriorityKind::Fairshare and 0 under Fcfs. Keys are
 /// stored per entry and stay valid while the context's priority_epoch()
@@ -86,15 +87,14 @@ class WaitQueue {
   explicit WaitQueue(PriorityKind kind) : kind_(kind) {}
 
   /// Insert a newly submitted job at its priority position under the
-  /// context's current usage.
-  void push(const SchedulerContext& ctx, const Job& job);
+  /// context's current usage; returns that position.
+  std::size_t push(const SchedulerContext& ctx, const Job& job);
 
   /// True if refresh() would re-read usages and re-sort.
   bool stale(const SchedulerContext& ctx) const;
 
   /// Bring the order up to date with the context; returns true if it
-  /// re-sorted (counted as obs scheduler.priority_resorts). Call once per
-  /// scheduling event before relying on the order.
+  /// re-sorted. Call once per scheduling event before relying on the order.
   bool refresh(const SchedulerContext& ctx);
 
   /// Call keep(entry) on every entry in queue order and drop the entries it
@@ -175,6 +175,11 @@ class Scheduler {
     copy->ctx_ = nullptr;
     return copy;
   }
+
+  /// queue.refresh(ctx()), counting a re-sort as obs
+  /// scheduler.priority_resorts. Policies refresh through here, so the
+  /// counter sees policy queues only (not the engine's own waiting set).
+  bool refresh_queue(WaitQueue& queue) const;
 
   /// Fill `profile` with usage of all running jobs. Jobs past their
   /// estimated end are assumed to run on for max(kOverrunGrace, elapsed

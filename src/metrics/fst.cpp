@@ -13,11 +13,10 @@ namespace psched::metrics {
 namespace {
 
 /// Reusable per-thread state for the per-job FST loop. One simulation can
-/// have thousands of snapshots; reusing the list scheduler and the sort
-/// buffer keeps the loop allocation-free after warm-up.
+/// have thousands of snapshots; reusing the list scheduler keeps the loop
+/// allocation-free after warm-up.
 struct FstScratch {
   std::optional<ListScheduler> list;
-  std::vector<const SnapshotWaiting*> order;
 
   ListScheduler& list_for(NodeCount system_size, Time origin) {
     if (!list || list->node_count() != system_size)
@@ -28,8 +27,9 @@ struct FstScratch {
   }
 };
 
-/// FST of one snapshot: list-schedule the waiting set in fairshare priority
-/// order on top of the running jobs; return the target job's start.
+/// FST of one snapshot: list-schedule the waiting jobs on top of the running
+/// jobs in stored order (the engine stores them in fairshare order, the
+/// arrival last); return the target job's start.
 Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKnowledge knowledge,
                   FstScratch& scratch) {
   const bool perfect = knowledge == FstKnowledge::Perfect;
@@ -37,22 +37,9 @@ Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKno
   for (const SnapshotRunning& r : snapshot.running)
     list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
 
-  // Fairshare order: lower decayed usage first; ties by submit then id —
-  // identical to the WaitQueue order (core/scheduler.hpp) so the metric
-  // matches the policy's notion of a socially just order.
-  std::vector<const SnapshotWaiting*>& order = scratch.order;
-  order.clear();
-  order.reserve(snapshot.waiting.size());
-  for (const SnapshotWaiting& w : snapshot.waiting) order.push_back(&w);
-  std::sort(order.begin(), order.end(), [](const SnapshotWaiting* a, const SnapshotWaiting* b) {
-    if (a->priority != b->priority) return a->priority < b->priority;
-    if (a->submit != b->submit) return a->submit < b->submit;
-    return a->id < b->id;
-  });
-
-  for (const SnapshotWaiting* w : order) {
-    const Time start = list.schedule(w->nodes, perfect ? w->runtime : w->wcl, snapshot.at);
-    if (w->id == snapshot.id) return start;
+  for (const SnapshotWaiting& w : snapshot.waiting) {
+    const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+    if (w.id == snapshot.id) return start;
   }
   throw std::logic_error("snapshot_fst: target job missing from its own snapshot");
 }

@@ -46,13 +46,14 @@ enum class Counter : std::size_t {
   // deterministic class
   kEngineEventsDelivered,       ///< sim/engine.cpp: events consumed by run_loop
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
+  kEngineSnapshotEntries,       ///< sim/engine.cpp: waiting entries stored in arrival snapshots
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanFullOverrun,      ///< ... of them while a running job is past its estimate
   kSchedReplanFullCompletion,   ///< ... because a completion freed future capacity (dynamic)
   kSchedReplanFullReshuffle,    ///< ... because over half the queue reshuffled (dynamic)
   kSchedReplanFullRebuild,      ///< ... because the plan was invalid (first, stale, post-over-run)
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
-  kSchedPriorityResorts,        ///< core/scheduler.cpp: WaitQueue re-sorts after an epoch move
+  kSchedPriorityResorts,        ///< core/scheduler.cpp: policy WaitQueue re-sorts after an epoch move
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
   kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit + reserve)
   kProfileFitSteps,             ///< core/profile.cpp: profile steps those scans advanced

@@ -8,6 +8,11 @@
 
 namespace psched::sim {
 
+namespace {
+/// Re-test interval for spared over-running jobs under KillIfNeeded.
+constexpr Time kWclRecheckInterval = hours(1);
+}  // namespace
+
 SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config)
     : SimulationEngine(workload, std::move(config), nullptr) {}
 
@@ -80,12 +85,9 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
   // heap holds only completions / WCL checks / timers (forks require no
   // runtime limiter, so no chained arrivals can be pending): O(queue).
   //
-  // Start times and waiting positions go to sparse overlays instead of the
-  // master's dense per-record vectors; only the jobs currently in the queue
-  // can ever be touched, so the overlays stay O(queue) too.
-  fork_waiting_pos_.reserve(waiting_.size());
-  for (std::size_t pos = 0; pos < waiting_.size(); ++pos)
-    fork_waiting_pos_[waiting_[pos]] = static_cast<std::int32_t>(pos);
+  // Start times go to a sparse overlay instead of the master's dense
+  // per-record vector; only the jobs currently in the queue can ever start,
+  // so the overlay stays O(queue) too.
 }
 
 std::unique_ptr<SimulationEngine> SimulationEngine::fork_for_arrival(JobId target) const {
@@ -132,26 +134,6 @@ void SimulationEngine::set_record_start(JobId id, Time at) {
   result_.records[static_cast<std::size_t>(id)].start = at;
 }
 
-std::int32_t SimulationEngine::waiting_pos_of(JobId id) const {
-  if (is_fork()) {
-    const auto it = fork_waiting_pos_.find(id);
-    return it == fork_waiting_pos_.end() ? -1 : it->second;
-  }
-  const auto idx = static_cast<std::size_t>(id);
-  return idx < waiting_pos_.size() ? waiting_pos_[idx] : -1;
-}
-
-void SimulationEngine::set_waiting_pos(JobId id, std::int32_t pos) {
-  if (is_fork()) {
-    if (pos < 0)
-      fork_waiting_pos_.erase(id);
-    else
-      fork_waiting_pos_[id] = pos;
-    return;
-  }
-  waiting_pos_[static_cast<std::size_t>(id)] = pos;
-}
-
 JobId SimulationEngine::add_record(const Job& segment) {
   const auto record_id = static_cast<JobId>(result_.records.size());
   JobRecord record;
@@ -175,7 +157,7 @@ void SimulationEngine::advance_accounting(Time to) {
   now_ = to;
 }
 
-void SimulationEngine::record_snapshot(JobId id) {
+void SimulationEngine::record_snapshot(JobId id, std::size_t index) {
   ArrivalSnapshot snapshot;
   snapshot.id = id;
   snapshot.at = now_;
@@ -187,41 +169,28 @@ void SimulationEngine::record_snapshot(JobId id) {
     r.est_remaining = std::max<Time>(1, running_view_[i].est_end - now_);
     snapshot.running.push_back(r);
   }
-  snapshot.waiting.reserve(waiting_.size());
-  for (const JobId waiting_id : waiting_) {
-    const Job& j = job(waiting_id);
-    SnapshotWaiting w;
-    w.id = waiting_id;
-    w.nodes = j.nodes;
-    w.runtime = j.runtime;
-    w.wcl = j.wcl;
-    w.submit = j.submit;
-    w.priority = fairshare_.usage(j.user);
-    snapshot.waiting.push_back(w);
+  // The hybrid FST list-schedules the queue in order and stops at the
+  // arrival, so the jobs behind it never matter.
+  snapshot.waiting.reserve(index + 1);
+  for (std::size_t i = 0; i <= index; ++i) {
+    const WaitQueue::Entry& entry = waiting_[i];
+    snapshot.waiting.push_back({entry.id, entry.nodes, job(entry.id).runtime, entry.wcl});
   }
   result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
 }
 
-void SimulationEngine::remove_waiting(JobId id) {
-  const std::int32_t pos_index = waiting_pos_of(id);
-  if (pos_index < 0)
-    throw std::logic_error("engine: started a job that is not waiting");
-  const auto pos = static_cast<std::size_t>(pos_index);
-  const JobId moved = waiting_.back();
-  waiting_[pos] = moved;
-  set_waiting_pos(moved, static_cast<std::int32_t>(pos));
-  waiting_.pop_back();
-  set_waiting_pos(id, -1);
-}
-
-void SimulationEngine::deliver_arrival(JobId id) {
-  if (!is_fork() && waiting_pos_.size() < result_.records.size())
-    waiting_pos_.resize(result_.records.size(), -1);
-  set_waiting_pos(id, static_cast<std::int32_t>(waiting_.size()));
-  waiting_.push_back(id);
-  waiting_demand_ += job(id).nodes;
-  if (config_.record_snapshots) record_snapshot(id);
+std::size_t SimulationEngine::deliver_arrival(JobId id) {
+  const Job& j = job(id);
+  waiting_.refresh(*this);
+  const std::size_t index = waiting_.push(*this, j);
+  waiting_demand_ += j.nodes;
+  std::size_t stored = 0;
+  if (config_.record_snapshots) {
+    record_snapshot(id, index);
+    stored = index + 1;
+  }
   scheduler_->on_submit(id);
+  return stored;
 }
 
 void SimulationEngine::start_job(JobId id) {
@@ -229,7 +198,6 @@ void SimulationEngine::start_job(JobId id) {
   if (j.nodes > free_nodes_)
     throw std::logic_error("engine: scheduler started " + std::to_string(j.nodes) +
                            " nodes with only " + std::to_string(free_nodes_) + " free");
-  remove_waiting(id);
   waiting_demand_ -= j.nodes;
   free_nodes_ -= j.nodes;
   running_nodes_ += j.nodes;
@@ -295,6 +263,18 @@ void SimulationEngine::deliver_completion(JobId id, Time finish, bool killed) {
   }
 }
 
+void SimulationEngine::remove_started(std::vector<JobId>& starts) {
+  std::sort(starts.begin(), starts.end());
+  std::size_t removed = 0;
+  waiting_.retain([&](const WaitQueue::Entry& entry) {
+    if (!std::binary_search(starts.begin(), starts.end(), entry.id)) return true;
+    ++removed;
+    return false;
+  });
+  if (removed != starts.size())
+    throw std::logic_error("engine: started a job that is not waiting");
+}
+
 void SimulationEngine::handle_wcl_check(JobId id) {
   const auto state_it =
       std::find_if(running_state_.begin(), running_state_.end(),
@@ -304,13 +284,13 @@ void SimulationEngine::handle_wcl_check(JobId id) {
   // CPlant semantics: the over-running job dies only if some waiting job
   // could start with the freed processors.
   const NodeCount would_be_free = free_nodes_ + j.nodes;
-  const bool needed = std::any_of(waiting_.begin(), waiting_.end(), [&](JobId w) {
-    return job(w).nodes <= would_be_free;
+  const bool needed = std::any_of(waiting_.begin(), waiting_.end(), [&](const WaitQueue::Entry& w) {
+    return w.nodes <= would_be_free;
   });
   if (needed)
     deliver_completion(id, now_, /*killed=*/true);
   else
-    push_event({now_ + config_.wcl_recheck_interval, EventKind::WclCheck, id});
+    push_event({now_ + kWclRecheckInterval, EventKind::WclCheck, id});
 }
 
 void SimulationEngine::schedule_timer(Time at) {
@@ -350,11 +330,10 @@ void SimulationEngine::consume_event(const PendingEvent& pending) {
 std::size_t SimulationEngine::fork_footprint_bytes() const {
   constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);  // hash-bucket / tree links
   return events_.capacity() * sizeof(Event) +
-         waiting_.capacity() * sizeof(JobId) +
+         waiting_.size() * sizeof(WaitQueue::Entry) +
          running_state_.capacity() * sizeof(RunningState) +
          running_view_.capacity() * sizeof(RunningView) +
          fork_starts_.size() * (sizeof(JobId) + sizeof(Time) + kNodeOverhead) +
-         fork_waiting_pos_.size() * (sizeof(JobId) + sizeof(std::int32_t) + kNodeOverhead) +
          pending_timers_.size() * (sizeof(Time) + 2 * kNodeOverhead);
 }
 
@@ -368,11 +347,13 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
     SimulationResult* result;
     std::uint64_t events = 0;
     std::uint64_t invocations = 0;
+    std::uint64_t snapshot_entries = 0;
     ~CounterFlush() {
       result->events_delivered += events;
       result->scheduler_invocations += invocations;
       obs::count(obs::Counter::kEngineEventsDelivered, events);
       obs::count(obs::Counter::kEngineSchedulerInvocations, invocations);
+      obs::count(obs::Counter::kEngineSnapshotEntries, snapshot_entries);
     }
   } flush{&result_};
 
@@ -406,7 +387,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
           if (config_.record_snapshots &&
               result_.snapshots.size() < result_.records.size())
             result_.snapshots.resize(result_.records.size());
-          deliver_arrival(event.id);
+          flush.snapshot_entries += deliver_arrival(event.id);
           break;
         case EventKind::WclCheck:
           handle_wcl_check(event.id);
@@ -421,7 +402,10 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
     starts.clear();
     scheduler_->collect_starts(starts);
     ++flush.invocations;
-    for (const JobId id : starts) start_job(id);
+    if (!starts.empty()) {
+      for (const JobId id : starts) start_job(id);
+      remove_started(starts);
+    }
 
     if (run_until != kInvalidJob && record_start(run_until) != kNoTime) return;
 

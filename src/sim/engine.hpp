@@ -85,8 +85,6 @@ struct EngineConfig {
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
   SegmentArrival segment_arrival = SegmentArrival::AtOriginalSubmit;
   bool record_snapshots = true;        ///< needed by the FST metrics
-  /// Re-test interval for spared over-running jobs under KillIfNeeded.
-  Time wcl_recheck_interval = hours(1);
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
   /// When it trips, the run throws SimulationCancelled. Empty (the default)
@@ -130,7 +128,7 @@ class SimulationEngine final : public SchedulerContext {
 
   /// Clone the engine mid-run into an independent fork that never sees an
   /// arrival with record id > `target`: machine state, pending events,
-  /// fairshare tracker, waiting/running sets and the scheduler (via
+  /// fairshare tracker, waiting queue, running set and the scheduler (via
   /// Scheduler::clone()) are all copied — every one of them O(queue depth).
   /// The job table is the parent's immutable shared Workload (a view bump,
   /// not a copy), start times land in a sparse per-fork overlay, and the
@@ -152,8 +150,8 @@ class SimulationEngine final : public SchedulerContext {
   /// next arrival was delivered — without draining them.
   Time recorded_start(JobId id) const { return record_start(id); }
 
-  /// Approximate bytes of fork-owned heap state (event heap, waiting/running
-  /// sets, sparse start/waiting overlays, timers). Excludes the shared job
+  /// Approximate bytes of fork-owned heap state (event heap, waiting queue,
+  /// running set, sparse start overlay, timers). Excludes the shared job
   /// table — that is the point of the shared-workload design — and the
   /// scheduler clone's internals. Used to report peak drain-batch footprint.
   std::size_t fork_footprint_bytes() const;
@@ -200,25 +198,25 @@ class SimulationEngine final : public SchedulerContext {
 
   void advance_accounting(Time to);
   JobId add_record(const Job& job);
-  void deliver_arrival(JobId id);
+  /// Returns the number of waiting entries stored in the arrival's snapshot.
+  std::size_t deliver_arrival(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
-  void record_snapshot(JobId id);
+  /// Store waiting_[0, index] (the jobs ahead of the arrival, then the
+  /// arrival) and the running set as `id`'s snapshot.
+  void record_snapshot(JobId id, std::size_t index);
   void start_job(JobId id);
+  /// Drop one collect_starts batch from the waiting queue in one pass;
+  /// throws std::logic_error if any started job was not waiting. Sorts
+  /// `starts`.
+  void remove_started(std::vector<JobId>& starts);
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
-  /// O(1) removal from the waiting set (swap-pop via the position index).
-  /// The waiting set is unordered; consumers that need an order sort by
-  /// their own keys.
-  void remove_waiting(JobId id);
 
-  // Start times and the waiting-position index live in the dense record
-  // table on a master engine, and in sparse per-fork overlays on a fork —
-  // a fork may only ever touch O(queue) of either, and the dense tables
-  // are what made fork cost O(arrival index).
+  // Start times live in the dense record table on a master engine, and in a
+  // sparse overlay on a fork — a fork only ever starts O(queue) jobs, and
+  // the dense table is what made fork cost O(arrival index).
   Time record_start(JobId id) const;
   void set_record_start(JobId id, Time at);
-  std::int32_t waiting_pos_of(JobId id) const;
-  void set_waiting_pos(JobId id, std::int32_t pos);
 
   /// The shared event loop. `hook` (may be null) fires before each arrival;
   /// when `run_until` is a valid record id the loop returns as soon as that
@@ -257,11 +255,11 @@ class SimulationEngine final : public SchedulerContext {
   SimulationResult result_;
   std::vector<RunningState> running_state_;   // parallel to running_view_
   std::vector<RunningView> running_view_;
-  std::vector<JobId> waiting_;                // record ids not yet started (unordered)
-  std::vector<std::int32_t> waiting_pos_;     // master: record id -> index in waiting_ (-1 = absent)
-  // Fork overlays (lookups only, never iterated — determinism-safe).
+  /// Arrived, not yet started: in fairshare order, the order the hybrid FST
+  /// list-schedules each arrival's snapshot in.
+  WaitQueue waiting_{PriorityKind::Fairshare};
+  /// Fork start-time overlay (lookups only, never iterated — determinism-safe).
   std::unordered_map<JobId, Time> fork_starts_;
-  std::unordered_map<JobId, std::int32_t> fork_waiting_pos_;
   NodeCount waiting_demand_ = 0;              // sum of waiting nodes
   NodeCount running_nodes_ = 0;
 };

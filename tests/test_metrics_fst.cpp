@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::metrics {
@@ -76,6 +81,93 @@ TEST(HybridFst, FstUsesFairsharePriorityOrder) {
   EXPECT_EQ(r.records[2].start, days(2));
   EXPECT_EQ(f.miss[2], 0);
   EXPECT_GT(f.miss[1], 0);
+}
+
+TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
+  // The engine stores each snapshot as the fairshare-ordered prefix that
+  // ends at the arrival. Differential check on random running sets and
+  // full, unordered waiting sets: the seed computation (sort every waiting
+  // job by (usage, submit, id), list-schedule on the seed list scheduler
+  // until the target) equals hybrid_fairshare_fst over the sorted prefix.
+  struct Waiting {
+    SnapshotWaiting job;
+    double usage;
+    Time submit;
+  };
+  const auto fairshare_less = [](const Waiting& a, const Waiting& b) {
+    if (a.usage != b.usage) return a.usage < b.usage;
+    if (a.submit != b.submit) return a.submit < b.submit;
+    return a.job.id < b.job.id;
+  };
+  constexpr NodeCount kNodes = 16;
+  constexpr std::size_t kSnapshots = 300;
+  util::Rng rng(20261017);
+  SimulationResult result;
+  result.system_size = kNodes;
+  std::vector<std::vector<Waiting>> sorted(kSnapshots);  // the oracle's order
+  for (std::size_t i = 0; i < kSnapshots; ++i) {
+    const auto target = static_cast<JobId>(i);
+    ArrivalSnapshot snapshot;
+    snapshot.id = target;
+    snapshot.at = rng.uniform_int(0, 1000);
+    NodeCount busy = 0;
+    for (auto k = rng.uniform_int(0, 6); k > 0 && busy < kNodes; --k) {
+      SnapshotRunning running;
+      running.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes - busy));
+      running.remaining = rng.uniform_int(0, 500);
+      running.est_remaining = running.remaining + rng.uniform_int(1, 300);
+      busy += running.nodes;
+      snapshot.running.push_back(running);
+    }
+    // Few distinct usages and submits, so the id and submit tie-breaks
+    // decide many pairs; ids above kSnapshots never collide with targets.
+    const auto depth = rng.uniform_int(0, 30);
+    for (std::int64_t k = 0; k <= depth; ++k) {
+      Waiting w;
+      w.job.id = k == 0 ? target : static_cast<JobId>(kSnapshots) + static_cast<JobId>(k);
+      w.job.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes));
+      w.job.runtime = rng.uniform_int(1, 400);
+      w.job.wcl = w.job.runtime + rng.uniform_int(0, 400);
+      w.usage = static_cast<double>(rng.uniform_int(0, 3)) * 0.5;
+      w.submit = snapshot.at - rng.uniform_int(0, 2) * 50;
+      sorted[i].push_back(w);
+    }
+    std::sort(sorted[i].begin(), sorted[i].end(), fairshare_less);
+    for (const Waiting& w : sorted[i]) {
+      snapshot.waiting.push_back(w.job);
+      if (w.job.id == target) break;
+    }
+    JobRecord record;
+    record.job = make_job(0, snapshot.waiting.back().runtime, snapshot.waiting.back().nodes);
+    record.job.id = target;
+    record.start = snapshot.at;
+    result.records.push_back(record);
+    result.snapshots.push_back(std::move(snapshot));
+  }
+
+  for (const FstKnowledge knowledge : {FstKnowledge::Perfect, FstKnowledge::Estimates}) {
+    FstOptions options = strict();
+    options.knowledge = knowledge;
+    const bool perfect = knowledge == FstKnowledge::Perfect;
+    const FstResult f = hybrid_fairshare_fst(result, options);
+    for (std::size_t i = 0; i < kSnapshots; ++i) {
+      const ArrivalSnapshot& snapshot = result.snapshots[i];
+      reference::ReferenceListScheduler list(kNodes, snapshot.at);
+      for (const SnapshotRunning& r : snapshot.running)
+        list.occupy(r.nodes, snapshot.at + (perfect ? r.remaining : r.est_remaining));
+      Time expected = kNoTime;
+      for (const Waiting& w : sorted[i]) {
+        const Time start =
+            list.schedule(w.job.nodes, perfect ? w.job.runtime : w.job.wcl, snapshot.at);
+        if (w.job.id == snapshot.id) {
+          expected = start;
+          break;
+        }
+      }
+      EXPECT_EQ(f.fair_start[i], expected)
+          << "snapshot " << i << (perfect ? " perfect" : " estimates");
+    }
+  }
 }
 
 TEST(HybridFst, RequiresSnapshots) {

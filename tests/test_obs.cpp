@@ -20,7 +20,9 @@
 
 #include "obs/clock.hpp"
 #include "scenario/campaign.hpp"
+#include "sim/engine.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/generator.hpp"
 
 namespace psched {
 namespace {
@@ -190,6 +192,21 @@ TEST_F(ObsTest, DisarmedInstrumentationIsInert) {
   std::ostringstream trace;
   obs::write_trace_json(trace);
   EXPECT_EQ(trace.str().find("never-recorded"), std::string::npos);
+}
+
+TEST_F(ObsTest, SnapshotEntriesCountStoredWaitingEntries) {
+  obs::arm();
+  const Workload w = workload::generate_small_workload(5, 120, 32, days(3));
+  const SimulationResult r = sim::simulate(w, sim::EngineConfig{});
+  std::uint64_t stored = 0;
+  for (const ArrivalSnapshot& snapshot : r.snapshots) stored += snapshot.waiting.size();
+  EXPECT_GT(stored, r.snapshots.size());  // some arrival had a job ahead of it
+  EXPECT_EQ(obs::counter_value(Counter::kEngineSnapshotEntries), stored);
+
+  sim::EngineConfig no_snapshots;
+  no_snapshots.record_snapshots = false;
+  sim::simulate(w, no_snapshots);
+  EXPECT_EQ(obs::counter_value(Counter::kEngineSnapshotEntries), stored);
 }
 
 TEST_F(ObsTest, ArmedCountersAccumulateAndGaugesTakeTheMax) {

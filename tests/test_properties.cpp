@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "metrics/fst.hpp"
 #include "metrics/loc.hpp"
 #include "metrics/standard.hpp"
+#include "oracles/priority_order.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -77,14 +81,36 @@ TEST_P(PolicyProperties, FstNeverBeforeSubmit) {
 }
 
 TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
-  const SimulationResult r = run_case(GetParam());
+  // The snapshot contract: the jobs ahead of the arrival in fairshare order,
+  // then the arrival, last. The expected list is the seed's per-event sort
+  // (oracles/priority_order.hpp) of every arrived, unstarted job, read
+  // through the engine at the arrival hook (ids == arrival order here).
+  const PropertyCase& c = GetParam();
+  const Workload w = workload::generate_small_workload(c.seed, 220, 48, days(5));
+  sim::EngineConfig config;
+  config.policy.kind = c.kind;
+  config.policy.priority = c.priority;
+  sim::SimulationEngine engine(w, config);
+  std::vector<std::vector<JobId>> expected(w.jobs.size());
+  const SimulationResult r = engine.run_with_arrival_hook([&](JobId arriving) {
+    std::vector<JobId> waiting;
+    for (JobId id = 0; id <= arriving; ++id)
+      if (engine.recorded_start(id) == kNoTime) waiting.push_back(id);
+    std::vector<JobId> order =
+        reference::sorted_by_priority(engine, std::move(waiting), PriorityKind::Fairshare);
+    order.erase(std::find(order.begin(), order.end(), arriving) + 1, order.end());
+    expected[static_cast<std::size_t>(arriving)] = std::move(order);
+  });
+
   for (const ArrivalSnapshot& snapshot : r.snapshots) {
-    bool found = false;
+    ASSERT_FALSE(snapshot.waiting.empty()) << "snapshot " << snapshot.id;
+    EXPECT_EQ(snapshot.waiting.back().id, snapshot.id) << "snapshot " << snapshot.id;
+    std::vector<JobId> stored;
+    for (const SnapshotWaiting& waiting : snapshot.waiting) stored.push_back(waiting.id);
+    EXPECT_EQ(stored, expected[static_cast<std::size_t>(snapshot.id)])
+        << "snapshot " << snapshot.id;
     NodeCount running_total = 0;
-    for (const SnapshotWaiting& w : snapshot.waiting)
-      if (w.id == snapshot.id) found = true;
     for (const SnapshotRunning& run : snapshot.running) running_total += run.nodes;
-    EXPECT_TRUE(found) << "snapshot " << snapshot.id;
     EXPECT_LE(running_total, r.system_size);
   }
 }

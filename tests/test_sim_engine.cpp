@@ -40,6 +40,24 @@ TEST(Engine, RecordsSnapshotsPerArrival) {
   EXPECT_EQ(r.snapshots[1].running[0].remaining, 5);
 }
 
+TEST(Engine, SnapshotOmitsJobsBehindTheArrival) {
+  // User 0 fills the machine for two days, so the day-1 publish gives it
+  // usage. User 0's job 1 is waiting when user 1's job 2 arrives; job 2 goes
+  // ahead of it in fairshare order, so job 1 cannot affect job 2's fair
+  // start and is not stored in job 2's snapshot.
+  const Workload w = make_workload(2, {
+                                          make_job(0, days(2), 2, /*user=*/0),
+                                          make_job(days(1) + 100, hours(1), 1, /*user=*/0),
+                                          make_job(days(1) + 200, hours(1), 1, /*user=*/1),
+                                      });
+  const SimulationResult r = simulate(w, EngineConfig{});
+  ASSERT_EQ(r.snapshots.size(), 3u);
+  ASSERT_EQ(r.snapshots[1].waiting.size(), 1u);
+  EXPECT_EQ(r.snapshots[1].waiting[0].id, 1);
+  ASSERT_EQ(r.snapshots[2].waiting.size(), 1u);
+  EXPECT_EQ(r.snapshots[2].waiting[0].id, 2);
+}
+
 TEST(Engine, SnapshotsDisabled) {
   const Workload w = make_workload(4, {make_job(0, 10, 1)});
   EngineConfig config;
@@ -176,6 +194,33 @@ TEST(Engine, LocIntegralNonNegativeAndBounded) {
   const double cell = static_cast<double>(r.makespan()) * 32.0;
   EXPECT_LE(r.loc_proc_seconds, cell);
   EXPECT_LE(r.busy_proc_seconds, cell + 1e-6);
+}
+
+TEST(Engine, RejectsStartingAJobThatIsNotWaiting) {
+  // Emits batches[k] at its k-th invocation: t = 0 (job 0 arrives), then
+  // t = 100 (job 1 arrives).
+  class Scripted final : public Scheduler {
+   public:
+    explicit Scripted(std::vector<std::vector<JobId>> batches) : batches_(std::move(batches)) {}
+    std::string name() const override { return "scripted"; }
+    void on_submit(JobId) override {}
+    void on_complete(JobId) override {}
+    void collect_starts(std::vector<JobId>& starts) override {
+      if (next_ < batches_.size()) starts = batches_[next_++];
+    }
+
+   private:
+    std::vector<std::vector<JobId>> batches_;
+    std::size_t next_ = 0;
+  };
+
+  const Workload w = make_workload(4, {make_job(0, 1000, 1), make_job(100, 1000, 1)});
+  // Job 0 twice in one batch, and job 0 again while it runs.
+  for (const auto& batches : {std::vector<std::vector<JobId>>{{0, 0}, {1}},
+                              std::vector<std::vector<JobId>>{{0}, {0, 1}}}) {
+    EXPECT_THROW(simulate_with(w, EngineConfig{}, std::make_unique<Scripted>(batches)),
+                 std::logic_error);
+  }
 }
 
 TEST(Engine, CustomSchedulerInjection) {
