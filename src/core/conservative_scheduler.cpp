@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -20,19 +21,24 @@ std::string ConservativeScheduler::name() const {
 
 void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
 
-void ConservativeScheduler::on_complete(JobId id) {
+ConservativeScheduler::PlannedRun* ConservativeScheduler::planned_run(JobId id) {
   const auto it = std::find_if(planned_runs_.begin(), planned_runs_.end(),
                                [id](const PlannedRun& run) { return run.id == id; });
-  if (it == planned_runs_.end()) {
+  return it == planned_runs_.end() ? nullptr : &*it;
+}
+
+void ConservativeScheduler::on_complete(JobId id) {
+  PlannedRun* run = planned_run(id);
+  if (!run) {
     // Unknown to the plan: rebuild, and prove nothing about old seats.
     plan_valid_ = false;
     freed_horizon_ = kUnbounded;
     return;
   }
   // Its planned usage [now, end) leaves the plan at the next replan.
-  freed_horizon_ = std::max(freed_horizon_, it->end);
-  completed_runs_.push_back(*it);
-  *it = planned_runs_.back();
+  freed_horizon_ = std::max(freed_horizon_, run->end);
+  completed_runs_.push_back(*run);
+  *run = planned_runs_.back();
   planned_runs_.pop_back();
 }
 
@@ -128,19 +134,19 @@ void ConservativeScheduler::compression_pass(Time now) {
   Time moved = kNothingFreed;   // frees by this pass
   for (Entry& entry : queue_) {
     const Time current = entry.reservation;
+    // The job's own usage starts at current, so an earlier start fits it
+    // iff the part of its window before current fits the plan as it is.
+    const std::optional<Time> earlier =
+        plan.earliest_fit_before(now, std::min(freed, current), entry.wcl, entry.nodes, current);
+    if (!earlier) continue;  // the seat stays: the plan is left untouched
     const Time end = current + entry.wcl;
     plan.remove_usage(current, end, entry.nodes);
-    // The job's own window is free again and current >= now, so the new
-    // slot can only be earlier or the same.
-    const Time chosen =
-        plan.reserve(now, entry.wcl, entry.nodes, std::min(freed, current), current);
-    if (chosen > current)
-      throw std::logic_error("ConservativeScheduler: compression moved a reservation later");
-    if (chosen != current) {
-      freed = std::max(freed, end);
-      moved = std::max(moved, end);
-    }
-    entry.reservation = chosen;
+    entry.reservation = plan.reserve(*earlier, entry.wcl, entry.nodes);
+    if (entry.reservation != *earlier)
+      throw std::logic_error("ConservativeScheduler: compression proof disagrees with the plan");
+    obs::count(obs::Counter::kSchedCompressReseats);
+    freed = std::max(freed, end);
+    moved = std::max(moved, end);
   }
   freed_horizon_ = moved;
 }
@@ -185,11 +191,32 @@ void ConservativeScheduler::full_replan(Time now, obs::Counter cause, std::size_
   }
 }
 
-void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered) {
+bool ConservativeScheduler::grow_overruns(Time now) {
+  Profile& plan = *plan_;
+  for (const RunningView& r : ctx().running()) {
+    if (r.est_end > now) continue;
+    PlannedRun* run = planned_run(r.id);
+    if (!run) return false;
+    const Time from = std::max(run->end, now);
+    const Time end = assumed_running_end(r, now);
+    if (end <= from) continue;
+    if (!plan.fits_at(from, end - from, r.nodes)) return false;
+    plan.add_usage(from, end, r.nodes);
+    run->end = end;
+  }
+  return true;
+}
+
+void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered, bool overrun) {
   // Counts attempts: a fallback to full_replan counts there too, so full +
   // incremental together bound the replan work actually done.
   obs::count(obs::Counter::kSchedReplanIncremental);
   Profile& plan = *plan_;
+  // A rebuild at an event where some job over-runs counts as an over-run
+  // rebuild, whatever forced it.
+  const auto rebuild = [&](obs::Counter cause) {
+    full_replan(now, overrun ? obs::Counter::kSchedReplanFullOverrun : cause, reordered);
+  };
 
   // A completion whose planned usage extends past now frees future capacity.
   // Static mode handles it by returning the usage and compressing; dynamic
@@ -197,26 +224,28 @@ void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered) 
   for (const PlannedRun& run : completed_runs_) {
     if (run.end <= now) continue;
     if (config_.dynamic_reservations) {
-      full_replan(now, obs::Counter::kSchedReplanFullCompletion, reordered);
+      rebuild(obs::Counter::kSchedReplanFullCompletion);
       return;
     }
     plan.remove_usage(now, run.end, run.nodes);
   }
   completed_runs_.clear();
 
+  // Dynamic mode replans only the suffix of the priority order that no
+  // longer matches the order the current plan was built in. Jobs launched
+  // since remain in the plan as running usage over exactly their
+  // reservation interval, so eliding them keeps the planning prefix
+  // byte-identical.
+  std::size_t prefix = 0;
   if (config_.dynamic_reservations) {
-    // Replan only the suffix of the priority order that no longer matches
-    // the order the current plan was built in. Jobs launched since remain in
-    // the plan as running usage over exactly their reservation interval, so
-    // eliding them keeps the planning prefix byte-identical.
     const std::size_t size = queue_.size();
-    std::size_t prefix = reordered;
+    prefix = reordered;
     if (prefix > size) {
       prefix = 0;
       while (prefix < size && queue_[prefix].reservation != kNoTime) ++prefix;
     }
     if (prefix * 2 < size) {  // mostly reshuffled: rebuild is cheaper
-      full_replan(now, obs::Counter::kSchedReplanFullReshuffle, reordered);
+      rebuild(obs::Counter::kSchedReplanFullReshuffle);
       return;
     }
     // The seated entries past the prefix are exactly the old plan's suffix.
@@ -225,6 +254,17 @@ void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered) 
       if (entry.reservation != kNoTime)
         plan.remove_usage(entry.reservation, entry.reservation + entry.wcl, entry.nodes);
     }
+  }
+
+  // Over-running jobs grow their planned tails. If the growth fits beside
+  // every kept seat, the naive rebuild would leave each of them in place
+  // (its window still fits, and added usage opens no earlier start).
+  if (overrun && !grow_overruns(now)) {
+    full_replan(now, obs::Counter::kSchedReplanFullOverrun, reordered);
+    return;
+  }
+
+  if (config_.dynamic_reservations) {
     seat_all_from_now(prefix, now, reordered);
     return;
   }
@@ -265,9 +305,8 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
     refresh_queue(queue_);
   }
 
-  // While any running job over-runs its estimate, its assumed horizon moves
-  // with now and can push reservations around — replan from scratch exactly
-  // like the naive algorithm, and keep doing so until the over-run clears.
+  // A running job past its estimate has an assumed end that grows with
+  // now; the incremental path grows its planned tail or rebuilds.
   bool overrun = false;
   for (const RunningView& r : ctx().running()) {
     if (r.est_end <= now) {
@@ -276,15 +315,15 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
     }
   }
 
-  if (overrun) {
-    full_replan(now, obs::Counter::kSchedReplanFullOverrun, reordered);
-  } else if (!plan_valid_) {
-    full_replan(now, obs::Counter::kSchedReplanFullRebuild, reordered);
+  if (!plan_valid_) {
+    const obs::Counter cause =
+        overrun ? obs::Counter::kSchedReplanFullOverrun : obs::Counter::kSchedReplanFullRebuild;
+    full_replan(now, cause, reordered);
   } else {
     plan_->advance_origin(now);
-    incremental_replan(now, reordered);
+    incremental_replan(now, reordered, overrun);
   }
-  plan_valid_ = !overrun;
+  plan_valid_ = true;
 
   // Launch everything whose reservation came due, highest priority first;
   // every other reservation bounds the next wakeup.

@@ -233,6 +233,45 @@ Time Profile::earliest_fit(Time earliest, Time duration, NodeCount nodes) const 
   return find_fit(earliest, duration, nodes, 0, 0).start;
 }
 
+std::optional<Time> Profile::earliest_fit_before(Time from, Time to, Time duration,
+                                                 NodeCount nodes, Time clip) const {
+  if (nodes > capacity_)
+    throw std::invalid_argument("Profile::earliest_fit_before: job wider than machine");
+  from = std::max(from, origin_);
+  to = std::min(to, clip);
+  if (from >= to) return std::nullopt;
+  if (duration <= 0 || nodes <= 0) return from;
+  // find_fit's two loops with every window clipped at `clip`; a candidate
+  // at or past `to` ends the scan. The blocked skip is find_fit's own
+  // one-compare loop (bounding it by `to` as well costs more per step than
+  // the few blocked steps past `to` it would save).
+  const Step* steps = steps_.data();
+  const std::size_t n = steps_.size();
+  const std::size_t begin = step_index(from);
+  std::size_t i = begin;
+  Time candidate = from;
+  std::optional<Time> fit;
+  for (;;) {
+    if (steps[i].free >= nodes) {
+      const Time end = std::min(candidate + duration, clip);
+      while (i + 1 < n && steps[i + 1].at < end && steps[i + 1].free >= nodes) ++i;
+      if (i + 1 >= n || steps[i + 1].at >= end) {
+        fit = candidate;
+        break;
+      }
+      ++i;  // steps[i] blocks the window
+    }
+    while (steps[i].free < nodes) ++i;
+    if (steps[i].at >= to) break;
+    candidate = steps[i].at;
+  }
+  if (obs::armed()) {
+    obs::count(obs::Counter::kProfileFitCalls);
+    obs::count(obs::Counter::kProfileFitSteps, i - begin);
+  }
+  return fit;
+}
+
 Time Profile::reserve(Time earliest, Time duration, NodeCount nodes, Time skip_from,
                       Time skip_to) {
   if (nodes < 0) throw std::invalid_argument("Profile::reserve: negative nodes");

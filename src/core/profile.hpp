@@ -44,6 +44,7 @@
 // instance (as the FST engine does with its per-thread scratch).
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,17 @@ class Profile {
   /// (profile.fit_steps).
   Time reserve(Time earliest, Time duration, NodeCount nodes, Time skip_from = 0,
                Time skip_to = 0);
+
+  /// Earliest start t in [from, min(to, clip)) such that `nodes` are free
+  /// throughout [t, min(t + duration, clip)), or nullopt if there is none.
+  /// A replanner asks this about a job that holds `nodes` over [clip, clip +
+  /// duration): with that usage still in the profile, the answer is the
+  /// job's earliest fit from `from` once the usage is returned, whenever
+  /// that fit lies before min(to, clip) (a window's part past `clip` is then
+  /// free). One scan in profile.fit_calls / profile.fit_steps.
+  /// std::invalid_argument for nodes > capacity, like earliest_fit.
+  std::optional<Time> earliest_fit_before(Time from, Time to, Time duration, NodeCount nodes,
+                                          Time clip) const;
 
   std::size_t breakpoints() const { return steps_.size(); }
 

@@ -33,6 +33,7 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"scheduler.replan_full.reshuffle", true},
     {"scheduler.replan_full.rebuild", true},
     {"scheduler.replan_incremental", true},
+    {"scheduler.compress.reseats", true},
     {"scheduler.priority_resorts", true},
     {"profile.gap_index.probes", true},
     {"profile.fit_calls", true},

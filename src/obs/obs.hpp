@@ -51,11 +51,12 @@ enum class Counter : std::size_t {
   kSchedReplanFullOverrun,      ///< ... of them while a running job is past its estimate
   kSchedReplanFullCompletion,   ///< ... because a completion freed future capacity (dynamic)
   kSchedReplanFullReshuffle,    ///< ... because over half the queue reshuffled (dynamic)
-  kSchedReplanFullRebuild,      ///< ... because the plan was invalid (first, stale, post-over-run)
+  kSchedReplanFullRebuild,      ///< ... because the plan was invalid (first, stale, unknown job)
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
+  kSchedCompressReseats,        ///< core/conservative_scheduler.cpp: seats compression moved
   kSchedPriorityResorts,        ///< core/scheduler.cpp: policy WaitQueue re-sorts after an epoch move
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
-  kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit + reserve)
+  kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit, reserve, proofs)
   kProfileFitSteps,             ///< core/profile.cpp: profile steps those scans advanced
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start

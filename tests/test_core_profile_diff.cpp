@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -358,6 +359,136 @@ TEST(ProfileDiff, ReserveWithSkipRange) {
   EXPECT_GT(to_at_tail, 100);
   EXPECT_GT(to_past_last, 200);
   EXPECT_GT(fallback, 100);
+}
+
+TEST(ProfileDiff, EarliestFitBeforeMatchesBruteForce) {
+  // earliest_fit_before() against a brute force on the seed oracle: the
+  // first start in [from, min(to, clip)) whose window, clipped at `clip`,
+  // fits. The candidates are `from` and the breakpoints after it, since a
+  // clipped window only gains steps as its start moves later. Queries are
+  // drawn as: a live interval asking for an earlier start (clip at its
+  // start, its length and width), whose answer must also be its earliest
+  // fit once removed, when that lies before min(to, clip); a range inside
+  // one step; a range on the tail step; anywhere at all; and empty.
+  util::Rng rng(20261019);
+  int own = 0, empty = 0, fit_at_clip = 0, single_step = 0, at_tail = 0, none = 0;
+  for (int round = 0; round < 24; ++round) {
+    const NodeCount capacity = static_cast<NodeCount>(rng.uniform_int(4, 256));
+    const Time origin = 500;
+    const bool grid = round % 2 == 0;
+    const auto time_at = [&](Time lo, Time hi) {
+      const Time t = rng.uniform_int(lo, hi);
+      return grid ? t - t % 100 : t;
+    };
+    Profile opt(capacity, origin);
+    reference::ReferenceProfile ref(capacity, origin);
+    std::vector<Interval> live;
+    for (int op = 0; op < 300; ++op) {
+      const double dice = rng.uniform01();
+      if (dice < 0.3) {
+        Interval iv;
+        iv.from = time_at(origin, 40'000);
+        iv.to = iv.from + std::max<Time>(100, time_at(0, 8'000));
+        iv.nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+        if (ref.fits_at(iv.from, iv.to - iv.from, iv.nodes)) {
+          opt.add_usage(iv.from, iv.to, iv.nodes);
+          ref.add_usage(iv.from, iv.to, iv.nodes);
+          live.push_back(iv);
+        }
+        continue;
+      }
+      if (dice < 0.4 && !live.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const Interval iv = live[pick];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        opt.remove_usage(iv.from, iv.to, iv.nodes);
+        ref.remove_usage(iv.from, iv.to, iv.nodes);
+        continue;
+      }
+      const std::vector<Time> steps = breakpoint_times(ref.debug_string());
+      const Time last = steps.back();
+      const int kind = static_cast<int>(rng.uniform_int(live.empty() ? 1 : 0, 4));
+      Time from = 0, to = 0, clip = 0;
+      Time duration = std::max<Time>(1, time_at(0, 6'000));
+      NodeCount nodes = static_cast<NodeCount>(rng.uniform_int(1, capacity));
+      const Interval* job = nullptr;
+      switch (kind) {
+        case 0: {  // a live interval asking for an earlier start
+          job = &live[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+          clip = job->from;
+          duration = job->to - job->from;
+          nodes = job->nodes;
+          from = rng.uniform_int(0, clip);
+          to = rng.uniform_int(from, clip + 2'000);
+          break;
+        }
+        case 1: {  // inside one step
+          const std::size_t k = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(steps.size()) - 1));
+          const Time next = k + 1 < steps.size() ? steps[k + 1] : steps[k] + 5'000;
+          from = rng.uniform_int(steps[k], next - 1);
+          to = rng.uniform_int(from + 1, next);
+          clip = to + time_at(0, 3'000);
+          break;
+        }
+        case 2:  // on the tail step
+          from = last + rng.uniform_int(0, 3'000);
+          to = from + rng.uniform_int(1, 3'000);
+          clip = to + rng.uniform_int(0, 3'000);
+          break;
+        case 3:  // anywhere
+          from = rng.uniform_int(0, 45'000);
+          to = from + time_at(1, 20'000);
+          clip = from + time_at(1, 20'000);
+          break;
+        default:  // empty
+          from = rng.uniform_int(0, 45'000);
+          to = from - time_at(0, 3'000);
+          clip = rng.uniform_int(0, 1) == 0 ? to + 1'000 : from - time_at(0, 3'000);
+          if (rng.uniform_int(0, 1) == 0) std::swap(to, clip);
+          break;
+      }
+      const Time lo = std::max(from, origin);
+      const Time hi = std::min(to, clip);
+      std::optional<Time> expected;
+      for (Time t = lo; t < hi && !expected;) {
+        if (ref.fits_at(t, std::min(t + duration, clip) - t, nodes)) expected = t;
+        const auto next = std::upper_bound(steps.begin(), steps.end(), t);
+        if (next == steps.end()) break;
+        t = *next;
+      }
+      const std::optional<Time> got = opt.earliest_fit_before(from, to, duration, nodes, clip);
+      ASSERT_EQ(got, expected) << "round " << round << " op " << op << " [" << from << ", "
+                               << to << ") clip " << clip;
+      if (job) {
+        ++own;
+        reference::ReferenceProfile without = ref;
+        without.remove_usage(job->from, job->to, job->nodes);
+        const Time fit = without.earliest_fit(from, duration, nodes);
+        ASSERT_EQ(got, fit < hi ? std::optional<Time>(fit) : std::nullopt)
+            << "round " << round << " op " << op;
+      }
+      if (lo >= hi) {
+        ++empty;
+      } else {
+        if (std::upper_bound(steps.begin(), steps.end(), lo) ==
+            std::lower_bound(steps.begin(), steps.end(), hi))
+          ++single_step;
+        if (!got) ++none;
+        if (got && *got + duration > clip && !ref.fits_at(*got, duration, nodes)) ++fit_at_clip;
+        if (got && *got >= last) ++at_tail;
+      }
+    }
+  }
+  // Every case named above came up (the sequence is deterministic).
+  EXPECT_GT(own, 500);
+  EXPECT_GT(empty, 500);
+  EXPECT_GT(single_step, 1000);
+  EXPECT_GT(fit_at_clip, 100);  // the window fits only because it is clipped
+  EXPECT_GT(at_tail, 500);
+  EXPECT_GT(none, 300);
 }
 
 TEST(ProfileDiff, FailedAddLeavesNoTrace) {

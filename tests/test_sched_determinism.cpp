@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -351,6 +352,58 @@ TEST(SchedulerDeterminism, OverrunsAndEarlyCompletionsOnADeepQueue) {
   config.fairshare_period = minutes(20);  // re-sorts while over-runs rebuild
   run_and_compare(burst, /*dynamic=*/false, PriorityKind::Fairshare, config);
   run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
+/// A hand-placed over-run on 10 nodes. Job 0 (4 nodes) runs 1,500 s past
+/// its 1,000 s estimate beside job 1 (6 nodes until 10,000), and arrivals
+/// and wakeups keep replanning while it over-runs:
+///   * at 1,100 and 1,200 its growing tail fits beside every seat (the
+///     6-node jobs wait for job 1), so the plan grows in place;
+///   * job 4 (4 nodes) is seated at its assumed end from 1,200 on, so every
+///     later growth collides with that seat and the plan is rebuilt;
+///   * job 0 completes at 2,500 while job 4 (wcl 1,500) is seated at
+///     3,400, and static compression moves job 4 to 2,500: a window that
+///     overlaps its own old one, on nodes its old seat fills.
+Workload overrun_beside_seats() {
+  struct Shape {
+    Time submit;
+    NodeCount nodes;
+    Time wcl;
+    Time runtime;
+  };
+  constexpr Shape kJobs[] = {{0, 4, 1000, 2500},  {0, 6, 10000, 10000}, {10, 6, 500, 500},
+                             {1100, 6, 100, 100}, {1200, 4, 1500, 1000}, {1300, 6, 100, 100}};
+  WorkloadBuilder b;
+  b.system_size = 10;
+  for (std::size_t i = 0; i < std::size(kJobs); ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(i % 3);
+    job.submit = kJobs[i].submit;
+    job.nodes = kJobs[i].nodes;
+    job.wcl = kJobs[i].wcl;
+    job.runtime = kJobs[i].runtime;
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+TEST(SchedulerDeterminism, OverrunGrowthBesideAndAgainstSeats) {
+  const Workload w = overrun_beside_seats();
+  sim::EngineConfig config;
+  config.wcl_enforcement = sim::WclEnforcement::Never;
+  for (const bool dynamic : {false, true}) {
+    run_and_compare(w, dynamic, PriorityKind::Fairshare, config);
+    run_and_compare(w, dynamic, PriorityKind::Fcfs, config);
+  }
+  // The schedule the comment above describes.
+  config.policy.kind = PolicyKind::Conservative;
+  const SimulationResult result = sim::simulate(w, config);
+  EXPECT_EQ(result.records[0].finish, 2500);
+  EXPECT_EQ(result.records[4].start, 2500);
 }
 
 TEST(SchedulerDeterminism, ChainedSegments) {

@@ -21,8 +21,8 @@
 #     9. a work-count gate: the conservative pair on a deep queue
 #        (bench/campaigns/cons_deep_queue.spec) with --stats, failing if a
 #        deterministic count (events, snapshot entries, full/incremental
-#        replans, priority re-sorts, profile fit calls and steps) grows past
-#        bench/campaigns/cons_deep_queue.counts
+#        replans, compression re-seats, priority re-sorts, profile fit calls
+#        and steps) grows past bench/campaigns/cons_deep_queue.counts
 #    10. the campaign benchmark driver's self-test at smoke scale
 #        (campaignbench/selftest.py, about a minute): builds the driver
 #        against the library, runs every workload and checks its results,
