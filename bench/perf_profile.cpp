@@ -56,25 +56,42 @@ void BM_RefProfileAddUsage(benchmark::State& state) {
 BENCHMARK(BM_ProfileAddUsage)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_RefProfileAddUsage)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_ProfileBatchAddUsage(benchmark::State& state) {
-  // The transaction API: many staged reservations, one normalization pass —
-  // the shape of a conservative replan.
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// `n` running jobs as a scheduling event sees them: each holds its nodes
+/// from the origin (0) until a random estimated end, and together they fit
+/// the 1524-node machine.
+std::vector<Profile::Busy> running_jobs(std::size_t n) {
+  util::Rng rng(11);
+  std::vector<Profile::Busy> busy;
+  for (std::size_t i = 0; i < n; ++i)
+    busy.push_back({rng.uniform_int(60, 3 * 86'400),
+                    static_cast<NodeCount>(rng.uniform_int(1, 1524 / static_cast<int>(n)))});
+  return busy;
+}
+
+// Seeding running usage at the start of a scheduling event, two ways: one
+// add_usage per job after reset(origin), and the bulk reset(origin, busy)
+// every scheduler uses (the same vector, one sort).
+void BM_ProfileSeedRunningPerJob(benchmark::State& state) {
+  const std::vector<Profile::Busy> busy = running_jobs(static_cast<std::size_t>(state.range(0)));
+  Profile profile(1524, 0);
   for (auto _ : state) {
-    state.PauseTiming();
-    Profile profile(1524, 0);
-    state.ResumeTiming();
-    profile.begin_batch();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Time from = static_cast<Time>(i) * 977 % 500'000;
-      profile.add_usage(from, from + 3600, 4);
-    }
-    profile.end_batch();
+    profile.reset(0);
+    for (const Profile::Busy& b : busy) profile.add_usage(0, b.end, b.nodes);
     benchmark::DoNotOptimize(profile.breakpoints());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ProfileBatchAddUsage)->Arg(64)->Arg(256)->Arg(1024);
+void BM_ProfileSeedRunningBulk(benchmark::State& state) {
+  const std::vector<Profile::Busy> busy = running_jobs(static_cast<std::size_t>(state.range(0)));
+  Profile profile(1524, 0);
+  for (auto _ : state) {
+    profile.reset(0, busy);
+    benchmark::DoNotOptimize(profile.breakpoints());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ProfileSeedRunningPerJob)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ProfileSeedRunningBulk)->Arg(16)->Arg(64)->Arg(256);
 
 template <typename ProfileT>
 void run_earliest_fit(benchmark::State& state, std::uint64_t seed) {

@@ -29,8 +29,7 @@ class WidestFirstScheduler final : public Scheduler {
     if (waiting_.empty()) return;
     const Time now = ctx().now();
     NodeCount free = ctx().free_nodes();
-    Profile profile(ctx().total_nodes(), now);
-    add_running_to_profile(profile);
+    Profile& profile = running_profile();  // running jobs' usage from now
 
     std::sort(waiting_.begin(), waiting_.end(), [&](JobId a, JobId b) {
       const Job& ja = ctx().job(a);
@@ -43,9 +42,9 @@ class WidestFirstScheduler final : public Scheduler {
     bool reserved = false;
     for (const JobId id : waiting_) {
       const Job& job = ctx().job(id);
-      if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
+      // try_add_usage checks the window and, if it fits, takes it.
+      if (job.nodes <= free && profile.try_add_usage(now, now + job.wcl, job.nodes)) {
         starts.push_back(id);
-        profile.add_usage(now, now + job.wcl, job.nodes);
         free -= job.nodes;
         continue;
       }

@@ -19,7 +19,7 @@ std::string ConservativeScheduler::name() const {
   return n;
 }
 
-void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
+void ConservativeScheduler::on_submit(JobId id) { queue_.push(ctx(), id); }
 
 ConservativeScheduler::PlannedRun* ConservativeScheduler::planned_run(JobId id) {
   const auto it = std::find_if(planned_runs_.begin(), planned_runs_.end(),
@@ -111,19 +111,14 @@ void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now, std::
   freed_horizon_ = kNothingFreed;
 }
 
-void ConservativeScheduler::seed_running_usage(Time now) {
+void ConservativeScheduler::seed_plan(Time now) {
   if (!plan_ || plan_->capacity() != ctx().total_nodes())
     plan_.emplace(ctx().total_nodes(), now);
-  else
-    plan_->reset(now);
+  const std::vector<Profile::Busy>& busy = seed_running_usage(*plan_);
+  const std::vector<RunningView>& running = ctx().running();
   planned_runs_.clear();
-  plan_->begin_batch();
-  for (const RunningView& r : ctx().running()) {
-    const Time end = assumed_running_end(r, now);
-    plan_->add_usage(now, end, r.nodes);
-    planned_runs_.push_back({r.id, r.nodes, end});
-  }
-  plan_->end_batch();
+  for (std::size_t k = 0; k < running.size(); ++k)
+    planned_runs_.push_back({running[k].id, running[k].nodes, busy[k].end});
 }
 
 void ConservativeScheduler::compression_pass(Time now) {
@@ -155,7 +150,7 @@ void ConservativeScheduler::full_replan(Time now, obs::Counter cause, std::size_
   obs::count(obs::Counter::kSchedReplanFull);
   obs::count(cause);
   completed_runs_.clear();
-  seed_running_usage(now);
+  seed_plan(now);
 
   if (config_.dynamic_reservations) {
     // Plan from scratch in priority order at every event.
@@ -200,8 +195,7 @@ bool ConservativeScheduler::grow_overruns(Time now) {
     const Time from = std::max(run->end, now);
     const Time end = assumed_running_end(r, now);
     if (end <= from) continue;
-    if (!plan.fits_at(from, end - from, r.nodes)) return false;
-    plan.add_usage(from, end, r.nodes);
+    if (!plan.try_add_usage(from, end, r.nodes)) return false;
     run->end = end;
   }
   return true;

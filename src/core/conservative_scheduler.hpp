@@ -32,9 +32,9 @@
 //   * a running job past its estimate has an assumed end that grows with
 //     `now`. Once completed usage is returned (and, in dynamic mode, the
 //     suffix lifted out), each over-running job's planned tail grows in
-//     place by [max(planned end, now), new assumed end) if fits_at proves
-//     the growth fits beside every seat left in the plan; the event then
-//     goes on down the incremental path. This is exact: every kept window
+//     place by [max(planned end, now), new assumed end) if try_add_usage
+//     proves the growth fits beside every seat left in the plan; the event
+//     then goes on down the incremental path. This is exact: every kept window
 //     still fits the subset of that plan the naive rebuild re-seats it into,
 //     so it stays put, and added usage opens no earlier start. A growth that
 //     does not fit forces a full rebuild (counted as an over-run rebuild, as
@@ -178,9 +178,9 @@ class ConservativeScheduler final : public Scheduler {
   /// the plan half-grown) if one does not fit: the caller rebuilds.
   bool grow_overruns(Time now);
 
-  /// Seed running-job usage into a freshly reset plan profile; fills
-  /// planned_runs_.
-  void seed_running_usage(Time now);
+  /// Reset the plan profile to the running jobs' usage from now
+  /// (seed_running_usage); fills planned_runs_.
+  void seed_plan(Time now);
 
   /// One compression round: in priority order, each job moves to a strictly
   /// earlier slot if one exists. Skipped when freed_horizon_ <= now; resets

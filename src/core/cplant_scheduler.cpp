@@ -19,7 +19,7 @@ std::string CplantScheduler::name() const {
   return n;
 }
 
-void CplantScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
+void CplantScheduler::on_submit(JobId id) { queue_.push(ctx(), id); }
 
 void CplantScheduler::on_complete(JobId) {}
 
@@ -31,19 +31,18 @@ void CplantScheduler::promote_starving_jobs() {
   const double mean = config_.bar_heavy_users ? ctx().mean_positive_usage() : 0.0;
   const bool bar = mean > 0.0;
   const double heavy_above = config_.heavy_user_factor * mean;
-  std::vector<WaitQueue::Entry> eligible;
+  const std::size_t promoted = starve_.size();
   queue_.retain([&](const WaitQueue::Entry& job) {
     if (now - job.submit < config_.starvation_delay) return true;
     if (bar && ctx().user_usage(job.user) > heavy_above) return true;
-    eligible.push_back(job);
+    starve_.push_back(job);
     return false;
   });
-  // The starvation queue is FCFS by submission.
-  std::sort(eligible.begin(), eligible.end(),
+  // Each promotion enters the starvation queue FCFS by submission.
+  std::sort(starve_.begin() + static_cast<std::ptrdiff_t>(promoted), starve_.end(),
             [](const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
               return a.submit != b.submit ? a.submit < b.submit : a.id < b.id;
             });
-  for (const WaitQueue::Entry& job : eligible) starve_.push_back(job.id);
 }
 
 void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
@@ -53,55 +52,25 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
 
   const Time now = ctx().now();
   NodeCount free = ctx().free_nodes();
-  Profile& profile = scratch_profile(now);
-  add_running_to_profile(profile);
+  Profile& profile = running_profile();
 
+  // Starvation queue first, FCFS, in one compaction pass: a job starts if
+  // it fits; the first one that does not takes the single internal
+  // reservation and stays, and the jobs behind it may still start if they
+  // respect it.
   std::optional<Time> head_reservation;
-
-  // Starvation queue first, FCFS: start heads while they fit; the first head
-  // that does not fit pins the (single) internal reservation.
-  while (!starve_.empty()) {
-    const Job& head = ctx().job(starve_.front());
-    if (head.nodes <= free && profile.fits_at(now, head.wcl, head.nodes)) {
-      starts.push_back(head.id);
-      profile.add_usage(now, now + head.wcl, head.nodes);
-      free -= head.nodes;
-      starve_.pop_front();
-      continue;
-    }
-    head_reservation = profile.reserve(now, head.wcl, head.nodes);
-    break;
+  std::size_t kept = 0;
+  for (const WaitQueue::Entry& job : starve_) {
+    if (start_if_fits(job, now, profile, free, starts)) continue;
+    if (!head_reservation) head_reservation = profile.reserve(now, job.wcl, job.nodes);
+    starve_[kept++] = job;
   }
+  starve_.resize(kept);
 
-  // Remaining starvation-queue jobs may still start if they respect the head
-  // reservation, then the main queue in fairshare (or configured) order.
-  auto try_start = [&](JobId id) {
-    const Job& job = ctx().job(id);
-    if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-      starts.push_back(id);
-      profile.add_usage(now, now + job.wcl, job.nodes);
-      free -= job.nodes;
-      return true;
-    }
-    return false;
-  };
-
-  if (!starve_.empty()) {
-    std::deque<JobId> still_starving;
-    bool first = true;
-    for (const JobId id : starve_) {
-      // The blocked head stays put (its reservation is already in the profile).
-      if (first) {
-        still_starving.push_back(id);
-        first = false;
-        continue;
-      }
-      if (!try_start(id)) still_starving.push_back(id);
-    }
-    starve_ = std::move(still_starving);
-  }
-
-  queue_.retain([&](const WaitQueue::Entry& job) { return !try_start(job.id); });
+  // Then the main queue, in fairshare (or configured) order.
+  queue_.retain([&](const WaitQueue::Entry& job) {
+    return !start_if_fits(job, now, profile, free, starts);
+  });
 
   // Timers: the head reservation, the next starvation-eligibility instant,
   // and (with the heavy-user bar) a periodic recheck for barred jobs.

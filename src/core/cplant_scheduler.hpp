@@ -15,8 +15,8 @@
 // Setting starvation_delay = kNoTime yields pure no-guarantee backfilling
 // (used by tests/ablations; production CPlant always had the queue).
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "core/scheduler.hpp"
 
@@ -41,16 +41,17 @@ class CplantScheduler final : public Scheduler {
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
   const CplantConfig& config() const { return config_; }
-  /// Jobs currently in the starvation queue (FCFS order); exposed for tests.
-  const std::deque<JobId>& starvation_queue() const { return starve_; }
 
  private:
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
   void promote_starving_jobs();
 
   CplantConfig config_;
-  WaitQueue queue_;           // main queue, priority order
-  std::deque<JobId> starve_;  // starvation queue, FCFS by submit
+  WaitQueue queue_;  // main queue, priority order
+  /// Starvation queue, in entry order: each promotion appends its jobs
+  /// sorted by (submit, id), so a barred job let in late sits behind
+  /// younger jobs.
+  std::vector<WaitQueue::Entry> starve_;
   std::optional<Time> wakeup_;
 };
 

@@ -16,7 +16,7 @@ std::string DepthScheduler::name() const {
   return n;
 }
 
-void DepthScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
+void DepthScheduler::on_submit(JobId id) { queue_.push(ctx(), id); }
 
 void DepthScheduler::on_complete(JobId) {}
 
@@ -27,20 +27,14 @@ void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
 
   const Time now = ctx().now();
   NodeCount free = ctx().free_nodes();
-  Profile& profile = scratch_profile(now);
-  add_running_to_profile(profile);
+  Profile& profile = running_profile();
 
   std::optional<Time> earliest_reservation;
   int reserved = 0;
 
   queue_.retain([&](const WaitQueue::Entry& job) {
     // Anyone may start if it fits and violates no reservation made so far.
-    if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-      starts.push_back(job.id);
-      profile.add_usage(now, now + job.wcl, job.nodes);
-      free -= job.nodes;
-      return false;
-    }
+    if (start_if_fits(job, now, profile, free, starts)) return false;
     // Blocked: the first `depth` blocked jobs (in priority order) pin
     // reservations that later jobs must respect.
     if (reserved < config_.reservation_depth) {

@@ -8,7 +8,7 @@ std::string FcfsScheduler::name() const {
   return priority_ == PriorityKind::Fcfs ? "fcfs" : "fcfs.fairshare";
 }
 
-void FcfsScheduler::on_submit(JobId id) { queue_.push(ctx(), ctx().job(id)); }
+void FcfsScheduler::on_submit(JobId id) { queue_.push(ctx(), id); }
 
 void FcfsScheduler::on_complete(JobId) {}
 

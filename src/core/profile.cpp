@@ -23,8 +23,39 @@ void Profile::reset(Time origin) {
   steps_.clear();
   steps_.push_back({origin_, capacity_});
   hint_ = 0;
-  batch_depth_ = 0;
-  batch_dirty_ = false;
+}
+
+void Profile::reset(Time origin, const std::vector<Busy>& busy) {
+  // Every interval starts at the origin, so the usage there is the total
+  // and each end returns its nodes. The step vector doubles as the sort
+  // buffer: (end, nodes) pairs first, then a prefix sum that merges equal
+  // ends into one step.
+  reset(origin);
+  NodeCount used = 0;
+  for (const Busy& b : busy) {
+    if (b.nodes < 0) {
+      reset(origin);
+      throw std::invalid_argument("Profile::reset: negative nodes");
+    }
+    if (b.nodes == 0 || b.end <= origin) continue;
+    used += b.nodes;
+    steps_.push_back({b.end, b.nodes});
+  }
+  if (used > capacity_) {
+    reset(origin);
+    throw std::logic_error("Profile::reset: over-reservation at t=" + std::to_string(origin));
+  }
+  std::sort(steps_.begin() + 1, steps_.end(),
+            [](const Step& a, const Step& b) { return a.at < b.at; });
+  NodeCount free = capacity_ - used;
+  steps_.front().free = free;
+  std::size_t out = 1;
+  for (std::size_t i = 1; i < steps_.size(); ++i) {
+    free += steps_[i].free;
+    if (steps_[i].at != steps_[out - 1].at) steps_[out++].at = steps_[i].at;
+    steps_[out - 1].free = free;
+  }
+  steps_.resize(out);
 }
 
 void Profile::advance_origin(Time now) {
@@ -62,14 +93,6 @@ std::size_t Profile::step_index(Time t) const {
   return i;
 }
 
-std::size_t Profile::ensure_breakpoint(Time t) {
-  const std::size_t i = step_index(t);
-  if (steps_[i].at == t) return i;
-  steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1, {t, steps_[i].free});
-  hint_ = i + 1;
-  return i + 1;
-}
-
 void Profile::coalesce_range(std::size_t lo, std::size_t hi) {
   // The mutation changed free counts in [lo, hi); only the adjacency pairs
   // (i-1, i) for i in [lo, hi] can have become equal.
@@ -88,74 +111,63 @@ void Profile::coalesce_range(std::size_t lo, std::size_t hi) {
   }
 }
 
-void Profile::coalesce_all() {
-  std::size_t out = 1;
-  for (std::size_t i = 1; i < steps_.size(); ++i) {
-    if (steps_[i].free == steps_[out - 1].free) continue;
-    steps_[out++] = steps_[i];
+Profile::Span Profile::span(Time from, Time to, NodeCount lo, NodeCount hi) const {
+  const std::size_t first = step_index(from);
+  std::size_t last = first;
+  for (;; ++last) {
+    if (steps_[last].free < lo || steps_[last].free > hi) return {first, last, false};
+    if (last + 1 == steps_.size() || steps_[last + 1].at >= to) return {first, last, true};
   }
-  steps_.resize(out);
-  hint_ = 0;
 }
 
-void Profile::begin_batch() { ++batch_depth_; }
-
-void Profile::end_batch() {
-  if (batch_depth_ <= 0) throw std::logic_error("Profile::end_batch without begin_batch");
-  if (--batch_depth_ == 0 && batch_dirty_) {
-    coalesce_all();
-    batch_dirty_ = false;
+void Profile::shift(Time from, Time to, const Span& window, NodeCount delta) {
+  // Split the window out at `from` unless a step begins there, and at `to`
+  // unless the next step begins there; then shift the steps in between.
+  const auto at = [this](std::size_t k) { return steps_.begin() + static_cast<std::ptrdiff_t>(k); };
+  std::size_t first = window.first;
+  std::size_t stop = window.last + 1;
+  if (steps_[first].at < from) {
+    steps_.insert(at(first + 1), {from, steps_[first].free});
+    ++first;
+    ++stop;
   }
+  if (stop == steps_.size() || steps_[stop].at != to)
+    steps_.insert(at(stop), {to, steps_[stop - 1].free});
+  for (std::size_t k = first; k < stop; ++k) steps_[k].free += delta;
+  hint_ = first;
+  coalesce_range(first, stop);
 }
 
 void Profile::add_usage(Time from, Time to, NodeCount nodes) {
   if (nodes < 0) throw std::invalid_argument("Profile::add_usage: negative nodes");
   if (nodes == 0 || from >= to) return;
   if (from < origin_) throw std::logic_error("Profile::add_usage: interval before origin");
-  const std::size_t first = ensure_breakpoint(from);
-  const std::size_t last = ensure_breakpoint(to);  // end marker keeps old free value
-  // Validate the whole window before mutating so a failed add leaves the
-  // free counts untouched (strong exception safety). The breakpoints the
-  // validation may have inserted carry unchanged free counts; drop them
-  // again so a failed call leaves no structural trace either.
-  for (std::size_t i = first; i < last; ++i) {
-    if (steps_[i].free < nodes) {
-      const Time bad = steps_[i].at;
-      if (batch_depth_ == 0)
-        coalesce_range(first, last);
-      else
-        batch_dirty_ = true;  // end_batch sweeps the validation breakpoints
-      throw std::logic_error("Profile::add_usage: over-reservation at t=" + std::to_string(bad));
-    }
-  }
-  for (std::size_t i = first; i < last; ++i) steps_[i].free -= nodes;
-  if (batch_depth_ == 0)
-    coalesce_range(first, last);
-  else
-    batch_dirty_ = true;
+  const Span window = span(from, to, nodes, capacity_);
+  if (!window.fits)
+    throw std::logic_error("Profile::add_usage: over-reservation at t=" +
+                           std::to_string(std::max(steps_[window.last].at, from)));
+  shift(from, to, window, -nodes);
+}
+
+bool Profile::try_add_usage(Time from, Time to, NodeCount nodes) {
+  if (nodes < 0) throw std::invalid_argument("Profile::try_add_usage: negative nodes");
+  if (from < origin_ || nodes > capacity_) return false;
+  if (nodes == 0 || from >= to) return true;
+  const Span window = span(from, to, nodes, capacity_);
+  if (!window.fits) return false;
+  shift(from, to, window, -nodes);
+  return true;
 }
 
 void Profile::remove_usage(Time from, Time to, NodeCount nodes) {
   if (nodes < 0) throw std::invalid_argument("Profile::remove_usage: negative nodes");
   if (nodes == 0 || from >= to) return;
   if (from < origin_) throw std::logic_error("Profile::remove_usage: interval before origin");
-  const std::size_t first = ensure_breakpoint(from);
-  const std::size_t last = ensure_breakpoint(to);
-  for (std::size_t i = first; i < last; ++i) {
-    if (steps_[i].free + nodes > capacity_) {
-      const Time bad = steps_[i].at;
-      if (batch_depth_ == 0)
-        coalesce_range(first, last);
-      else
-        batch_dirty_ = true;  // end_batch sweeps the validation breakpoints
-      throw std::logic_error("Profile::remove_usage: exceeds capacity at t=" + std::to_string(bad));
-    }
-  }
-  for (std::size_t i = first; i < last; ++i) steps_[i].free += nodes;
-  if (batch_depth_ == 0)
-    coalesce_range(first, last);
-  else
-    batch_dirty_ = true;
+  const Span window = span(from, to, 0, capacity_ - nodes);
+  if (!window.fits)
+    throw std::logic_error("Profile::remove_usage: exceeds capacity at t=" +
+                           std::to_string(std::max(steps_[window.last].at, from)));
+  shift(from, to, window, nodes);
 }
 
 NodeCount Profile::free_at(Time t) const { return steps_[step_index(t)].free; }
@@ -164,11 +176,7 @@ bool Profile::fits_at(Time start, Time duration, NodeCount nodes) const {
   if (start < origin_) return false;
   if (nodes > capacity_) return false;
   if (duration <= 0 || nodes <= 0) return true;
-  const Time end = start + duration;
-  for (std::size_t k = step_index(start); k < steps_.size() && steps_[k].at < end; ++k) {
-    if (steps_[k].free < nodes) return false;
-  }
-  return true;
+  return span(start, start + duration, nodes, capacity_).fits;
 }
 
 Profile::Fit Profile::find_fit(Time earliest, Time duration, NodeCount nodes, Time skip_from,
@@ -279,27 +287,9 @@ Time Profile::reserve(Time earliest, Time duration, NodeCount nodes, Time skip_f
   earliest = std::max(earliest, origin_);
   if (duration <= 0 || nodes == 0) return earliest;
 
-  // Split the window out exactly where add_usage would: at its start unless
-  // a step begins there, and at its end unless the next step begins there.
-  // find_fit proved every step in between has `nodes` free.
+  // find_fit proved every step in the window has `nodes` free.
   const Fit fit = find_fit(earliest, duration, nodes, skip_from, skip_to);
-  const Time end = fit.start + duration;
-  const auto at = [this](std::size_t k) { return steps_.begin() + static_cast<std::ptrdiff_t>(k); };
-  std::size_t first = fit.first;
-  std::size_t stop = fit.last + 1;
-  if (steps_[first].at < fit.start) {
-    steps_.insert(at(first + 1), {fit.start, steps_[first].free});
-    ++first;
-    ++stop;
-  }
-  if (stop == steps_.size() || steps_[stop].at != end)
-    steps_.insert(at(stop), {end, steps_[stop - 1].free});
-  for (std::size_t k = first; k < stop; ++k) steps_[k].free -= nodes;
-  hint_ = first;
-  if (batch_depth_ == 0)
-    coalesce_range(first, stop);
-  else
-    batch_dirty_ = true;
+  shift(fit.start, fit.start + duration, {fit.first, fit.last, true}, -nodes);
   return fit.start;
 }
 

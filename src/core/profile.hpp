@@ -28,8 +28,11 @@
 //     add_usage() would. Every scheduler seats through it; earliest_fit()
 //     is the const query. A replanner that knows a start range cannot fit
 //     passes it as a skip range, which the scan jumps in one lookup.
-//   * A batch/transaction API lets replanners stage many reservations and
-//     pay for one normalization pass at commit.
+//   * Running jobs load in bulk: reset(origin, busy) sorts their (end,
+//     nodes) intervals once and writes the step vector directly, instead of
+//     one add_usage per job.
+//   * try_add_usage() is the start-now check and the seat in one call: the
+//     fits_at scan, then the subtract on the window it just walked.
 //   * Queries take the same path at every depth: a deep plan (10k+
 //     reservations) costs a longer walk, not a different algorithm.
 //
@@ -61,6 +64,20 @@ class Profile {
   /// scheduling event.
   void reset(Time origin);
 
+  /// A running job's usage: `nodes` busy from the origin until `end`.
+  struct Busy {
+    Time end;
+    NodeCount nodes;
+  };
+
+  /// Reset to origin with every interval in `busy` subtracted: the step
+  /// vector reset(origin) followed by add_usage(origin, end, nodes) per
+  /// entry leaves, written in one sort. Entries with zero nodes or ending at
+  /// or before the origin are skipped. Throws std::invalid_argument for
+  /// negative nodes and std::logic_error if the entries need more than
+  /// capacity; either leaves the profile reset(origin).
+  void reset(Time origin, const std::vector<Busy>& busy);
+
   /// Move the origin forward to `now`, dropping breakpoints strictly before
   /// it. The profile at times >= now is unchanged. No-op if now <= origin().
   /// Incremental replanners use this to slide a persistent profile along
@@ -72,27 +89,21 @@ class Profile {
 
   /// Subtract `nodes` free nodes over [from, to). Throws std::logic_error if
   /// this would drive any step negative (over-reservation) or if from < origin.
-  /// Strong exception safety: a failed add leaves all free counts untouched
-  /// (stray zero-width breakpoints may remain; they are semantically inert).
+  /// Validates before it inserts any breakpoint: a failed add leaves the
+  /// profile untouched.
   void add_usage(Time from, Time to, NodeCount nodes);
 
-  /// Exact inverse of add_usage (returns the nodes to the free pool).
-  /// Throws std::logic_error if this would exceed capacity anywhere.
-  void remove_usage(Time from, Time to, NodeCount nodes);
+  /// add_usage if fits_at(from, to - from, nodes), in one scan: returns
+  /// false, leaving the profile untouched, where that check fails (from <
+  /// origin, nodes > capacity, or some step without `nodes` free). Empty
+  /// requests (from >= to, nodes == 0) fit and change nothing. Throws
+  /// std::invalid_argument for negative nodes.
+  bool try_add_usage(Time from, Time to, NodeCount nodes);
 
-  // --- batch / transaction API ----------------------------------------------
-  //
-  // Between begin_batch() and end_batch(), add_usage/remove_usage skip the
-  // per-mutation coalescing pass; end_batch() runs one full normalization.
-  // Contract:
-  //   * begin/end pairs nest; only the outermost end_batch() normalizes.
-  //   * All queries (free_at, fits_at, earliest_fit) remain exact inside a
-  //     batch — deferred coalescing only leaves redundant breakpoints with
-  //     equal adjacent free counts, never wrong free counts.
-  //   * breakpoints() may be larger inside a batch than after end_batch().
-  //   * Validation and exception guarantees are identical to unbatched mode.
-  void begin_batch();
-  void end_batch();
+  /// Exact inverse of add_usage (returns the nodes to the free pool).
+  /// Throws std::logic_error if this would exceed capacity anywhere; a
+  /// failed remove leaves the profile untouched.
+  void remove_usage(Time from, Time to, NodeCount nodes);
 
   /// Free nodes at instant t (t >= origin).
   NodeCount free_at(Time t) const;
@@ -165,22 +176,32 @@ class Profile {
   Fit find_fit(Time earliest, Time duration, NodeCount nodes, Time skip_from,
                Time skip_to) const;
 
+  /// The steps overlapping [from, to) (origin <= from < to): `first` covers
+  /// from and `last` is the last one starting before to, unless some step's
+  /// free count leaves [lo, hi]; then `fits` is false and `last` is the
+  /// first such step.
+  struct Span {
+    std::size_t first;
+    std::size_t last;
+    bool fits;
+  };
+  Span span(Time from, Time to, NodeCount lo, NodeCount hi) const;
+
+  /// Add `delta` free nodes over [from, to), the steps `window` spans,
+  /// splitting steps at from and to and coalescing around the window.
+  /// Unchecked: the caller validated the window.
+  void shift(Time from, Time to, const Span& window, NodeCount delta);
+
   /// Index of the step covering time t (t >= origin). Probes the cursor
   /// hint first; falls back to binary search. Updates the hint.
   std::size_t step_index(Time t) const;
-  /// Ensure a breakpoint exists exactly at t; returns its index.
-  std::size_t ensure_breakpoint(Time t);
   /// Merge equal-adjacent steps in the window [lo-1, hi] only.
   void coalesce_range(std::size_t lo, std::size_t hi);
-  /// Full-array merge of equal-adjacent steps (used by end_batch).
-  void coalesce_all();
 
   NodeCount capacity_;
   Time origin_;
   std::vector<Step> steps_;
   mutable std::size_t hint_ = 0;  ///< index of the most recently looked-up step
-  int batch_depth_ = 0;
-  bool batch_dirty_ = false;  ///< a batched mutation deferred its coalesce
 };
 
 }  // namespace psched

@@ -22,7 +22,8 @@ bool key_less(const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
 
 }  // namespace
 
-std::size_t WaitQueue::push(const SchedulerContext& ctx, const Job& job) {
+std::size_t WaitQueue::push(const SchedulerContext& ctx, JobId id) {
+  const Job& job = ctx.job(id);
   Entry entry;
   entry.usage = kind_ == PriorityKind::Fairshare ? ctx.user_usage(job.user) : 0.0;
   entry.submit = job.submit;
@@ -66,20 +67,20 @@ Time Scheduler::assumed_running_end(const RunningView& r, Time now) {
   return now + std::max<Time>(kOverrunGrace, now - r.est_end);
 }
 
-void Scheduler::add_running_to_profile(Profile& profile) const {
+const std::vector<Profile::Busy>& Scheduler::seed_running_usage(Profile& profile) {
   const Time now = ctx().now();
-  profile.begin_batch();
+  running_busy_.clear();
   for (const RunningView& r : ctx().running())
-    profile.add_usage(now, assumed_running_end(r, now), r.nodes);
-  profile.end_batch();
+    running_busy_.push_back({assumed_running_end(r, now), r.nodes});
+  profile.reset(now, running_busy_);
+  return running_busy_;
 }
 
-Profile& Scheduler::scratch_profile(Time now) {
+Profile& Scheduler::running_profile() {
   const NodeCount capacity = ctx().total_nodes();
   if (!scratch_profile_ || scratch_profile_->capacity() != capacity)
-    scratch_profile_.emplace(capacity, now);
-  else
-    scratch_profile_->reset(now);
+    scratch_profile_.emplace(capacity, ctx().now());
+  seed_running_usage(*scratch_profile_);
   return *scratch_profile_;
 }
 

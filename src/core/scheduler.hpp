@@ -86,9 +86,9 @@ class WaitQueue {
 
   explicit WaitQueue(PriorityKind kind) : kind_(kind) {}
 
-  /// Insert a newly submitted job at its priority position under the
-  /// context's current usage; returns that position.
-  std::size_t push(const SchedulerContext& ctx, const Job& job);
+  /// Insert newly submitted job `id` (read through ctx.job) at its priority
+  /// position under the context's current usage; returns that position.
+  std::size_t push(const SchedulerContext& ctx, JobId id);
 
   /// True if refresh() would re-read usages and re-sort.
   bool stale(const SchedulerContext& ctx) const;
@@ -181,16 +181,29 @@ class Scheduler {
   /// counter sees policy queues only (not the engine's own waiting set).
   bool refresh_queue(WaitQueue& queue) const;
 
-  /// Fill `profile` with usage of all running jobs. Jobs past their
-  /// estimated end are assumed to run on for max(kOverrunGrace, elapsed
-  /// overrun) more seconds — an exponential-backoff horizon that keeps
-  /// over-runners from triggering per-second replans.
-  void add_running_to_profile(Profile& profile) const;
+  /// Reset `profile` to "all free from ctx().now()" minus every running
+  /// job's usage up to its assumed_running_end, in one bulk
+  /// Profile::reset. Returns those intervals in ctx().running() order.
+  const std::vector<Profile::Busy>& seed_running_usage(Profile& profile);
 
-  /// Shared per-scheduler scratch profile, reset to "all free from now".
-  /// Lazily sized to ctx().total_nodes(); reusing it across scheduling
-  /// events avoids re-allocating the step vector on every event.
-  Profile& scratch_profile(Time now);
+  /// The shared per-scheduler scratch profile, seeded with the running
+  /// jobs (seed_running_usage). Lazily sized to ctx().total_nodes();
+  /// reusing it across scheduling events avoids re-allocating the step
+  /// vector on every event.
+  Profile& running_profile();
+
+  /// Start `entry` now if its nodes are free and its window [now, now +
+  /// wcl) fits `profile`: the window goes into the profile, the job into
+  /// `starts`, its nodes out of `free`. The free-node test comes first and
+  /// stays inline: it turns most blocked jobs away without a profile scan.
+  static bool start_if_fits(const WaitQueue::Entry& entry, Time now, Profile& profile,
+                            NodeCount& free, std::vector<JobId>& starts) {
+    if (entry.nodes > free || !profile.try_add_usage(now, now + entry.wcl, entry.nodes))
+      return false;
+    starts.push_back(entry.id);
+    free -= entry.nodes;
+    return true;
+  }
 
   /// Assumed end of a running job's usage at time `now`: its estimated end,
   /// or — once it has over-run — an exponential-backoff horizon of
@@ -204,6 +217,7 @@ class Scheduler {
  private:
   const SchedulerContext* ctx_ = nullptr;
   std::optional<Profile> scratch_profile_;
+  std::vector<Profile::Busy> running_busy_;  ///< seed_running_usage's intervals
 };
 
 }  // namespace psched

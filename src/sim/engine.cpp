@@ -85,9 +85,9 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
   // heap holds only completions / WCL checks / timers (forks require no
   // runtime limiter, so no chained arrivals can be pending): O(queue).
   //
-  // Start times go to a sparse overlay instead of the master's dense
-  // per-record vector; only the jobs currently in the queue can ever start,
-  // so the overlay stays O(queue) too.
+  // A fork keeps only its target's start (fork_start_), not the master's
+  // dense per-record vector: the target's is the only start a fork is ever
+  // asked for.
 }
 
 std::unique_ptr<SimulationEngine> SimulationEngine::fork_for_arrival(JobId target) const {
@@ -119,16 +119,13 @@ const Job& SimulationEngine::job(JobId id) const {
 }
 
 Time SimulationEngine::record_start(JobId id) const {
-  if (is_fork()) {
-    const auto it = fork_starts_.find(id);
-    return it == fork_starts_.end() ? kNoTime : it->second;
-  }
+  if (is_fork()) return id == arrival_limit_ ? fork_start_ : kNoTime;
   return result_.records.at(static_cast<std::size_t>(id)).start;
 }
 
 void SimulationEngine::set_record_start(JobId id, Time at) {
   if (is_fork()) {
-    fork_starts_[id] = at;
+    if (id == arrival_limit_) fork_start_ = at;
     return;
   }
   result_.records[static_cast<std::size_t>(id)].start = at;
@@ -182,7 +179,7 @@ void SimulationEngine::record_snapshot(JobId id, std::size_t index) {
 std::size_t SimulationEngine::deliver_arrival(JobId id) {
   const Job& j = job(id);
   waiting_.refresh(*this);
-  const std::size_t index = waiting_.push(*this, j);
+  const std::size_t index = waiting_.push(*this, id);
   waiting_demand_ += j.nodes;
   std::size_t stored = 0;
   if (config_.record_snapshots) {
@@ -333,7 +330,6 @@ std::size_t SimulationEngine::fork_footprint_bytes() const {
          waiting_.size() * sizeof(WaitQueue::Entry) +
          running_state_.capacity() * sizeof(RunningState) +
          running_view_.capacity() * sizeof(RunningView) +
-         fork_starts_.size() * (sizeof(JobId) + sizeof(Time) + kNodeOverhead) +
          pending_timers_.size() * (sizeof(Time) + 2 * kNodeOverhead);
 }
 

@@ -21,7 +21,6 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fairshare.hpp"
@@ -131,7 +130,7 @@ class SimulationEngine final : public SchedulerContext {
   /// fairshare tracker, waiting queue, running set and the scheduler (via
   /// Scheduler::clone()) are all copied — every one of them O(queue depth).
   /// The job table is the parent's immutable shared Workload (a view bump,
-  /// not a copy), start times land in a sparse per-fork overlay, and the
+  /// not a copy), the fork keeps only the target's start time, and the
   /// seeded-arrival cursor is simply capped at `target`, so fork cost is
   /// independent of the arrival index. Only valid from inside an arrival
   /// hook, at the hook invocation for `target`; requires no maximum-runtime
@@ -145,15 +144,16 @@ class SimulationEngine final : public SchedulerContext {
   Time run_until_started(JobId target);
 
   /// Mid-run observer: the start time recorded for `id` so far (kNoTime if
-  /// it has not started yet). Lets the FST driver resolve forks whose target
-  /// provably started before the fork's universe diverged — i.e. before the
-  /// next arrival was delivered — without draining them.
+  /// it has not started yet; a fork records its target's start only). Lets
+  /// the FST driver resolve forks whose target provably started before the
+  /// fork's universe diverged — i.e. before the next arrival was delivered —
+  /// without draining them.
   Time recorded_start(JobId id) const { return record_start(id); }
 
   /// Approximate bytes of fork-owned heap state (event heap, waiting queue,
-  /// running set, sparse start overlay, timers). Excludes the shared job
-  /// table — that is the point of the shared-workload design — and the
-  /// scheduler clone's internals. Used to report peak drain-batch footprint.
+  /// running set, timers). Excludes the shared job table — that is the
+  /// point of the shared-workload design — and the scheduler clone's
+  /// internals. Used to report peak drain-batch footprint.
   std::size_t fork_footprint_bytes() const;
 
   // --- SchedulerContext ------------------------------------------------------
@@ -212,9 +212,9 @@ class SimulationEngine final : public SchedulerContext {
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
 
-  // Start times live in the dense record table on a master engine, and in a
-  // sparse overlay on a fork — a fork only ever starts O(queue) jobs, and
-  // the dense table is what made fork cost O(arrival index).
+  // Start times live in the dense record table on a master engine. A fork
+  // keeps only its target's (other ids read kNoTime): copying the dense
+  // table is what made fork cost O(arrival index).
   Time record_start(JobId id) const;
   void set_record_start(JobId id, Time at);
 
@@ -258,8 +258,8 @@ class SimulationEngine final : public SchedulerContext {
   /// Arrived, not yet started: in fairshare order, the order the hybrid FST
   /// list-schedules each arrival's snapshot in.
   WaitQueue waiting_{PriorityKind::Fairshare};
-  /// Fork start-time overlay (lookups only, never iterated — determinism-safe).
-  std::unordered_map<JobId, Time> fork_starts_;
+  /// Forks only: the start of the target (arrival_limit_), once it started.
+  Time fork_start_ = kNoTime;
   NodeCount waiting_demand_ = 0;              // sum of waiting nodes
   NodeCount running_nodes_ = 0;
 };

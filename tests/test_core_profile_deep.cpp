@@ -1,6 +1,6 @@
 // Deep-profile coverage: the linear earliest_fit/fits_at scan must match the
 // preserved seed implementation (reference::ReferenceProfile) on deep plans,
-// inside batches, across advance_origin, with far-future breakpoints, and on
+// across advance_origin, with far-future breakpoints, and on
 // both sides of a copy. End-to-end deep replans are pinned against the seed
 // algorithm in tests/test_sched_determinism.cpp.
 
@@ -70,12 +70,11 @@ TEST(ProfileDeep, RandomOpsMatchReference) {
   }
 }
 
-TEST(ProfileDeep, BatchesAndAdvanceOriginMatchReference) {
+TEST(ProfileDeep, AdvanceOriginMatchesReference) {
   util::Rng rng(55);
   Profile opt(256, 0);
   reference::ReferenceProfile ref(256, 0);
   std::vector<Interval> seated;
-  opt.begin_batch();
   for (int i = 0; i < 400; ++i) {
     const Time from = rng.uniform_int(0, 250'000);
     const Time to = from + rng.uniform_int(60, 40'000);
@@ -85,11 +84,9 @@ TEST(ProfileDeep, BatchesAndAdvanceOriginMatchReference) {
       ref.add_usage(from, to, nodes);
       seated.push_back({from, to, nodes});
     }
-    // Queries stay exact inside the batch.
     const Time t = rng.uniform_int(0, 300'000);
     ASSERT_EQ(opt.earliest_fit(t, 3600, 64), ref.earliest_fit(t, 3600, 64));
   }
-  opt.end_batch();
   ASSERT_EQ(opt.debug_string(), ref.debug_string());
 
   // advance_origin drops a prefix: the rest of the timeline must equal a

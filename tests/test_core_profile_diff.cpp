@@ -114,32 +114,6 @@ TEST(ProfileDiff, MonotoneScanMatchesReference) {
   ASSERT_EQ(opt.earliest_fit(0, 7200, 500), ref.earliest_fit(0, 7200, 500));
 }
 
-TEST(ProfileDiff, BatchedMutationsMatchUnbatchedReference) {
-  util::Rng rng(4242);
-  const NodeCount capacity = 256;
-  for (int round = 0; round < 10; ++round) {
-    Profile opt(capacity, 0);
-    reference::ReferenceProfile ref(capacity, 0);
-    opt.begin_batch();
-    for (int i = 0; i < 200; ++i) {
-      const Time from = rng.uniform_int(0, 200'000);
-      const Time to = from + rng.uniform_int(60, 50'000);
-      const NodeCount nodes = static_cast<NodeCount>(rng.uniform_int(1, 32));
-      if (ref.fits_at(from, to - from, nodes)) {
-        opt.add_usage(from, to, nodes);
-        ref.add_usage(from, to, nodes);
-      }
-      // Queries must stay exact inside the batch.
-      const Time t = rng.uniform_int(0, 250'000);
-      ASSERT_EQ(opt.free_at(t), ref.free_at(t));
-      ASSERT_EQ(opt.earliest_fit(t, 1800, 16), ref.earliest_fit(t, 1800, 16));
-    }
-    opt.end_batch();
-    // After commit the structures are identical (one normalization pass).
-    ASSERT_EQ(opt.debug_string(), ref.debug_string());
-  }
-}
-
 /// Breakpoint times of a profile, parsed from its debug_string.
 std::vector<Time> breakpoint_times(const std::string& debug) {
   std::vector<Time> times;
@@ -151,18 +125,15 @@ std::vector<Time> breakpoint_times(const std::string& debug) {
 TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
   // reserve() must return earliest_fit's slot and leave exactly the vector
   // add_usage leaves. `split` is an optimized Profile seated the two-call
-  // way (it shares opt's batch state, so the comparison is exact inside a
-  // batch too); `ref` is the seed oracle, compared whenever no batch is
-  // open. Half the rounds put every time on a 100 s grid so windows often
+  // way; `ref` is the seed oracle. Half the rounds put every time on a 100 s grid so windows often
   // end exactly on a breakpoint, and some calls aim a window's end at the
   // next step; `earliest` is mostly off-grid (mid-step).
   util::Rng rng(20261017);
-  int mid_step = 0, ends_on_breakpoint = 0, into_tail = 0, batched = 0;
+  int mid_step = 0, ends_on_breakpoint = 0, into_tail = 0;
   for (int round = 0; round < 24; ++round) {
     const NodeCount capacity = static_cast<NodeCount>(rng.uniform_int(4, 512));
     const Time origin = 500;
     const bool grid = round % 2 == 0;
-    const bool batch = round % 3 == 1;
     const auto time_at = [&](Time lo, Time hi) {
       const Time t = rng.uniform_int(lo, hi);
       return grid ? t - t % 100 : t;
@@ -171,10 +142,6 @@ TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
     Profile split(capacity, origin);
     reference::ReferenceProfile ref(capacity, origin);
     std::vector<Interval> live;
-    if (batch) {
-      opt.begin_batch();
-      split.begin_batch();
-    }
     for (int op = 0; op < 300; ++op) {
       const double dice = rng.uniform01();
       if (dice < 0.2) {
@@ -216,19 +183,11 @@ TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
           ++mid_step;
         if (std::binary_search(before.begin(), before.end(), end)) ++ends_on_breakpoint;
         if (end > before.back()) ++into_tail;
-        if (batch) ++batched;
       }
       ASSERT_EQ(opt.debug_string(), split.debug_string()) << "round " << round << " op " << op;
-      if (!batch) {
-        ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "op " << op;
-      }
+      ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "op " << op;
       ASSERT_NO_THROW(opt.check_invariants());
     }
-    if (batch) {
-      opt.end_batch();
-      split.end_batch();
-    }
-    ASSERT_EQ(opt.debug_string(), ref.debug_string()) << "round " << round;
 
     // Empty requests seat nothing and answer like earliest_fit.
     const std::string held = opt.debug_string();
@@ -243,7 +202,6 @@ TEST(ProfileDiff, ReserveMatchesEarliestFitPlusAddUsage) {
   EXPECT_GT(mid_step, 200);
   EXPECT_GT(ends_on_breakpoint, 200);
   EXPECT_GT(into_tail, 200);
-  EXPECT_GT(batched, 200);
 }
 
 TEST(ProfileDiff, ReserveWithSkipRange) {
@@ -491,6 +449,132 @@ TEST(ProfileDiff, EarliestFitBeforeMatchesBruteForce) {
   EXPECT_GT(none, 300);
 }
 
+TEST(ProfileDiff, BulkResetAndTryAddUsageMatchPerCallSpelling) {
+  // Two diffs against the per-call spelling (itself diffed against the seed
+  // oracle above):
+  //   * reset(origin, busy) against reset(origin) plus one
+  //     add_usage(origin, end, nodes) per entry, on entries that end before
+  //     or at the origin, carry zero nodes, share an end, and come unsorted;
+  //   * try_add_usage against fits_at + add_usage: the same answer and the
+  //     same vector, and a false return leaves the vector as it was, also
+  //     for windows that start or end mid-step.
+  util::Rng rng(20261019);
+  int ends_before = 0, ends_at = 0, zero_nodes = 0, equal_ends = 0, unsorted = 0;
+  int accepted = 0, rejected = 0, rejected_mid_start = 0, rejected_mid_end = 0;
+  for (int round = 0; round < 40; ++round) {
+    const NodeCount capacity = static_cast<NodeCount>(rng.uniform_int(4, 512));
+    const Time origin = rng.uniform_int(0, 10'000);
+    const bool grid = round % 2 == 0;
+    const auto time_at = [&](Time lo, Time hi) {
+      const Time t = rng.uniform_int(lo, hi);
+      return grid ? t - t % 100 : t;
+    };
+
+    std::vector<Profile::Busy> busy;
+    NodeCount left = capacity;
+    const auto jobs = rng.uniform_int(0, 40);
+    for (std::int64_t j = 0; j < jobs; ++j) {
+      const double dice = rng.uniform01();
+      Time end = origin + std::max<Time>(1, time_at(0, 50'000));
+      if (dice < 0.1) {
+        end = rng.uniform01() < 0.5 ? origin : origin - rng.uniform_int(1, 5'000);
+        ++(end < origin ? ends_before : ends_at);
+      } else if (dice < 0.25 && !busy.empty()) {
+        end = busy[static_cast<std::size_t>(
+                       rng.uniform_int(0, static_cast<std::int64_t>(busy.size()) - 1))]
+                  .end;
+      }
+      NodeCount nodes = 0;
+      if (rng.uniform01() < 0.1)
+        ++zero_nodes;
+      else
+        nodes = static_cast<NodeCount>(rng.uniform_int(0, std::max<NodeCount>(0, left / 4)));
+      if (end > origin) left -= nodes;
+      for (const Profile::Busy& b : busy)
+        if (b.end == end && end > origin && nodes > 0 && b.nodes > 0) {
+          ++equal_ends;
+          break;
+        }
+      busy.push_back({end, nodes});
+    }
+    if (!std::is_sorted(busy.begin(), busy.end(),
+                        [](const Profile::Busy& a, const Profile::Busy& b) { return a.end < b.end; }))
+      ++unsorted;
+
+    // A profile with other usage in it, so the bulk reset must clear it.
+    Profile bulk(capacity, origin + 50);
+    bulk.add_usage(origin + 60, origin + 70'000, 1);
+    bulk.reset(origin, busy);
+    const auto add_each = [origin](Profile& profile, const std::vector<Profile::Busy>& list) {
+      for (const Profile::Busy& b : list) profile.add_usage(origin, b.end, b.nodes);
+    };
+    Profile per_call(capacity, origin);
+    add_each(per_call, busy);
+    ASSERT_EQ(bulk.debug_string(), per_call.debug_string()) << "round " << round;
+    ASSERT_NO_THROW(bulk.check_invariants());
+
+    // try_add_usage on `bulk`, fits_at + add_usage on `per_call`.
+    std::vector<Interval> live;
+    for (int op = 0; op < 150; ++op) {
+      if (rng.uniform01() < 0.25 && !live.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const Interval iv = live[pick];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        bulk.remove_usage(iv.from, iv.to, iv.nodes);
+        per_call.remove_usage(iv.from, iv.to, iv.nodes);
+        continue;
+      }
+      const std::string held = bulk.debug_string();
+      const std::vector<Time> steps = breakpoint_times(held);
+      const Time from = time_at(origin - 200, origin + 60'000);
+      const Time to = from + time_at(0, 20'000) - (rng.uniform01() < 0.05 ? 20'000 : 0);
+      const NodeCount nodes = static_cast<NodeCount>(rng.uniform_int(0, capacity + 1));
+      const bool expected = per_call.fits_at(from, to - from, nodes);
+      if (expected) per_call.add_usage(from, to, nodes);
+      ASSERT_EQ(bulk.try_add_usage(from, to, nodes), expected) << "round " << round << " op " << op;
+      ASSERT_EQ(bulk.debug_string(), per_call.debug_string()) << "round " << round << " op " << op;
+      if (expected) {
+        ++accepted;
+        if (from < to && nodes > 0) live.push_back({from, to, nodes});
+        continue;
+      }
+      ASSERT_EQ(bulk.debug_string(), held);
+      if (from < origin || nodes > capacity) continue;  // refused before the scan
+      ++rejected;
+      if (!std::binary_search(steps.begin(), steps.end(), from)) ++rejected_mid_start;
+      if (!std::binary_search(steps.begin(), steps.end(), to)) ++rejected_mid_end;
+    }
+    EXPECT_THROW(bulk.try_add_usage(origin, origin + 10, -1), std::invalid_argument);
+
+    // Errors: more nodes than the machine holds at the origin, and negative
+    // nodes. Either leaves the profile reset to the origin.
+    const std::string empty = Profile(capacity, origin).debug_string();
+    const std::vector<Profile::Busy> too_many = {{origin + 10, capacity}, {origin + 20, 1}};
+    EXPECT_THROW(bulk.reset(origin, too_many), std::logic_error);
+    EXPECT_EQ(bulk.debug_string(), empty);
+    Profile spelled(capacity, origin);
+    EXPECT_THROW(add_each(spelled, too_many), std::logic_error);
+    const std::vector<Profile::Busy> negative = {{origin + 10, 1}, {origin - 10, -1}};
+    EXPECT_THROW(bulk.reset(origin, negative), std::invalid_argument);
+    EXPECT_EQ(bulk.debug_string(), empty);
+    // Entries that ended by the origin hold no nodes there.
+    bulk.reset(origin, {{origin, capacity}, {origin - 1, capacity}, {origin + 1, capacity}});
+    EXPECT_EQ(bulk.free_at(origin), 0);
+    EXPECT_EQ(bulk.free_at(origin + 1), capacity);
+  }
+  // Every case named above came up (the sequence is deterministic).
+  EXPECT_GT(ends_before, 20);
+  EXPECT_GT(ends_at, 20);
+  EXPECT_GT(zero_nodes, 20);
+  EXPECT_GT(equal_ends, 20);
+  EXPECT_GT(unsorted, 20);
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 500);
+  EXPECT_GT(rejected_mid_start, 200);
+  EXPECT_GT(rejected_mid_end, 200);
+}
+
 TEST(ProfileDiff, FailedAddLeavesNoTrace) {
   Profile opt(10, 0);
   reference::ReferenceProfile ref(10, 0);
@@ -498,8 +582,9 @@ TEST(ProfileDiff, FailedAddLeavesNoTrace) {
   ref.add_usage(100, 200, 8);
   EXPECT_THROW(opt.add_usage(50, 150, 5), std::logic_error);
   EXPECT_THROW(ref.add_usage(50, 150, 5), std::logic_error);
-  // The optimized profile cleans its validation breakpoints up eagerly; the
-  // reference sweeps them on its next mutation. Free counts agree always.
+  // The optimized profile validates before it inserts a breakpoint; the
+  // reference sweeps its validation breakpoints on its next mutation. Free
+  // counts agree always.
   for (Time t = 0; t < 300; ++t) ASSERT_EQ(opt.free_at(t), ref.free_at(t));
   opt.add_usage(0, 50, 1);
   ref.add_usage(0, 50, 1);

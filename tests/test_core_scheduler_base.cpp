@@ -54,7 +54,7 @@ class ProbeScheduler final : public Scheduler {
   void on_complete(JobId) override {}
   void collect_starts(std::vector<JobId>&) override {}
 
-  using Scheduler::add_running_to_profile;
+  using Scheduler::seed_running_usage;
 };
 
 using reference::priority_less;
@@ -78,7 +78,7 @@ class SchedulerBaseTest : public ::testing::Test {
 TEST_F(SchedulerBaseTest, UnattachedSchedulerThrows) {
   ProbeScheduler detached;
   Profile profile(4, 0);
-  EXPECT_THROW(detached.add_running_to_profile(profile), std::logic_error);
+  EXPECT_THROW(detached.seed_running_usage(profile), std::logic_error);
 }
 
 TEST_F(SchedulerBaseTest, FcfsPriorityOrdersBySubmitThenId) {
@@ -115,7 +115,7 @@ TEST_F(SchedulerBaseTest, RunningProfileUsesEstimatedEnds) {
   ctx_.running_.push_back({0, 4, 50, 150});   // ends (per WCL) at 150
   ctx_.running_.push_back({1, 8, 10, 90});    // over-running: est_end < now
   Profile profile(ctx_.total_nodes(), ctx_.now_);
-  probe_.add_running_to_profile(profile);
+  probe_.seed_running_usage(profile);
   // At "now" both jobs occupy nodes (the over-runner is clamped forward).
   EXPECT_EQ(profile.free_at(100), 16 - 4 - 8);
   // After 150 only the over-runner's grace extension can remain.
@@ -128,7 +128,7 @@ TEST_F(SchedulerBaseTest, OverrunGraceGrowsWithElapsedOverrun) {
   ctx_.now_ = 10'000;
   ctx_.running_.push_back({0, 4, 0, 1'000});  // over-run by 9000 s
   Profile profile(ctx_.total_nodes(), ctx_.now_);
-  probe_.add_running_to_profile(profile);
+  probe_.seed_running_usage(profile);
   EXPECT_LT(profile.free_at(10'000 + 8'000), 16);  // still assumed busy
   EXPECT_EQ(profile.free_at(10'000 + 10'000), 16); // released by then
 }

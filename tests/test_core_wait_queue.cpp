@@ -79,7 +79,7 @@ void run_differential(std::uint64_t seed, PriorityKind kind, bool volatile_epoch
                                static_cast<UserId>(rng.uniform_int(0, 5)));
       job.id = static_cast<JobId>(ctx.jobs.size());
       ctx.jobs.push_back(job);
-      queue.push(ctx, job);
+      queue.push(ctx, job.id);
       for (WaitQueue::Entry& entry : queue)
         if (entry.id == job.id) entry.reservation = payload_of(job.id);
       waiting.insert(job.id);
@@ -146,7 +146,7 @@ TEST(WaitQueue, ResortsOnlyWhenTheEpochMoves) {
     ctx.jobs.push_back(job);
   }
   WaitQueue queue(PriorityKind::Fairshare);
-  for (const Job& job : ctx.jobs) queue.push(ctx, job);
+  for (const Job& job : ctx.jobs) queue.push(ctx, job.id);
   EXPECT_TRUE(queue.refresh(ctx));  // the first refresh always reads
   EXPECT_FALSE(queue.refresh(ctx));
   EXPECT_EQ(ids_of(queue), (std::vector<JobId>{0, 1, 2}));
@@ -163,7 +163,7 @@ TEST(WaitQueue, ResortsOnlyWhenTheEpochMoves) {
   Job late = test::make_job(10, 100, 1, /*user=*/7);
   late.id = 3;
   ctx.jobs.push_back(late);
-  queue.push(ctx, late);
+  queue.push(ctx, late.id);
   EXPECT_FALSE(queue.stale(ctx));
   EXPECT_EQ(ids_of(queue), (std::vector<JobId>{1, 2, 3, 0}));
 }

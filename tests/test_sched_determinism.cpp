@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "core/conservative_scheduler.hpp"
+#include "core/policy.hpp"
 #include "core/scheduler.hpp"
 #include "oracles/priority_order.hpp"
 #include "oracles/reference_profile.hpp"
@@ -230,6 +231,14 @@ std::uint64_t schedule_digest(const SimulationResult& result) {
   return h;
 }
 
+/// schedule_digest of one paper CPlant variant on `w`.
+std::uint64_t cplant_digest(const Workload& w, PaperPolicy policy) {
+  sim::EngineConfig config;
+  config.policy = paper_policy(policy);
+  config.record_snapshots = false;
+  return schedule_digest(sim::simulate(w, config));
+}
+
 TEST(SchedulerDeterminism, DeepBurstQueue) {
   // 500 jobs queued within one hour on 64 nodes: deep plans, long
   // compression passes and a busy CPlant head reservation.
@@ -237,11 +246,28 @@ TEST(SchedulerDeterminism, DeepBurstQueue) {
   run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare);
   run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare);
   // CPlant has no seed-scheduler twin here, so its schedule is pinned by
-  // digest.
-  sim::EngineConfig config;
-  config.policy.kind = PolicyKind::Cplant;
-  config.record_snapshots = false;
-  EXPECT_EQ(schedule_digest(sim::simulate(w, config)), 0xf9c9c7e801dbfd2bull);
+  // digest. Nothing here waits 72 h and no user is heavy enough to bar, so
+  // only the .all pin sees the starvation queue (323 events with a blocked
+  // head, 23 of them with a job starting behind it); the other two pin the
+  // plain backfill and the bar check that lets everyone through.
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant24NomaxAll), 0xf9c9c7e801dbfd2bull);
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant24NomaxFair), 0xf9c9c7e801dbfd2bull);
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant72NomaxAll), 0x0bf9193053025bc8ull);
+}
+
+TEST(SchedulerDeterminism, CplantStarvationQueueOnARossTrace) {
+  // Two weeks of a 1,327-job Ross trace: every variant's starvation queue
+  // holds a blocked head with jobs starting behind it (.all at 106 events,
+  // .fair 32, cplant72 36), and under .fair three barred jobs enter it
+  // behind jobs submitted after them. Pinned by digest, like DeepBurstQueue.
+  workload::GeneratorConfig generator;
+  generator.seed = 5;
+  generator.count_scale = 0.1;
+  generator.span = weeks(2);
+  const Workload w = workload::generate_ross_workload(generator);
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant24NomaxAll), 0x302a5260ccea49ceull);
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant24NomaxFair), 0x3a9067fbb55a973dull);
+  EXPECT_EQ(cplant_digest(w, PaperPolicy::Cplant72NomaxAll), 0x81f3cca94fc7bc90ull);
 }
 
 /// A burst whose jobs repeat a few shapes that nest: wcl from {30, 60,

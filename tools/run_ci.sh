@@ -17,7 +17,10 @@
 #        fail-loud trichotomy with byte-identical recovered stores
 #     8. an archive-scale replay smoke: a ~50k-job synthetic trace exported
 #        to SWF and replayed once through a campaign with the forked
-#        (policy-knowledge) FST under a wall budget
+#        (policy-knowledge) FST under a wall budget, with --stats, failing
+#        if a deterministic count (events, scheduler invocations, profile fit
+#        calls and steps, forks, drained and master-resolved forks) grows
+#        past bench/campaigns/archive_smoke.counts
 #     9. a work-count gate: the conservative pair on a deep queue
 #        (bench/campaigns/cons_deep_queue.spec) with --stats, failing if a
 #        deterministic count (events, snapshot entries, full/incremental
@@ -151,10 +154,17 @@ rescale_load = 0.26
 [policies]
 names = cplant24.nomax.all
 SPEC
-  "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" --out "$ARCHIVE_OUT/store" \
-    --jobs 1 --wall-budget 180 >/dev/null
+  # The fork batch grows with the pool (4 per thread, at least 16), and with
+  # it the forks the master resolves without a drain, so the pool is pinned
+  # at 4 threads to keep the fst counts exact on any host.
+  PSCHED_THREADS=4 "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" \
+    --out "$ARCHIVE_OUT/store" --jobs 1 --wall-budget 180 --stats > "$ARCHIVE_OUT/work-counts.txt"
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/store/cells.csv"
+  # Work-count gate for the CPlant path and the forked FST (step 9 covers
+  # the conservative pair).
+  python3 tools/check_work_counts.py bench/campaigns/archive_smoke.counts \
+    "$ARCHIVE_OUT/work-counts.txt"
 
   echo "== work-count gate: conservative pair on a deep queue =="
   # Deterministic counters are exact on any host and at any --jobs, so an
