@@ -14,6 +14,25 @@
 //
 // Setting starvation_delay = kNoTime yields pure no-guarantee backfilling
 // (used by tests/ablations; production CPlant always had the queue).
+//
+// Implementation note: starts are decided without an availability profile.
+// The only usage in play is the running jobs' (each from now to its
+// assumed_running_end, which lies after now even for an over-runner) and
+// the windows of this call's own starts, which also begin at now. So the
+// free count F(t) of the profile those intervals would build never falls
+// as t grows, and every answer the profile gave reduces to integers:
+//   * with no reservation, a window [now, now + wcl) fits iff its nodes fit
+//     in F(now); `room` is min(free_nodes(), F(now)), lowered by each start;
+//   * the head's reservation r is the earliest t with F(t) >= its nodes h,
+//     found by walking the running and started ends in time order;
+//     `spare` = F(r) - h;
+//   * with the reservation held, F(now) is still the minimum before r, and
+//     F(r) - h the minimum over [r, r + head wcl), so a window fits iff its
+//     nodes fit in `room` and, when it ends after r, in `spare` as well. A
+//     start that ends after r lowers F(r), hence `spare`; one that ends
+//     exactly at r touches neither.
+// tests/test_sched_determinism.cpp diffs this against the profile-based
+// algorithm on the seed ReferenceProfile.
 
 #include <optional>
 #include <vector>
@@ -45,6 +64,11 @@ class CplantScheduler final : public Scheduler {
  private:
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
   void promote_starving_jobs();
+  /// The reservation of a blocked starvation head `nodes` wide, given
+  /// `free_now` free nodes at now: the first instant the ends in ends_
+  /// (this call's starts) and of the running jobs free its nodes. Sets
+  /// `spare` to the free nodes left beside it then.
+  Time reserve_head(NodeCount nodes, NodeCount free_now, NodeCount& spare);
 
   CplantConfig config_;
   WaitQueue queue_;  // main queue, priority order
@@ -53,6 +77,13 @@ class CplantScheduler final : public Scheduler {
   /// younger jobs.
   std::vector<WaitQueue::Entry> starve_;
   std::optional<Time> wakeup_;
+  struct End {
+    Time at;
+    NodeCount nodes;
+  };
+  /// collect_starts scratch: the (end, nodes) of this call's starts ahead
+  /// of the head, then of the running jobs; reserve_head heap-orders it.
+  std::vector<End> ends_;
 };
 
 }  // namespace psched

@@ -1,15 +1,18 @@
 #pragma once
 // Availability profile: the piecewise-constant "free nodes over time"
 // timeline that backfilling schedulers pack jobs into (the 2-D chart of the
-// paper's Figures 1-2). This is the substrate under EASY reservations, the
-// CPlant starvation-queue head reservation, and both conservative schedulers.
+// paper's Figures 1-2). This is the substrate under EASY / depth-N
+// reservations and both conservative schedulers. (CPlant needs none: with
+// only running jobs in play its one reservation reduces to integers; see
+// cplant_scheduler.hpp.)
 //
 // Representation: sorted breakpoints (time, free-from-here). The profile
 // starts at `origin` with all nodes free and extends to +infinity with the
 // free count of the last breakpoint (which is `capacity` once all usage
 // intervals end).
 //
-// Hot-path design (every backfilling scheduler hits this on every event):
+// Hot-path design (the depth and conservative schedulers hit this on every
+// event):
 //   * Lookups go through a cursor hint: scheduler scans are monotone in
 //     time, so step_index() first probes the step found by the previous
 //     lookup and its neighbors before falling back to O(log n) binary

@@ -170,19 +170,21 @@ void SimulationEngine::record_snapshot(JobId id, std::size_t index) {
   // arrival, so the jobs behind it never matter.
   snapshot.waiting.reserve(index + 1);
   for (std::size_t i = 0; i <= index; ++i) {
-    const WaitQueue::Entry& entry = waiting_[i];
+    const WaitQueue::Entry& entry = snapshot_queue_[i];
     snapshot.waiting.push_back({entry.id, entry.nodes, job(entry.id).runtime, entry.wcl});
   }
   result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
 }
 
 std::size_t SimulationEngine::deliver_arrival(JobId id) {
-  const Job& j = job(id);
-  waiting_.refresh(*this);
-  const std::size_t index = waiting_.push(*this, id);
-  waiting_demand_ += j.nodes;
+  // Chained segments take fresh ids above every seeded one, so an arrival
+  // usually lands at the back.
+  waiting_.insert(std::upper_bound(waiting_.begin(), waiting_.end(), id), id);
+  waiting_demand_ += job(id).nodes;
   std::size_t stored = 0;
   if (config_.record_snapshots) {
+    snapshot_queue_.refresh(*this);
+    const std::size_t index = snapshot_queue_.push(*this, id);
     record_snapshot(id, index);
     stored = index + 1;
   }
@@ -261,15 +263,18 @@ void SimulationEngine::deliver_completion(JobId id, Time finish, bool killed) {
 }
 
 void SimulationEngine::remove_started(std::vector<JobId>& starts) {
+  // A repeated id fails its second lookup.
+  for (const JobId id : starts) {
+    const auto it = std::lower_bound(waiting_.begin(), waiting_.end(), id);
+    if (it == waiting_.end() || *it != id)
+      throw std::logic_error("engine: started a job that is not waiting");
+    waiting_.erase(it);
+  }
+  if (!config_.record_snapshots) return;
   std::sort(starts.begin(), starts.end());
-  std::size_t removed = 0;
-  waiting_.retain([&](const WaitQueue::Entry& entry) {
-    if (!std::binary_search(starts.begin(), starts.end(), entry.id)) return true;
-    ++removed;
-    return false;
+  snapshot_queue_.retain([&](const WaitQueue::Entry& entry) {
+    return !std::binary_search(starts.begin(), starts.end(), entry.id);
   });
-  if (removed != starts.size())
-    throw std::logic_error("engine: started a job that is not waiting");
 }
 
 void SimulationEngine::handle_wcl_check(JobId id) {
@@ -281,9 +286,8 @@ void SimulationEngine::handle_wcl_check(JobId id) {
   // CPlant semantics: the over-running job dies only if some waiting job
   // could start with the freed processors.
   const NodeCount would_be_free = free_nodes_ + j.nodes;
-  const bool needed = std::any_of(waiting_.begin(), waiting_.end(), [&](const WaitQueue::Entry& w) {
-    return w.nodes <= would_be_free;
-  });
+  const bool needed = std::any_of(waiting_.begin(), waiting_.end(),
+                                  [&](JobId w) { return job(w).nodes <= would_be_free; });
   if (needed)
     deliver_completion(id, now_, /*killed=*/true);
   else
@@ -327,7 +331,7 @@ void SimulationEngine::consume_event(const PendingEvent& pending) {
 std::size_t SimulationEngine::fork_footprint_bytes() const {
   constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);  // hash-bucket / tree links
   return events_.capacity() * sizeof(Event) +
-         waiting_.size() * sizeof(WaitQueue::Entry) +
+         waiting_.size() * sizeof(JobId) +
          running_state_.capacity() * sizeof(RunningState) +
          running_view_.capacity() * sizeof(RunningView) +
          pending_timers_.size() * (sizeof(Time) + 2 * kNodeOverhead);

@@ -127,7 +127,7 @@ class SimulationEngine final : public SchedulerContext {
 
   /// Clone the engine mid-run into an independent fork that never sees an
   /// arrival with record id > `target`: machine state, pending events,
-  /// fairshare tracker, waiting queue, running set and the scheduler (via
+  /// fairshare tracker, waiting ids, running set and the scheduler (via
   /// Scheduler::clone()) are all copied — every one of them O(queue depth).
   /// The job table is the parent's immutable shared Workload (a view bump,
   /// not a copy), the fork keeps only the target's start time, and the
@@ -150,10 +150,12 @@ class SimulationEngine final : public SchedulerContext {
   /// without draining them.
   Time recorded_start(JobId id) const { return record_start(id); }
 
-  /// Approximate bytes of fork-owned heap state (event heap, waiting queue,
+  /// Approximate bytes of fork-owned heap state (event heap, waiting ids,
   /// running set, timers). Excludes the shared job table — that is the
   /// point of the shared-workload design — and the scheduler clone's
-  /// internals. Used to report peak drain-batch footprint.
+  /// internals. A fork keeps no fairshare-ordered queue (it records no
+  /// snapshots), so none is counted. Used to report peak drain-batch
+  /// footprint.
   std::size_t fork_footprint_bytes() const;
 
   // --- SchedulerContext ------------------------------------------------------
@@ -201,13 +203,14 @@ class SimulationEngine final : public SchedulerContext {
   /// Returns the number of waiting entries stored in the arrival's snapshot.
   std::size_t deliver_arrival(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
-  /// Store waiting_[0, index] (the jobs ahead of the arrival, then the
-  /// arrival) and the running set as `id`'s snapshot.
+  /// Store snapshot_queue_[0, index] (the jobs ahead of the arrival, then
+  /// the arrival) and the running set as `id`'s snapshot.
   void record_snapshot(JobId id, std::size_t index);
   void start_job(JobId id);
-  /// Drop one collect_starts batch from the waiting queue in one pass;
-  /// throws std::logic_error if any started job was not waiting. Sorts
-  /// `starts`.
+  /// Drop one collect_starts batch from the waiting ids (and, with
+  /// snapshots on, from snapshot_queue_, sorting `starts`); throws
+  /// std::logic_error if any started job was not waiting or is listed
+  /// twice.
   void remove_started(std::vector<JobId>& starts);
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
@@ -255,9 +258,15 @@ class SimulationEngine final : public SchedulerContext {
   SimulationResult result_;
   std::vector<RunningState> running_state_;   // parallel to running_view_
   std::vector<RunningView> running_view_;
-  /// Arrived, not yet started: in fairshare order, the order the hybrid FST
-  /// list-schedules each arrival's snapshot in.
-  WaitQueue waiting_{PriorityKind::Fairshare};
+  /// Arrived, not yet started: record ids, ascending. Enough for every
+  /// question the run loop asks (anyone waiting? anyone this wide?), so it
+  /// is all a fork or a snapshot-free run keeps.
+  std::vector<JobId> waiting_;
+  /// The same jobs in fairshare order, the order the hybrid FST
+  /// list-schedules each arrival's snapshot in. Kept only while
+  /// config_.record_snapshots is set; empty otherwise and never copied
+  /// into a fork.
+  WaitQueue snapshot_queue_{PriorityKind::Fairshare};
   /// Forks only: the start of the target (arrival_limit_), once it started.
   Time fork_start_ = kNoTime;
   NodeCount waiting_demand_ = 0;              // sum of waiting nodes

@@ -128,6 +128,61 @@ TEST(CplantScheduler, DisabledStarvationNeverPromotes) {
   test::expect_complete_and_causal(no_starve);
 }
 
+// Boundary cases of the starvation head's reservation. On 10 nodes a
+// 6-node job runs until 1,000 and a 1-node job until 500; the 9-node head
+// enters the starvation queue at 101 (delay 100) and is seated at r =
+// 1,000, when 10 nodes are free: one spare node beside it. All later jobs
+// arrive together at 200, when 3 nodes are free, and take their turn in
+// submission order.
+Workload blocked_head_then(std::vector<Job> late) {
+  std::vector<Job> jobs = {make_job(0, 1000, 6), make_job(0, 500, 1), make_job(1, 100, 9)};
+  for (Job& job : late) jobs.push_back(job);
+  return make_workload(10, jobs);
+}
+
+TEST(CplantScheduler, WindowEndingAtTheReservationStartsAndLeavesSpareAlone) {
+  // Job 3 ends exactly at r, so it needs no spare node and takes none: job
+  // 4, which runs past r, still gets the one spare node.
+  const SimulationResult r = run_cplant(
+      blocked_head_then({make_job(200, 800, 2), make_job(200, 900, 1)}), /*delay=*/100);
+  EXPECT_EQ(r.records[2].start, 1000);
+  EXPECT_EQ(r.records[3].start, 200);
+  EXPECT_EQ(r.records[4].start, 200);
+  test::expect_no_overallocation(r);
+}
+
+TEST(CplantScheduler, WindowOneSecondPastTheReservationWaits) {
+  // One second longer, job 3 runs past r and is wider than the spare node.
+  const SimulationResult r =
+      run_cplant(blocked_head_then({make_job(200, 801, 2)}), /*delay=*/100);
+  EXPECT_EQ(r.records[2].start, 1000);
+  EXPECT_GE(r.records[3].start, 1000);
+}
+
+TEST(CplantScheduler, OnlyTheFirstOfTwoJobsPastTheReservationTakesTheSpareNode) {
+  // Both would fit in the 3 free nodes now, but the first uses up the spare.
+  const SimulationResult r = run_cplant(
+      blocked_head_then({make_job(200, 900, 1), make_job(200, 900, 1)}), /*delay=*/100);
+  EXPECT_EQ(r.records[2].start, 1000);
+  EXPECT_EQ(r.records[3].start, 200);
+  EXPECT_GE(r.records[4].start, 1000);
+}
+
+TEST(CplantScheduler, OverrunningJobsAssumedEndSetsTheReservation) {
+  // The 6-node job estimates 1,000 s but runs 2,000. At 1,100 it is assumed
+  // to run max(300, 100) s more, so the 9-node head is seated at r = 1,400
+  // with one spare node: a 2-node job ending at 1,400 starts, one ending a
+  // second later waits (until the first one's end, when r has moved on).
+  const Workload w = make_workload(10, {make_job(0, 2000, 6, 0, /*wcl=*/1000),
+                                        make_job(1, 100, 9), make_job(1100, 300, 2),
+                                        make_job(1100, 301, 2)});
+  const SimulationResult r = run_cplant(w, /*delay=*/100);
+  EXPECT_EQ(r.records[1].start, 2000);
+  EXPECT_EQ(r.records[2].start, 1100);
+  EXPECT_EQ(r.records[3].start, 1400);
+  test::expect_no_overallocation(r);
+}
+
 TEST(CplantScheduler, InvariantsOnRandomTrace) {
   const Workload w = psched::workload::generate_small_workload(23, 400, 128, days(10));
   const SimulationResult r = run_cplant(w);

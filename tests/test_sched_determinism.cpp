@@ -1,13 +1,15 @@
 // Determinism tests: the incremental conservative replanner must produce a
-// byte-identical schedule to the original per-event-rebuild algorithm.
+// byte-identical schedule to the original per-event-rebuild algorithm, and
+// the profile-free CPlant backfill to the profile-based one.
 //
 // ReferenceConservativeScheduler below is a verbatim copy of the seed
 // implementation (fresh profile + full reseat + improvement pass at every
-// scheduling event), running on the preserved ReferenceProfile. Both
-// schedulers are driven over the same generated workloads — including
-// under-estimating jobs (over-runners), fairshare priority reshuffles,
-// runtime-limit segmentation and WCL kills — and every record's start and
-// finish must match exactly.
+// scheduling event), running on the preserved ReferenceProfile;
+// ReferenceCplantScheduler likewise packs every CPlant start and its head
+// reservation into a ReferenceProfile. Each pair of schedulers is driven
+// over the same generated workloads — including under-estimating jobs
+// (over-runners), fairshare priority reshuffles, runtime-limit segmentation
+// and WCL kills — and every record's start and finish must match exactly.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <unordered_map>
 
 #include "core/conservative_scheduler.hpp"
+#include "core/cplant_scheduler.hpp"
 #include "core/policy.hpp"
 #include "core/scheduler.hpp"
 #include "oracles/priority_order.hpp"
@@ -126,6 +129,99 @@ class ReferenceConservativeScheduler final : public Scheduler {
   std::optional<Time> wakeup_;
 };
 
+/// CPlant as it decided starts on a profile: running usage goes into a
+/// fresh ReferenceProfile, a job starts if its window fits (fits_at +
+/// add_usage), and the first blocked starvation job is seated at its
+/// earliest fit (earliest_fit + add_usage). Promotion and timers are the
+/// production scheduler's, copied.
+class ReferenceCplantScheduler final : public Scheduler {
+ public:
+  explicit ReferenceCplantScheduler(CplantConfig config)
+      : config_(config), queue_(config.priority) {}
+
+  std::string name() const override { return "cplant.reference"; }
+  void on_submit(JobId id) override { queue_.push(ctx(), id); }
+  void on_complete(JobId) override {}
+  std::optional<Time> next_wakeup() const override { return wakeup_; }
+
+  void collect_starts(std::vector<JobId>& starts) override {
+    wakeup_.reset();
+    refresh_queue(queue_);
+    promote_starving_jobs();
+
+    const Time now = ctx().now();
+    NodeCount free = ctx().free_nodes();
+    reference::ReferenceProfile profile(ctx().total_nodes(), now);
+    for (const RunningView& r : ctx().running())
+      profile.add_usage(now, assumed_running_end(r, now), r.nodes);
+    const auto start_if_fits = [&](const WaitQueue::Entry& job) {
+      if (job.nodes > free || !profile.fits_at(now, job.wcl, job.nodes)) return false;
+      profile.add_usage(now, now + job.wcl, job.nodes);
+      starts.push_back(job.id);
+      free -= job.nodes;
+      return true;
+    };
+
+    std::optional<Time> head_reservation;
+    std::size_t kept = 0;
+    for (const WaitQueue::Entry& job : starve_) {
+      if (start_if_fits(job)) continue;
+      if (!head_reservation) {
+        head_reservation = profile.earliest_fit(now, job.wcl, job.nodes);
+        profile.add_usage(*head_reservation, *head_reservation + job.wcl, job.nodes);
+      }
+      starve_[kept++] = job;
+    }
+    starve_.resize(kept);
+    queue_.retain([&](const WaitQueue::Entry& job) { return !start_if_fits(job); });
+
+    std::optional<Time> wake = head_reservation;
+    if (starvation_enabled()) {
+      bool any_barred_now = false;
+      for (const WaitQueue::Entry& job : queue_) {
+        const Time eligible_at = job.submit + config_.starvation_delay;
+        if (eligible_at > now) {
+          if (!wake || eligible_at < *wake) wake = eligible_at;
+        } else {
+          any_barred_now = true;
+        }
+      }
+      if (any_barred_now) {
+        const Time recheck = now + hours(1);
+        if (!wake || recheck < *wake) wake = recheck;
+      }
+    }
+    wakeup_ = wake;
+  }
+
+ private:
+  bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
+
+  void promote_starving_jobs() {
+    if (!starvation_enabled()) return;
+    const Time now = ctx().now();
+    const double mean = config_.bar_heavy_users ? ctx().mean_positive_usage() : 0.0;
+    const bool bar = mean > 0.0;
+    const double heavy_above = config_.heavy_user_factor * mean;
+    const std::size_t promoted = starve_.size();
+    queue_.retain([&](const WaitQueue::Entry& job) {
+      if (now - job.submit < config_.starvation_delay) return true;
+      if (bar && ctx().user_usage(job.user) > heavy_above) return true;
+      starve_.push_back(job);
+      return false;
+    });
+    std::sort(starve_.begin() + static_cast<std::ptrdiff_t>(promoted), starve_.end(),
+              [](const WaitQueue::Entry& a, const WaitQueue::Entry& b) {
+                return a.submit != b.submit ? a.submit < b.submit : a.id < b.id;
+              });
+  }
+
+  CplantConfig config_;
+  WaitQueue queue_;
+  std::vector<WaitQueue::Entry> starve_;
+  std::optional<Time> wakeup_;
+};
+
 void expect_identical_schedules(const SimulationResult& a, const SimulationResult& b) {
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
@@ -149,6 +245,40 @@ void run_and_compare(const Workload& workload, bool dynamic, PriorityKind priori
       std::make_unique<ReferenceConservativeScheduler>(
           ConservativeConfig{priority, dynamic}));
   expect_identical_schedules(optimized, reference);
+}
+
+/// Runs `policy` (a CPlant variant, on top of `base`'s engine knobs) as
+/// built by make_scheduler and as ReferenceCplantScheduler; the two
+/// schedules must match.
+void run_and_compare_cplant(const Workload& workload, const PolicyConfig& policy,
+                            sim::EngineConfig base = {}) {
+  const Time max_runtime = base.policy.max_runtime;
+  base.policy = policy;
+  base.policy.max_runtime = max_runtime;
+  base.record_snapshots = false;
+  CplantConfig config;
+  config.priority = policy.priority;
+  config.starvation_delay = policy.starvation_delay;
+  config.bar_heavy_users = policy.bar_heavy_users;
+  config.heavy_user_factor = policy.heavy_user_factor;
+  const SimulationResult optimized = sim::simulate(workload, base);
+  const SimulationResult reference =
+      sim::simulate_with(workload, base, std::make_unique<ReferenceCplantScheduler>(config));
+  expect_identical_schedules(optimized, reference);
+}
+
+/// The three nomax paper CPlant variants, plain no-guarantee backfilling,
+/// and a 1-hour starvation delay that keeps the starvation queue busy on
+/// short traces.
+std::vector<PolicyConfig> cplant_twin_policies() {
+  std::vector<PolicyConfig> policies = {paper_policy(PaperPolicy::Cplant24NomaxAll),
+                                        paper_policy(PaperPolicy::Cplant24NomaxFair),
+                                        paper_policy(PaperPolicy::Cplant72NomaxAll),
+                                        *policy_from_name("noguarantee")};
+  PolicyConfig hasty = paper_policy(PaperPolicy::Cplant24NomaxAll);
+  hasty.starvation_delay = hours(1);
+  policies.push_back(hasty);
+  return policies;
 }
 
 TEST(SchedulerDeterminism, StaticConservativeMatchesSeedAlgorithm) {
@@ -378,6 +508,62 @@ TEST(SchedulerDeterminism, OverrunsAndEarlyCompletionsOnADeepQueue) {
   config.fairshare_period = minutes(20);  // re-sorts while over-runs rebuild
   run_and_compare(burst, /*dynamic=*/false, PriorityKind::Fairshare, config);
   run_and_compare(burst, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
+/// A burst on a 600 s grid: submits, wcls and runtimes are multiples of
+/// 600, so job ends, and the head reservations they set, coincide often,
+/// and a window ending exactly at the reservation is common. A quarter of
+/// the jobs run past their wcl.
+Workload grid_burst(std::size_t jobs) {
+  util::Rng rng(6060);
+  WorkloadBuilder b;
+  b.system_size = 32;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(rng.uniform_int(0, 5));
+    job.submit = 600 * rng.uniform_int(0, 12);
+    job.nodes = static_cast<NodeCount>(rng.uniform_int(1, 16));
+    job.wcl = 600 * rng.uniform_int(1, 8);
+    job.runtime = rng.uniform_int(0, 3) == 0 ? 2 * job.wcl : 600 * rng.uniform_int(1, job.wcl / 600);
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+TEST(SchedulerDeterminism, CplantMatchesProfileBasedBackfill) {
+  const std::vector<PolicyConfig> policies = cplant_twin_policies();
+  std::vector<Workload> workloads;
+  for (const std::uint64_t seed : {11u, 21u})
+    workloads.push_back(workload::generate_small_workload(seed, 400, 128, days(10)));
+  workloads.push_back(workload::generate_small_workload(31, 500, 32, days(5)));
+  workloads.push_back(burst_workload(500));
+  workloads.push_back(nested_shape_burst(300));
+  workloads.push_back(overrun_burst(400));
+  workloads.push_back(grid_burst(300));
+  for (const Workload& w : workloads)
+    for (const PolicyConfig& policy : policies) run_and_compare_cplant(w, policy);
+}
+
+TEST(SchedulerDeterminism, CplantMatchesProfileBasedBackfillUnderLimitsAndKills) {
+  const std::vector<PolicyConfig> policies = cplant_twin_policies();
+  sim::EngineConfig limited;
+  limited.policy.max_runtime = hours(12);
+  sim::EngineConfig killing;
+  killing.wcl_enforcement = sim::WclEnforcement::KillIfNeeded;
+  const Workload small = workload::generate_small_workload(41, 300, 64, days(7));
+  const Workload overruns = overrun_burst(400);
+  const Workload grid = grid_burst(300);
+  for (const PolicyConfig& policy : policies) {
+    run_and_compare_cplant(small, policy, limited);
+    run_and_compare_cplant(small, policy, killing);
+    run_and_compare_cplant(overruns, policy, killing);
+    run_and_compare_cplant(grid, policy, limited);
+    run_and_compare_cplant(grid, policy, killing);
+  }
 }
 
 /// A hand-placed over-run on 10 nodes. Job 0 (4 nodes) runs 1,500 s past

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/policy.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
+#include "workload/generator.hpp"
 
 namespace psched::sim {
 namespace {
@@ -109,6 +113,70 @@ TEST(EngineEdge, EngineStateVisibleThroughContext) {
   engine.run();
   EXPECT_EQ(engine.free_nodes(), 8);  // all released at the end
   EXPECT_TRUE(engine.running().empty());
+}
+
+TEST(EngineEdge, SnapshotsDoNotChangeTheSchedule) {
+  // With snapshots off the engine keeps no fairshare-ordered waiting queue;
+  // the schedule must not notice. Chained segments arrive with ids above
+  // jobs still to come, so the waiting ids also take inserts mid-vector.
+  const Workload w = workload::generate_small_workload(17, 300, 64, days(7));
+  for (const PolicyConfig& policy : all_paper_policies()) {
+    for (const WclEnforcement wcl :
+         {WclEnforcement::Never, WclEnforcement::KillIfNeeded, WclEnforcement::Always}) {
+      EngineConfig config;
+      config.policy = policy;
+      config.wcl_enforcement = wcl;
+      config.segment_arrival = wcl == WclEnforcement::Never ? SegmentArrival::Chained
+                                                            : SegmentArrival::AtOriginalSubmit;
+      config.record_snapshots = true;
+      const SimulationResult with = simulate(w, config);
+      config.record_snapshots = false;
+      const SimulationResult without = simulate(w, config);
+      ASSERT_EQ(with.records.size(), without.records.size());
+      for (std::size_t i = 0; i < with.records.size(); ++i) {
+        EXPECT_EQ(with.records[i].start, without.records[i].start) << policy.display_name();
+        EXPECT_EQ(with.records[i].finish, without.records[i].finish) << policy.display_name();
+        EXPECT_EQ(with.records[i].killed_at_wcl, without.records[i].killed_at_wcl);
+      }
+      EXPECT_EQ(with.busy_proc_seconds, without.busy_proc_seconds);
+      EXPECT_EQ(with.loc_proc_seconds, without.loc_proc_seconds);
+      EXPECT_EQ(with.events_delivered, without.events_delivered);
+      EXPECT_FALSE(with.snapshots.empty());
+      EXPECT_TRUE(without.snapshots.empty());
+    }
+  }
+}
+
+/// Emits the same list of starts at every invocation, waiting or not.
+class FixedStarts final : public Scheduler {
+ public:
+  explicit FixedStarts(std::vector<JobId> ids) : ids_(std::move(ids)) {}
+  std::string name() const override { return "fixed-starts"; }
+  void on_submit(JobId) override {}
+  void on_complete(JobId) override {}
+  void collect_starts(std::vector<JobId>& starts) override {
+    starts.insert(starts.end(), ids_.begin(), ids_.end());
+  }
+
+ private:
+  std::vector<JobId> ids_;
+};
+
+TEST(EngineEdge, StartingAJobThatIsNotWaitingThrows) {
+  // Only job 0 has arrived at the first invocation, and two 1-node starts
+  // fit the free nodes, so the waiting-set check is what must object.
+  const Workload w = make_workload(8, {make_job(0, 100, 1), make_job(50, 100, 1)});
+  for (const bool snapshots : {true, false}) {
+    EngineConfig config;
+    config.record_snapshots = snapshots;
+    EXPECT_THROW(simulate_with(w, config, std::make_unique<FixedStarts>(std::vector<JobId>{1})),
+                 std::logic_error)
+        << "snapshots " << snapshots;
+    EXPECT_THROW(
+        simulate_with(w, config, std::make_unique<FixedStarts>(std::vector<JobId>{0, 0})),
+        std::logic_error)
+        << "snapshots " << snapshots;
+  }
 }
 
 TEST(EngineCancellation, PreTrippedTokenStopsBeforeTheFirstEvent) {
