@@ -1,16 +1,9 @@
-#include "metrics/loc.hpp"
+#include "oracles/loc_integrals.hpp"
 
 #include <algorithm>
 #include <map>
 
 namespace psched::metrics {
-
-double loss_of_capacity(const SimulationResult& result) {
-  const Time makespan = result.makespan();
-  if (makespan <= 0) return 0.0;
-  return result.loc_proc_seconds /
-         (static_cast<double>(makespan) * static_cast<double>(result.system_size));
-}
 
 namespace {
 /// Sweep all submit/start/finish breakpoints accumulating an integrand.

@@ -48,12 +48,6 @@ const std::string& width_category_label(int category) {
   return width_labels()[static_cast<std::size_t>(category)];
 }
 
-const std::string& length_category_label(int category) {
-  if (category < 0 || category >= kLengthCategories)
-    throw std::out_of_range("length_category_label: bad category");
-  return length_labels()[static_cast<std::size_t>(category)];
-}
-
 WidthBounds width_category_bounds(int category, NodeCount system_size) {
   if (category < 0 || category >= kWidthCategories)
     throw std::out_of_range("width_category_bounds: bad category");

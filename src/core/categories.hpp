@@ -21,7 +21,6 @@ int width_category(NodeCount nodes);
 int length_category(Time runtime);
 
 const std::string& width_category_label(int category);
-const std::string& length_category_label(int category);
 
 /// Inclusive node bounds of a width category; the last category's upper bound
 /// is reported as the given system size (or INT32_MAX if system_size <= 0).

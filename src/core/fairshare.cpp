@@ -4,9 +4,8 @@
 
 namespace psched {
 
-FairshareTracker::FairshareTracker(double decay_factor, Time decay_period, Time start_time,
-                                   FairshareUpdate update)
-    : decay_factor_(decay_factor), decay_period_(decay_period), now_(start_time), update_(update) {
+FairshareTracker::FairshareTracker(double decay_factor, Time decay_period, Time start_time)
+    : decay_factor_(decay_factor), decay_period_(decay_period), now_(start_time) {
   if (!(decay_factor > 0.0) || decay_factor > 1.0)
     throw std::invalid_argument("FairshareTracker: decay_factor must be in (0, 1]");
   if (decay_period <= 0) throw std::invalid_argument("FairshareTracker: decay_period must be > 0");
@@ -26,7 +25,6 @@ void FairshareTracker::accrue(Time dt) {
   const auto seconds = static_cast<double>(dt);
   for (UserState& u : users_)
     if (u.running > 0) u.usage += static_cast<double>(u.running) * seconds;
-  if (update_ == FairshareUpdate::Continuous) ++epoch_;
 }
 
 void FairshareTracker::advance(Time to) {
@@ -34,11 +32,17 @@ void FairshareTracker::advance(Time to) {
   while (next_decay_ <= to) {
     accrue(next_decay_ - now_);
     now_ = next_decay_;
+    double total = 0.0;  // mean over positive users, in user-index order
+    std::size_t positive = 0;
     for (UserState& u : users_) {
       if (decay_factor_ < 1.0) u.usage *= decay_factor_;
       u.published = u.usage;  // boundary = priority refresh point
+      if (u.published > 0.0) {
+        total += u.published;
+        ++positive;
+      }
     }
-    published_mean_ = mean_positive(/*published=*/true);
+    published_mean_ = positive == 0 ? 0.0 : total / static_cast<double>(positive);
     ++epoch_;
     next_decay_ += decay_period_;
   }
@@ -63,33 +67,7 @@ void FairshareTracker::on_job_stop(UserId user, NodeCount nodes) {
 double FairshareTracker::usage(UserId user) const {
   if (user < 0) return 0.0;
   const auto index = static_cast<std::size_t>(user);
-  if (index >= users_.size()) return 0.0;
-  return update_ == FairshareUpdate::Continuous ? users_[index].usage
-                                                : users_[index].published;
-}
-
-double FairshareTracker::live_usage(UserId user) const {
-  if (user < 0) return 0.0;
-  const auto index = static_cast<std::size_t>(user);
-  return index < users_.size() ? users_[index].usage : 0.0;
-}
-
-double FairshareTracker::mean_positive_usage() const {
-  return update_ == FairshareUpdate::Continuous ? mean_positive(/*published=*/false)
-                                                : published_mean_;
-}
-
-double FairshareTracker::mean_positive(bool published) const {
-  double total = 0.0;
-  std::size_t count = 0;
-  for (const UserState& u : users_) {
-    const double value = published ? u.published : u.usage;
-    if (value > 0.0) {
-      total += value;
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : total / static_cast<double>(count);
+  return index < users_.size() ? users_[index].published : 0.0;
 }
 
 }  // namespace psched

@@ -33,12 +33,12 @@ struct Job {
 
   // Segment bookkeeping for maximum-runtime splitting (kInvalidJob == not a
   // segment). Segment 0 keeps the original submit time; segment k+1 is
-  // submitted when segment k completes (checkpoint/restart semantics).
+  // submitted at that time too, or when segment k completes under chained
+  // arrival (see sim::SegmentArrival).
   JobId parent = kInvalidJob;
   std::int32_t segment = 0;
   std::int32_t segment_count = 1;
 
-  bool is_segment() const { return parent != kInvalidJob; }
   double proc_seconds() const { return static_cast<double>(nodes) * static_cast<double>(runtime); }
 };
 

@@ -50,19 +50,4 @@ std::optional<Job> RuntimeLimiter::next_segment(const Job& original, const Job& 
   return make_segment(original, segment.segment + 1, id, completion);
 }
 
-Workload split_workload(const Workload& original, Time max_runtime) {
-  const RuntimeLimiter limiter(max_runtime);
-  WorkloadBuilder split;
-  split.system_size = original.system_size;
-  for (const Job& job : original.jobs) {
-    const std::int32_t count = limiter.segment_count(job);
-    for (std::int32_t s = 0; s < count; ++s)
-      split.jobs.push_back(limiter.make_segment(job, s, /*id=*/0, job.submit));
-  }
-  split.normalize();
-  Workload built = split.build();
-  built.validate();
-  return built;
-}
-
 }  // namespace psched

@@ -4,10 +4,11 @@
 // very coarse form of preemption. CPlant users already checkpointed, so the
 // paper treats the split as cheap.
 //
-// Segments are *chained*: segment k+1 is submitted the moment segment k
-// completes (you cannot restart from a checkpoint that does not exist yet).
-// The simulation engine drives this; the splitting arithmetic lives here so
-// it can be unit-tested in isolation.
+// The simulation engine submits the segments (EngineConfig::segment_arrival):
+// by default all at the original job's submit time, the paper's "breaking
+// longer jobs up into several 72 hour segments", or chained, segment k+1 the
+// moment segment k completes (checkpoint/restart). The splitting arithmetic
+// lives here so it can be unit-tested in isolation.
 
 #include <optional>
 
@@ -45,14 +46,5 @@ class RuntimeLimiter {
  private:
   Time max_runtime_;
 };
-
-/// Trace-preprocessing form of the maximum-runtime policy (the paper's
-/// "breaking longer jobs up into several 72 hour segments"): every segment of
-/// every job is submitted at the original job's submit time, with no
-/// dependency between segments. Parent/segment fields link each segment to
-/// its original; ids are renumbered. This is how a trace-driven simulator
-/// applies the limit; the engine's Chained mode models checkpoint/restart
-/// instead (segment k+1 submitted when k completes).
-Workload split_workload(const Workload& original, Time max_runtime);
 
 }  // namespace psched

@@ -6,31 +6,6 @@
 
 namespace psched::metrics {
 
-LengthBreakdown length_breakdown(const SimulationResult& result, const FstResult* fst) {
-  if (fst != nullptr && fst->miss.size() != result.records.size())
-    throw std::invalid_argument("length_breakdown: fst does not match result");
-  LengthBreakdown breakdown;
-  std::array<double, kLengthCategories> wait_sum{};
-  std::array<double, kLengthCategories> tat_sum{};
-  std::array<double, kLengthCategories> miss_sum{};
-  for (std::size_t i = 0; i < result.records.size(); ++i) {
-    const JobRecord& record = result.records[i];
-    const auto l = static_cast<std::size_t>(length_category(record.job.runtime));
-    ++breakdown.jobs[l];
-    wait_sum[l] += static_cast<double>(record.wait());
-    tat_sum[l] += static_cast<double>(record.turnaround());
-    if (fst != nullptr) miss_sum[l] += static_cast<double>(fst->miss[i]);
-  }
-  for (std::size_t l = 0; l < kLengthCategories; ++l) {
-    if (breakdown.jobs[l] == 0) continue;
-    const auto n = static_cast<double>(breakdown.jobs[l]);
-    breakdown.avg_wait[l] = wait_sum[l] / n;
-    breakdown.avg_turnaround[l] = tat_sum[l] / n;
-    breakdown.avg_miss[l] = miss_sum[l] / n;
-  }
-  return breakdown;
-}
-
 std::vector<UserSummary> user_breakdown(const SimulationResult& result, const FstResult* fst,
                                         Time tolerance) {
   if (fst != nullptr && fst->miss.size() != result.records.size())
@@ -72,14 +47,6 @@ std::vector<UserSummary> user_breakdown(const SimulationResult& result, const Fs
     return a.user < b.user;
   });
   return summaries;
-}
-
-util::Summary wait_distribution(const SimulationResult& result) {
-  std::vector<double> waits;
-  waits.reserve(result.records.size());
-  for (const JobRecord& record : result.records)
-    waits.push_back(static_cast<double>(record.wait()));
-  return util::summarize(waits);
 }
 
 }  // namespace psched::metrics

@@ -1,28 +1,13 @@
 #pragma once
-// Finer-grained breakdowns beyond the paper's width categories: per-length
-// category, per-user, and wait-time distribution summaries. These support
-// the ablation benches and give library users the obvious follow-up views
-// (who exactly is treated unfairly?).
+// Finer-grained breakdowns beyond the paper's width categories: who exactly
+// is treated unfairly? (psched_run --by-user).
 
-#include <array>
 #include <vector>
 
-#include "core/categories.hpp"
 #include "core/record.hpp"
 #include "metrics/fst.hpp"
-#include "util/stats.hpp"
 
 namespace psched::metrics {
-
-/// Averages by runtime-length category (the other axis of Tables 1-2).
-struct LengthBreakdown {
-  std::array<std::size_t, kLengthCategories> jobs{};
-  std::array<double, kLengthCategories> avg_wait{};
-  std::array<double, kLengthCategories> avg_turnaround{};
-  std::array<double, kLengthCategories> avg_miss{};  ///< zero without fst
-};
-LengthBreakdown length_breakdown(const SimulationResult& result,
-                                 const FstResult* fst = nullptr);
 
 /// Per-user treatment summary, sorted by total demanded proc-seconds
 /// descending (heavy users first).
@@ -37,8 +22,5 @@ struct UserSummary {
 std::vector<UserSummary> user_breakdown(const SimulationResult& result,
                                         const FstResult* fst = nullptr,
                                         Time tolerance = hours(24));
-
-/// Wait-time distribution of a run.
-util::Summary wait_distribution(const SimulationResult& result);
 
 }  // namespace psched::metrics

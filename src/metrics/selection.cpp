@@ -51,15 +51,6 @@ constexpr NamedMetric kCatalog[] = {
 };
 }  // namespace
 
-const std::vector<std::string>& all_metric_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const NamedMetric& metric : kCatalog) out.emplace_back(metric.name);
-    return out;
-  }();
-  return names;
-}
-
 bool is_metric_name(const std::string& name) {
   return std::any_of(std::begin(kCatalog), std::end(kCatalog),
                      [&](const NamedMetric& metric) { return metric.name == name; });

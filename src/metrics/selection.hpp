@@ -5,14 +5,10 @@
 // that the CSV/JSON results store and the bootstrap aggregator consume.
 
 #include <string>
-#include <vector>
 
 #include "metrics/report.hpp"
 
 namespace psched::metrics {
-
-/// Every selectable metric name, in catalog (presentation) order.
-const std::vector<std::string>& all_metric_names();
 
 /// Is `name` a selectable metric?
 bool is_metric_name(const std::string& name);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "metrics/loc.hpp"
-
 namespace psched::metrics {
 
 StandardMetrics compute_standard(const SimulationResult& result) {

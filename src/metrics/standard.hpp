@@ -23,7 +23,9 @@ struct StandardMetrics {
   // System metrics.
   Time makespan = 0;          // Eq. 3: MaxCompletionTime - MinStartTime
   double utilization = 0.0;   // Eq. 2
-  double loss_of_capacity = 0.0;  // Eq. 4 (engine integral / makespan*size)
+  /// Eq. 4: the fraction of processor cycles left idle while jobs waited,
+  /// the engine's online integral over makespan * system size.
+  double loss_of_capacity = 0.0;
 
   // Per-width breakdowns (zero where a category has no jobs).
   std::array<double, kWidthCategories> avg_turnaround_by_width{};

@@ -329,17 +329,6 @@ ScenarioSpec Parser::build() {
 
 }  // namespace
 
-std::size_t PolicyGrid::combinations() const {
-  std::size_t n = 1;
-  n *= std::max<std::size_t>(1, starvation_delay.size());
-  n *= std::max<std::size_t>(1, bar_heavy_users.size());
-  n *= std::max<std::size_t>(1, heavy_user_factor.size());
-  n *= std::max<std::size_t>(1, max_runtime.size());
-  n *= std::max<std::size_t>(1, reservation_depth.size());
-  n *= std::max<std::size_t>(1, decay.size());
-  return n;
-}
-
 std::vector<std::uint64_t> ScenarioSpec::effective_seeds() const {
   if (!seeds.empty()) return seeds;
   return {workload.seed};

@@ -58,8 +58,6 @@ struct PolicyGrid {
   std::vector<Time> max_runtime;        ///< engine-level 72 h style limit
   std::vector<int> reservation_depth;   ///< Depth policy
   std::vector<double> decay;            ///< engine-level fairshare decay
-
-  std::size_t combinations() const;
 };
 
 struct ScenarioSpec {

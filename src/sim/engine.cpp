@@ -23,8 +23,7 @@ SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config
       limiter_(config_.policy.max_runtime),
       scheduler_(scheduler ? std::move(scheduler) : make_scheduler(config_.policy)),
       fairshare_(config_.fairshare_decay, config_.fairshare_period,
-                 workload.jobs.empty() ? 0 : workload.jobs.front().submit,
-                 config_.fairshare_update),
+                 workload.jobs.empty() ? 0 : workload.jobs.front().submit),
       system_size_(workload.system_size),
       free_nodes_(workload.system_size) {
   workload_.validate();

@@ -79,8 +79,6 @@ struct EngineConfig {
   /// forgive heavy use overnight.
   double fairshare_decay = 0.9;
   Time fairshare_period = days(1);     ///< CPlant decayed every 24 hours
-  /// Priority refresh cadence (daily batch, as production fairshare works).
-  FairshareUpdate fairshare_update = FairshareUpdate::AtDecayBoundary;
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
   SegmentArrival segment_arrival = SegmentArrival::AtOriginalSubmit;
   bool record_snapshots = true;        ///< needed by the FST metrics

@@ -46,7 +46,6 @@ struct CellOutcome {
   /// Lane wall time, for campaign breakdowns. Only measured while obs
   /// tracing is armed (0.0 otherwise), so no result byte depends on it.
   double wall_seconds = 0.0;
-  bool attempted() const { return result.has_value() || error != nullptr; }
 };
 
 /// Hooks and knobs for run_isolated.

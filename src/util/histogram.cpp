@@ -46,14 +46,6 @@ std::vector<double> log_edges(double lo, double hi, std::size_t n_bins) {
   return edges;
 }
 
-std::vector<double> linear_edges(double lo, double hi, std::size_t n_bins) {
-  if (!(hi > lo) || n_bins == 0) throw std::invalid_argument("linear_edges: need lo < hi, n_bins > 0");
-  std::vector<double> edges(n_bins + 1);
-  for (std::size_t i = 0; i <= n_bins; ++i)
-    edges[i] = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n_bins);
-  return edges;
-}
-
 Histogram2D::Histogram2D(std::vector<double> x_edges, std::vector<double> y_edges)
     : x_edges_(std::move(x_edges)), y_edges_(std::move(y_edges)) {
   if (x_edges_.size() < 2 || y_edges_.size() < 2)

@@ -36,9 +36,6 @@ class Histogram {
 /// Logarithmically spaced edges: n_bins bins spanning [lo, hi], lo > 0.
 std::vector<double> log_edges(double lo, double hi, std::size_t n_bins);
 
-/// Linearly spaced edges.
-std::vector<double> linear_edges(double lo, double hi, std::size_t n_bins);
-
 /// 2-D histogram on log-log bins; `render` prints a density grid with one
 /// character per cell, darkest for the densest cell (scatter-plot stand-in).
 class Histogram2D {
@@ -51,7 +48,6 @@ class Histogram2D {
   std::size_t x_bins() const { return x_edges_.size() - 1; }
   std::size_t y_bins() const { return y_edges_.size() - 1; }
   double x_lo(std::size_t i) const { return x_edges_[i]; }
-  double y_lo(std::size_t i) const { return y_edges_[i]; }
   std::size_t total() const { return total_; }
 
   /// ASCII density plot, y axis increasing upward.

@@ -43,10 +43,6 @@ double Rng::exponential(double mean) {
   return std::exponential_distribution<double>(1.0 / mean)(engine_);
 }
 
-double Rng::lognormal(double log_mean, double log_sigma) {
-  return std::lognormal_distribution<double>(log_mean, log_sigma)(engine_);
-}
-
 double Rng::normal(double mean, double sigma) {
   return std::normal_distribution<double>(mean, sigma)(engine_);
 }

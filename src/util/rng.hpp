@@ -37,9 +37,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Lognormal given the mean/sigma of the underlying normal.
-  double lognormal(double log_mean, double log_sigma);
-
   /// Normal.
   double normal(double mean, double sigma);
 

@@ -9,53 +9,16 @@
 
 namespace psched::util {
 
+namespace {
+
 double mean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) / static_cast<double>(values.size());
 }
 
-double stddev(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
-double percentile(std::span<const double> values, double q) {
-  if (values.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.total = std::accumulate(sorted.begin(), sorted.end(), 0.0);
-  s.mean = s.total / static_cast<double>(sorted.size());
-  s.stddev = stddev(values);
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = percentile(sorted, 0.25);
-  s.median = percentile(sorted, 0.50);
-  s.p75 = percentile(sorted, 0.75);
-  s.p90 = percentile(sorted, 0.90);
-  s.p99 = percentile(sorted, 0.99);
-  return s;
-}
-
+/// Pearson correlation of two samples of one size >= 2; 0 if either side is
+/// degenerate.
 double pearson(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("pearson: size mismatch");
-  if (x.size() < 2) return 0.0;
   const double mx = mean(x);
   const double my = mean(y);
   double sxy = 0.0, sxx = 0.0, syy = 0.0;
@@ -70,6 +33,7 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
+/// Ranks with ties averaged (1-based).
 std::vector<double> average_ranks(std::span<const double> values) {
   const std::size_t n = values.size();
   std::vector<std::size_t> order(n);
@@ -89,29 +53,26 @@ std::vector<double> average_ranks(std::span<const double> values) {
   return ranks;
 }
 
+}  // namespace
+
+double percentile(std::span<const double> values, double q) {
+  if (values.empty()) return 0.0;
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
 double spearman(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size()) throw std::invalid_argument("spearman: size mismatch");
   if (x.size() < 2) return 0.0;
   const std::vector<double> rx = average_ranks(x);
   const std::vector<double> ry = average_ranks(y);
   return pearson(rx, ry);
-}
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("linear_fit: size mismatch");
-  LinearFit fit;
-  if (x.size() < 2) return fit;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-  }
-  if (sxx == 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
 }
 
 double jain_fairness_index(std::span<const double> values) {

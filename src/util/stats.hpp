@@ -1,64 +1,25 @@
 #pragma once
-// Small descriptive-statistics toolkit used by trace characterization
-// (Figures 4-7) and the experiment reports.
+// Small descriptive-statistics toolkit: trace characterization (Figures
+// 4-7), Jain's fairness index and the campaign aggregator's bootstrap
+// intervals.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace psched::util {
-
-/// Five-number-ish summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  // sample standard deviation (see stddev() below)
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-  double total = 0.0;
-};
-
-/// Full summary; empty input yields a zeroed Summary with count == 0.
-Summary summarize(std::span<const double> values);
-
-double mean(std::span<const double> values);
-
-/// Sample standard deviation (Bessel-corrected, divides by N-1): everything
-/// we summarize — waits, slowdowns, trace columns — is a sample of the
-/// workload process, not a full population, and the N-1 estimator matches the
-/// size() < 2 guard (one observation carries no spread information).
-/// Fewer than two values yield 0.
-double stddev(std::span<const double> values);
 
 /// Linear-interpolated percentile, q in [0, 1]. Empty input returns 0.
 double percentile(std::span<const double> values, double q);
 
-/// Pearson correlation coefficient; 0 if either side is degenerate.
-double pearson(std::span<const double> x, std::span<const double> y);
-
-/// Spearman rank correlation (average ranks for ties).
+/// Spearman rank correlation: the Pearson correlation of the ranks, with
+/// ties given their average rank. 0 if either side is degenerate (fewer than
+/// two values, or all equal); throws std::invalid_argument on a size mismatch.
 double spearman(std::span<const double> x, std::span<const double> y);
-
-/// Ordinary least squares fit y = a + b*x. Returns {a, b}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
 
 /// Jain's fairness index of a non-negative sample: (sum x)^2 / (n * sum x^2).
 /// 1.0 means perfectly equal; 1/n means maximally concentrated.
 double jain_fairness_index(std::span<const double> values);
-
-/// Ranks with ties averaged (1-based), helper for spearman and tests.
-std::vector<double> average_ranks(std::span<const double> values);
 
 /// Percentile-bootstrap confidence interval for the mean of a sample — the
 /// campaign aggregator's building block for summarizing replicate seeds.
@@ -75,7 +36,7 @@ struct BootstrapCi {
 /// each resample, and return the (1-confidence)/2 .. 1-(1-confidence)/2
 /// percentile band of those means. Deterministic given `seed` (all draws flow
 /// through util::Rng). A single observation yields lo == hi == mean — one
-/// replicate carries no spread information, same convention as stddev().
+/// replicate carries no spread information.
 /// Throws std::invalid_argument for resamples == 0 or confidence outside
 /// (0, 1).
 BootstrapCi bootstrap_mean_ci(std::span<const double> values, std::size_t resamples,

@@ -38,12 +38,6 @@ TextTable& TextTable::add_percent(double fraction, int precision) {
   return add(os.str());
 }
 
-TextTable& TextTable::add_row(std::vector<std::string> cells) {
-  if (cells.size() != header_.size()) throw std::invalid_argument("TextTable::add_row: width mismatch");
-  rows_.push_back(std::move(cells));
-  return *this;
-}
-
 namespace {
 bool looks_numeric(const std::string& s) {
   if (s.empty()) return false;

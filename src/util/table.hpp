@@ -22,9 +22,6 @@ class TextTable {
   TextTable& add_int(long long value);
   TextTable& add_percent(double fraction, int precision = 2);  // 0.031 -> "3.10%"
 
-  /// Convenience: append a fully-formed row (must match header width).
-  TextTable& add_row(std::vector<std::string> cells);
-
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return header_.size(); }
   const std::string& cell(std::size_t row, std::size_t col) const { return rows_[row][col]; }

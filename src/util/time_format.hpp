@@ -3,7 +3,6 @@
 // arbitrary epoch (the trace start).
 
 #include <cstdint>
-#include <string>
 
 namespace psched::util {
 
@@ -17,9 +16,6 @@ constexpr std::int64_t hours(std::int64_t h) { return h * kSecondsPerHour; }
 constexpr std::int64_t days(std::int64_t d) { return d * kSecondsPerDay; }
 constexpr std::int64_t weeks(std::int64_t w) { return w * kSecondsPerWeek; }
 
-/// "[Dd ]HH:MM:SS" rendering of a duration in seconds (negative allowed).
-std::string format_hms(std::int64_t seconds);
-
 /// Floor division that works for negative numerators (unlike C++ '/').
 constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   const std::int64_t q = a / b;
@@ -27,9 +23,7 @@ constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
 }
 
-/// Day index containing second t (epoch day 0 starts at t == 0).
-constexpr std::int64_t day_index(std::int64_t t) { return floor_div(t, kSecondsPerDay); }
-/// Week index containing second t.
+/// Week index containing second t (epoch week 0 starts at t == 0).
 constexpr std::int64_t week_index(std::int64_t t) { return floor_div(t, kSecondsPerWeek); }
 
 }  // namespace psched::util

@@ -42,14 +42,6 @@ std::vector<double> weekly_offered_load(const Workload& workload) {
   return load;
 }
 
-std::vector<double> overestimation_factors(const Workload& workload) {
-  std::vector<double> factors;
-  factors.reserve(workload.jobs.size());
-  for (const Job& job : workload.jobs)
-    factors.push_back(static_cast<double>(job.wcl) / static_cast<double>(job.runtime));
-  return factors;
-}
-
 BinnedSeries binned_median(const std::vector<double>& x, const std::vector<double>& y,
                            double x_lo, double x_hi, std::size_t bins) {
   if (x.size() != y.size()) throw std::invalid_argument("binned_median: size mismatch");

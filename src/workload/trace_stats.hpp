@@ -24,9 +24,6 @@ CategoryHours category_proc_hours(const Workload& workload);
 /// the machine's weekly capacity. Weeks index from the trace epoch.
 std::vector<double> weekly_offered_load(const Workload& workload);
 
-/// Per-job over-estimation factor WCL / runtime (Figures 5-7).
-std::vector<double> overestimation_factors(const Workload& workload);
-
 /// Scatter-plot summaries for Figures 4-7: per-log-bin medians/quartiles of
 /// y over x. Bins with no samples report count == 0.
 struct BinnedSeries {

@@ -4,36 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace psched::workload {
-
-Workload slice_by_time(const Workload& workload, Time from, Time to) {
-  if (from >= to) throw std::invalid_argument("slice_by_time: empty window");
-  WorkloadBuilder out;
-  out.system_size = workload.system_size;
-  for (const Job& job : workload.jobs) {
-    if (job.submit < from || job.submit >= to) continue;
-    Job copy = job;
-    copy.submit -= from;
-    out.jobs.push_back(copy);
-  }
-  out.normalize();
-  Workload built = out.build();
-  built.validate();
-  return built;
-}
-
-Workload filter_jobs(const Workload& workload, const std::function<bool(const Job&)>& keep) {
-  WorkloadBuilder out;
-  out.system_size = workload.system_size;
-  for (const Job& job : workload.jobs)
-    if (keep(job)) out.jobs.push_back(job);
-  out.normalize();
-  Workload built = out.build();
-  built.validate();
-  return built;
-}
 
 Workload rescale_load(const Workload& workload, double load_factor) {
   if (!(load_factor > 0.0)) throw std::invalid_argument("rescale_load: factor must be > 0");
@@ -59,13 +30,6 @@ Workload with_estimate_factor(const Workload& workload, double factor) {
   Workload built = out.build();
   built.validate();
   return built;
-}
-
-Workload thin(const Workload& workload, double drop_probability, std::uint64_t seed) {
-  if (drop_probability < 0.0 || drop_probability >= 1.0)
-    throw std::invalid_argument("thin: probability must be in [0, 1)");
-  util::Rng rng(seed);
-  return filter_jobs(workload, [&](const Job&) { return !rng.flip(drop_probability); });
 }
 
 Workload head(const Workload& workload, std::size_t count) {

@@ -1,23 +1,14 @@
 #pragma once
-// Workload transformations: slicing, filtering, rescaling and perturbing
-// traces. Used to build sensitivity studies (run a policy on each month of
-// the trace, on one user's jobs removed, at 1.2x load, ...) without touching
-// the generator.
+// Workload transformations: truncating, rescaling and perturbing traces.
+// Campaign specs apply them in a fixed order (head, rescale_load,
+// estimate_factor) to build sensitivity studies without touching the
+// generator.
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 
 #include "core/job.hpp"
 
 namespace psched::workload {
-
-/// Jobs submitted in [from, to); submit times are shifted so the slice
-/// starts at 0. Result is normalized.
-Workload slice_by_time(const Workload& workload, Time from, Time to);
-
-/// Keep jobs matching the predicate (normalized, ids renumbered).
-Workload filter_jobs(const Workload& workload,
-                     const std::function<bool(const Job&)>& keep);
 
 /// Multiply every inter-arrival gap by 1/load_factor: load_factor > 1
 /// compresses the trace (more offered load per unit time), < 1 stretches it.
@@ -27,10 +18,6 @@ Workload rescale_load(const Workload& workload, double load_factor);
 /// Replace every WCL with runtime * factor (factor >= 1): synthetic accuracy
 /// studies (factor == 1 gives perfect estimates).
 Workload with_estimate_factor(const Workload& workload, double factor);
-
-/// Randomly drop each job with probability `drop_probability` (seeded) —
-/// quick thinning for smoke tests.
-Workload thin(const Workload& workload, double drop_probability, std::uint64_t seed);
 
 /// First `count` jobs by submit order (a "head" of the trace).
 Workload head(const Workload& workload, std::size_t count);

@@ -44,10 +44,9 @@ TEST(Categories, LabelsMatchPaperTables) {
   EXPECT_EQ(width_category_label(0), "1");
   EXPECT_EQ(width_category_label(2), "3-4");
   EXPECT_EQ(width_category_label(10), "513+");
-  EXPECT_EQ(length_category_label(0), "0-15 mins");
-  EXPECT_EQ(length_category_label(7), "2+ days");
+  EXPECT_EQ(length_labels()[0], "0-15 mins");
+  EXPECT_EQ(length_labels()[7], "2+ days");
   EXPECT_THROW(width_category_label(11), std::out_of_range);
-  EXPECT_THROW(length_category_label(-1), std::out_of_range);
 }
 
 TEST(Categories, BoundsRoundTrip) {

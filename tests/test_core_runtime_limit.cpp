@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/engine.hpp"
 #include "test_helpers.hpp"
 
 namespace psched {
@@ -99,27 +100,40 @@ TEST(RuntimeLimiter, NextSegmentChains) {
   EXPECT_FALSE(limiter.next_segment(original, *seg2, 3000, 3).has_value());
 }
 
+// The paper's preprocessing form of the limit: the engine submits every
+// segment of every job at the original job's submit time (the default
+// SegmentArrival::AtOriginalSubmit).
+
 TEST(SplitWorkload, PreprocessingMode) {
   const Workload original = test::make_workload(
       64, {make_job(0, hours(100), 4), make_job(10, hours(10), 8), make_job(20, hours(300), 2)});
-  const Workload split = split_workload(original, hours(72));
+  sim::EngineConfig config;
+  config.policy.max_runtime = hours(72);
+  const SimulationResult r = sim::simulate(original, config);
   // 100h -> 2 segments, 10h -> 1, 300h -> 5.
-  EXPECT_EQ(split.jobs.size(), 8u);
-  for (const Job& seg : split.jobs) {
-    EXPECT_LE(seg.runtime, hours(72));
-    // All segments submitted at their original's submit time.
-    EXPECT_EQ(seg.submit, original.jobs[static_cast<std::size_t>(seg.parent)].submit);
+  EXPECT_EQ(r.records.size(), 8u);
+  ASSERT_EQ(r.segments_of_original.size(), 3u);
+  double split_work = 0.0;
+  for (std::size_t o = 0; o < original.jobs.size(); ++o) {
+    for (const JobId id : r.segments_of_original[o]) {
+      const Job& seg = r.records[static_cast<std::size_t>(id)].job;
+      EXPECT_LE(seg.runtime, hours(72));
+      EXPECT_EQ(seg.submit, original.jobs[o].submit);
+      split_work += seg.proc_seconds();
+    }
   }
-  double original_work = original.total_proc_seconds();
-  EXPECT_DOUBLE_EQ(split.total_proc_seconds(), original_work);
+  EXPECT_EQ(r.segments_of_original[2].size(), 5u);
+  EXPECT_DOUBLE_EQ(split_work, original.total_proc_seconds());
 }
 
 TEST(SplitWorkload, NoopWithoutLongJobs) {
   const Workload original =
       test::make_workload(64, {make_job(0, hours(10), 4), make_job(5, hours(72), 8)});
-  const Workload split = split_workload(original, hours(72));
-  EXPECT_EQ(split.jobs.size(), 2u);
-  EXPECT_EQ(split.jobs[0].runtime, original.jobs[0].runtime);
+  sim::EngineConfig config;
+  config.policy.max_runtime = hours(72);
+  const SimulationResult r = sim::simulate(original, config);
+  EXPECT_EQ(r.records.size(), 2u);
+  EXPECT_EQ(r.records[0].job.runtime, original.jobs[0].runtime);
 }
 
 }  // namespace

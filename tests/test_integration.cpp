@@ -8,8 +8,8 @@
 #include <string>
 
 #include "metrics/fst.hpp"
-#include "metrics/loc.hpp"
 #include "metrics/report.hpp"
+#include "oracles/loc_integrals.hpp"
 #include "sim/experiment.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"

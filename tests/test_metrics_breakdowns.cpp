@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/standard.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
@@ -13,44 +12,6 @@ namespace {
 using test::make_job;
 using test::make_workload;
 using test::run_policy;
-
-TEST(LengthBreakdown, CountsAndAverages) {
-  const Workload w = make_workload(8, {
-                                          make_job(0, minutes(5), 2),   // 0-15m
-                                          make_job(0, minutes(10), 2),  // 0-15m
-                                          make_job(0, hours(2), 2),     // 1-4h
-                                      });
-  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
-  const LengthBreakdown b = length_breakdown(r);
-  EXPECT_EQ(b.jobs[0], 2u);
-  EXPECT_EQ(b.jobs[2], 1u);
-  EXPECT_EQ(b.jobs[7], 0u);
-  EXPECT_GT(b.avg_turnaround[0], 0.0);
-  EXPECT_DOUBLE_EQ(b.avg_turnaround[7], 0.0);
-}
-
-TEST(LengthBreakdown, WithFstMisses) {
-  const Workload w = psched::workload::generate_small_workload(101, 200, 32, days(4));
-  const SimulationResult r = run_policy(w, PolicyKind::Cplant, PriorityKind::Fairshare);
-  const FstResult fst = hybrid_fairshare_fst(r);
-  const LengthBreakdown b = length_breakdown(r, &fst);
-  double weighted = 0.0;
-  std::size_t total = 0;
-  for (std::size_t l = 0; l < kLengthCategories; ++l) {
-    weighted += b.avg_miss[l] * static_cast<double>(b.jobs[l]);
-    total += b.jobs[l];
-  }
-  EXPECT_EQ(total, r.records.size());
-  EXPECT_NEAR(weighted / static_cast<double>(total), fst.avg_miss_all, 1e-6);
-}
-
-TEST(LengthBreakdown, MismatchedFstThrows) {
-  const Workload w = make_workload(8, {make_job(0, 100, 2)});
-  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
-  FstResult wrong;
-  wrong.miss = {0, 0, 0};
-  EXPECT_THROW(length_breakdown(r, &wrong), std::invalid_argument);
-}
 
 TEST(UserBreakdown, SortsHeaviestFirst) {
   const Workload w = make_workload(8, {
@@ -80,17 +41,6 @@ TEST(UserBreakdown, UnfairFractionWithFst) {
     EXPECT_LE(u.unfair_fraction, 1.0);
   }
   EXPECT_EQ(jobs, r.records.size());
-}
-
-TEST(WaitDistribution, MatchesStandardMetrics) {
-  const Workload w = psched::workload::generate_small_workload(107, 150, 32, days(3));
-  const SimulationResult r = run_policy(w, PolicyKind::Easy);
-  const util::Summary waits = wait_distribution(r);
-  const StandardMetrics m = compute_standard(r);
-  EXPECT_EQ(waits.count, r.records.size());
-  EXPECT_NEAR(waits.mean, m.avg_wait, 1e-9);
-  EXPECT_NEAR(waits.max, m.max_wait, 1e-9);
-  EXPECT_GE(waits.p99, waits.median);
 }
 
 }  // namespace

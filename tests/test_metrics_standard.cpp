@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/loc.hpp"
 #include "metrics/weekly.hpp"
+#include "oracles/loc_integrals.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
@@ -96,7 +96,7 @@ TEST(Loc, WorkConservingScheduleHasZeroLoc) {
                                       });
   const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
   EXPECT_DOUBLE_EQ(r.loc_proc_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(loss_of_capacity(r), 0.0);
+  EXPECT_DOUBLE_EQ(compute_standard(r).loss_of_capacity, 0.0);
 }
 
 TEST(Loc, FcfsBlockingCreatesLoc) {
@@ -108,7 +108,7 @@ TEST(Loc, FcfsBlockingCreatesLoc) {
                                       });
   const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
   EXPECT_GT(r.loc_proc_seconds, 0.0);
-  const double loc = loss_of_capacity(r);
+  const double loc = compute_standard(r).loss_of_capacity;
   EXPECT_GT(loc, 0.0);
   EXPECT_LT(loc, 1.0);
 }

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "metrics/fst.hpp"
-#include "metrics/loc.hpp"
 #include "metrics/standard.hpp"
+#include "oracles/loc_integrals.hpp"
 #include "oracles/priority_order.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
@@ -195,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingDominance, ::testing::Values(11u, 22u,
 class DecaySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DecaySweep, HeavierUserRanksLower) {
-  FairshareTracker t(GetParam(), days(1), 0, FairshareUpdate::AtDecayBoundary);
+  FairshareTracker t(GetParam(), days(1), 0);
   t.on_job_start(0, 8);
   t.on_job_start(1, 2);
   t.advance(days(1));

@@ -52,7 +52,7 @@ TEST(ScenarioSpec, MinimalSpecGetsDefaults) {
   EXPECT_DOUBLE_EQ(spec.decay, 0.9);
   EXPECT_EQ(spec.wcl_enforcement, sim::WclEnforcement::Never);
   EXPECT_EQ(spec.effective_seeds(), std::vector<std::uint64_t>{20021201u});
-  EXPECT_EQ(spec.grid.combinations(), 1u);
+  EXPECT_EQ(expand_campaign(spec).expanded_cells, 1u);  // no grid axes
 }
 
 TEST(ScenarioSpec, UnknownKeyRejectedWithLineNumber) {
@@ -192,7 +192,8 @@ bar_heavy_users = false, true
 [seeds]
 list = 7, 8, 9
 )");
-  EXPECT_EQ(spec.grid.combinations(), 8u);
+  // 3 seeds x 2 policies x 8 axis combinations.
+  EXPECT_EQ(expand_campaign(spec).expanded_cells, 48u);
   ASSERT_EQ(spec.grid.starvation_delay.size(), 2u);
   EXPECT_EQ(spec.grid.starvation_delay[1], hours(72));
   ASSERT_EQ(spec.grid.max_runtime.size(), 2u);

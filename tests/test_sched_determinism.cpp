@@ -441,12 +441,12 @@ TEST(SchedulerDeterminism, DynamicSeatFloorOnNestedShapes) {
   run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
-TEST(SchedulerDeterminism, ContinuousFairshareUpdates) {
-  // Under Continuous the usage keys move at every accrual, so the priority
-  // epoch moves at almost every event: the wait queue re-sorts on nearly
-  // every call, and dynamic mode takes its prefix from the re-sort path.
+TEST(SchedulerDeterminism, MinuteFairsharePublishes) {
+  // A publish every minute moves the priority epoch between most events: the
+  // wait queue re-sorts on most calls, and dynamic mode takes its prefix from
+  // the re-sort path.
   sim::EngineConfig config;
-  config.fairshare_update = FairshareUpdate::Continuous;
+  config.fairshare_period = minutes(1);
   for (const std::uint64_t seed : {71u, 72u}) {
     const Workload w = workload::generate_small_workload(seed, 400, 128, days(10));
     run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);

@@ -206,8 +206,9 @@ TEST(ExperimentRunner, RunIsolatedHaltsAfterAFailureWhenNotKeepingGoing) {
   const std::vector<CellOutcome> outcomes =
       runner.run_isolated({broken, paper_policy(PaperPolicy::ConsNomax)}, options);
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].attempted());
-  EXPECT_FALSE(outcomes[1].attempted());  // never pulled
+  EXPECT_NE(outcomes[0].error, nullptr);
+  EXPECT_FALSE(outcomes[1].result.has_value());  // never pulled
+  EXPECT_EQ(outcomes[1].error, nullptr);
 }
 
 TEST(ExperimentRunner, RunIsolatedReportsEveryAttemptThroughOnFinish) {
@@ -217,7 +218,7 @@ TEST(ExperimentRunner, RunIsolatedReportsEveryAttemptThroughOnFinish) {
   options.jobs = 2;
   std::vector<std::size_t> finished;  // on_finish is serialized by contract
   options.on_finish = [&](std::size_t i, const CellOutcome& outcome) {
-    EXPECT_TRUE(outcome.attempted());
+    EXPECT_TRUE(outcome.result.has_value());
     finished.push_back(i);
   };
   runner.run_isolated(all_paper_policies(), options);

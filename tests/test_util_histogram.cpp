@@ -42,14 +42,8 @@ TEST(Histogram, LogEdgesSpanDecades) {
   EXPECT_THROW(log_edges(0.0, 10.0, 2), std::invalid_argument);
 }
 
-TEST(Histogram, LinearEdges) {
-  const std::vector<double> edges = linear_edges(0.0, 10.0, 5);
-  ASSERT_EQ(edges.size(), 6u);
-  EXPECT_DOUBLE_EQ(edges[2], 4.0);
-}
-
 TEST(Histogram2D, CountsCells) {
-  Histogram2D h(linear_edges(0.0, 10.0, 2), linear_edges(0.0, 10.0, 2));
+  Histogram2D h({0.0, 5.0, 10.0}, {0.0, 5.0, 10.0});
   h.add(1.0, 1.0);
   h.add(1.0, 1.0);
   h.add(7.0, 8.0);
@@ -61,7 +55,7 @@ TEST(Histogram2D, CountsCells) {
 }
 
 TEST(Histogram2D, RenderShowsDensity) {
-  Histogram2D h(linear_edges(0.0, 4.0, 4), linear_edges(0.0, 4.0, 2));
+  Histogram2D h({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 2.0, 4.0});
   for (int i = 0; i < 50; ++i) h.add(0.5, 0.5);
   h.add(3.5, 3.5);
   const std::string art = h.render("x", "y");

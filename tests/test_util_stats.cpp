@@ -8,32 +8,10 @@
 namespace psched::util {
 namespace {
 
-TEST(Stats, MeanAndStddev) {
-  const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_DOUBLE_EQ(mean(v), 5.0);
-  // Sample (N-1) estimator: sum of squared deviations is 32 over 8 values,
-  // so s = sqrt(32/7). (The population variant of this classic example
-  // would give exactly 2.0 — pinning the ratio pins the estimator choice.)
-  EXPECT_DOUBLE_EQ(stddev(v), std::sqrt(32.0 / 7.0));
-}
-
-TEST(Stats, StddevDegenerateSamples) {
-  // Fewer than two observations carry no spread information: the N-1
-  // estimator is undefined there, and stddev() returns 0 by contract.
-  EXPECT_DOUBLE_EQ(stddev(std::vector<double>{42.0}), 0.0);
-  // Two equal values: well-defined, zero spread.
-  EXPECT_DOUBLE_EQ(stddev(std::vector<double>{3.0, 3.0}), 0.0);
-  // Two values: s = |a - b| / sqrt(2).
-  EXPECT_DOUBLE_EQ(stddev(std::vector<double>{1.0, 3.0}), std::sqrt(2.0));
-}
-
 TEST(Stats, EmptyInputsAreZero) {
   const std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(mean(empty), 0.0);
-  EXPECT_DOUBLE_EQ(stddev(empty), 0.0);
   EXPECT_DOUBLE_EQ(percentile(empty, 0.5), 0.0);
-  const Summary s = summarize(empty);
-  EXPECT_EQ(s.count, 0u);
+  EXPECT_DOUBLE_EQ(spearman(empty, empty), 0.0);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -44,30 +22,24 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_THROW(percentile(v, 1.5), std::invalid_argument);
 }
 
-TEST(Stats, SummaryFields) {
-  const std::vector<double> v{5.0, 1.0, 3.0};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.total, 9.0);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-}
-
 TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  const std::vector<double> ny{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(x, ny), -1.0, 1e-12);
+  // spearman is the Pearson correlation of the ranks: on distinct values the
+  // ranks are 1..n, so these pin the Pearson formula itself.
+  const std::vector<double> x{1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_NEAR(spearman(x, std::vector<double>{2.0, 4.0, 6.0, 8.0, 10.0}), 1.0, 1e-12);
+  EXPECT_NEAR(spearman(x, std::vector<double>{10.0, 8.0, 6.0, 4.0, 2.0}), -1.0, 1e-12);
+  // Ranks {2,1,4,3,5}: sxy = 8, sxx = syy = 10.
+  EXPECT_NEAR(spearman(x, std::vector<double>{20.0, 10.0, 40.0, 30.0, 50.0}), 0.8, 1e-12);
 }
 
 TEST(Stats, PearsonDegenerate) {
+  // One side constant: its ranks all tie, so it has no spread.
   const std::vector<double> x{1.0, 1.0, 1.0};
   const std::vector<double> y{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson(x, y), 0.0);
-  EXPECT_THROW(pearson(x, std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(spearman(x, y), 0.0);
+  EXPECT_DOUBLE_EQ(spearman(y, x), 0.0);
+  EXPECT_DOUBLE_EQ(spearman(std::vector<double>{1.0}, std::vector<double>{2.0}), 0.0);
+  EXPECT_THROW(spearman(x, std::vector<double>{1.0}), std::invalid_argument);
 }
 
 TEST(Stats, SpearmanMonotonicNonlinear) {
@@ -77,23 +49,14 @@ TEST(Stats, SpearmanMonotonicNonlinear) {
 }
 
 TEST(Stats, AverageRanksHandleTies) {
-  const std::vector<double> v{10.0, 20.0, 20.0, 30.0};
-  const std::vector<double> r = average_ranks(v);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(Stats, LinearFitRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 50; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const LinearFit fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
+  // The tied 20s share rank 2.5: x ranks {1, 2.5, 2.5, 4} against y ranks
+  // {1, 2, 3, 4} give sxy = 4.5, sxx = 4.5, syy = 5. Ranking the tie 2, 3
+  // would give 1.0, and giving both rank 2 would give 4.5 / sqrt(23.75).
+  const std::vector<double> x{10.0, 20.0, 20.0, 30.0};
+  const std::vector<double> y{1.0, 2.0, 3.0, 4.0};
+  EXPECT_NEAR(spearman(x, y), 4.5 / std::sqrt(22.5), 1e-12);
+  // Ties in the second argument are ranked the same way.
+  EXPECT_NEAR(spearman(y, x), 4.5 / std::sqrt(22.5), 1e-12);
 }
 
 TEST(Stats, JainIndexBounds) {
@@ -120,7 +83,7 @@ TEST(Bootstrap, BandBracketsTheMeanAndStaysInRange) {
   const std::vector<double> v{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
   const BootstrapCi ci = bootstrap_mean_ci(v, 2000, 0.95, 7);
   EXPECT_EQ(ci.count, v.size());
-  EXPECT_DOUBLE_EQ(ci.mean, mean(v));
+  EXPECT_DOUBLE_EQ(ci.mean, 31.0 / 8.0);  // the sample mean
   EXPECT_LE(ci.lo, ci.mean);
   EXPECT_GE(ci.hi, ci.mean);
   // Resampled means can never leave the sample's range.

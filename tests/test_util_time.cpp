@@ -20,19 +20,10 @@ TEST(FloorDiv, NegativeNumerators) {
 }
 
 TEST(DayWeekIndex, Boundaries) {
-  EXPECT_EQ(day_index(0), 0);
-  EXPECT_EQ(day_index(86399), 0);
-  EXPECT_EQ(day_index(86400), 1);
+  EXPECT_EQ(week_index(0), 0);
   EXPECT_EQ(week_index(604799), 0);
   EXPECT_EQ(week_index(604800), 1);
-  EXPECT_EQ(day_index(-1), -1);
-}
-
-TEST(FormatHms, Rendering) {
-  EXPECT_EQ(format_hms(0), "00:00:00");
-  EXPECT_EQ(format_hms(3661), "01:01:01");
-  EXPECT_EQ(format_hms(90061), "1d 01:01:01");
-  EXPECT_EQ(format_hms(-60), "-00:01:00");
+  EXPECT_EQ(week_index(-1), -1);
 }
 
 }  // namespace

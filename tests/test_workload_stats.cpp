@@ -50,13 +50,6 @@ TEST(TraceStats, WeeklyOfferedLoadEmpty) {
   EXPECT_TRUE(weekly_offered_load(w).empty());
 }
 
-TEST(TraceStats, OverestimationFactors) {
-  const Workload w = make_workload(8, {make_job(0, 100, 1, 0, 500)});
-  const std::vector<double> f = overestimation_factors(w);
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_DOUBLE_EQ(f[0], 5.0);
-}
-
 TEST(TraceStats, UnderestimateFraction) {
   Job over = make_job(0, 100, 1, 0, 500);
   Job under = make_job(1, 100, 1, 0, 50);

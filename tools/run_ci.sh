@@ -3,7 +3,10 @@
 #
 #   tools/run_ci.sh            tier-1 gate (default):
 #     1. configure + build (-Werror -Wshadow are on by default)
-#     2. psched-lint contract check over src/, oracles/, tools/, bench/
+#     2. psched-lint contract check over src/, oracles/, tools/, bench/, then
+#        the test-only API guard: a public src/ name that only tests/ or
+#        oracles/ use fails unless tools/test_only_api.allow lists it with a
+#        reason
 #     3. ctest (the correctness contract; includes the lint fixture tests)
 #     4. compile-gate the opt-in experiment/example binaries under -Werror
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
@@ -62,6 +65,9 @@ run_tier1() {
 
   echo "== psched-lint: contract check =="
   "$BUILD"/psched_lint --root .
+
+  echo "== test-only API guard =="
+  python3 tools/check_test_only_api.py
 
   echo "== tier-1: ctest =="
   ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
@@ -133,8 +139,9 @@ run_tier1() {
   # scale 3.8 condenses ~3.8x the Ross trace into the same span, so the spec
   # stretches arrivals back (rescale_load 0.26) to keep the queue realistic.
   # --wall-budget is the perf guard: blowing it exits 4 (interrupted store)
-  # and fails the gate. The uncontended run takes ~15s; 180s leaves ~10x
-  # headroom for slow CI hosts.
+  # and fails the gate. The uncontended run takes about 1.8 s at
+  # PSCHED_THREADS=4 and 2.7 s on one thread (4-core 2.1 GHz Xeon host), so
+  # 30 s fails a 10x slowdown of the one-thread run.
   ARCHIVE_OUT="$BUILD/archive-smoke"
   rm -rf "$ARCHIVE_OUT"
   mkdir -p "$ARCHIVE_OUT"
@@ -158,7 +165,7 @@ SPEC
   # it the forks the master resolves without a drain, so the pool is pinned
   # at 4 threads to keep the fst counts exact on any host.
   PSCHED_THREADS=4 "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" \
-    --out "$ARCHIVE_OUT/store" --jobs 1 --wall-budget 180 --stats > "$ARCHIVE_OUT/work-counts.txt"
+    --out "$ARCHIVE_OUT/store" --jobs 1 --wall-budget 30 --stats > "$ARCHIVE_OUT/work-counts.txt"
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/store/cells.csv"
   # Work-count gate for the CPlant path and the forked FST (step 9 covers
