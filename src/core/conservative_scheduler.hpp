@@ -154,8 +154,6 @@ class ConservativeScheduler final : public Scheduler {
   /// original from the clone point on.
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
-  const ConservativeConfig& config() const { return config_; }
-
  private:
   using Entry = WaitQueue::Entry;
 

@@ -31,9 +31,39 @@
 //     nodes fit in `room` and, when it ends after r, in `spare` as well. A
 //     start that ends after r lowers F(r), hence `spare`; one that ends
 //     exactly at r touches neither.
+//
+// Each call costs what can start, not the queue depth or the running count:
+//   * Running ends in estimate order. The scheduler keeps its own starts
+//     that have not completed (which are exactly ctx().running(); the call
+//     checks the sizes) sorted by (est_end, id), with their node total.
+//     An over-runner (est_end <= now) is assumed to end at now + max(300,
+//     now - est_end), which never rises as est_end rises, so the
+//     over-runners form a prefix whose assumed ends descend, and every
+//     later entry ends at its est_end, ascending. Read backwards and
+//     forwards from the split, the two runs merge into time order, so the
+//     walk to r pops only the ends up to r and those tied with it. This
+//     call's starts ahead of the head enter the index first: their est_end
+//     is now + wcl > now, their end.
+//   * Width bounds. Each queue keeps a lower bound on the width of its
+//     entries: lowered by every entry that joins, recomputed by every
+//     pass that reads all of it. A job starts only if its nodes fit
+//     `room`, so while `room` is below a queue's bound none of its entries
+//     can start: the main queue's pass is skipped, and the starvation
+//     tail scan stops there and keeps the rest as it stands.
+//   * Eligibility minimum. `eligible_from_` is the exact minimum of submit
+//     + starvation_delay over the main queue: on_submit lowers it, and each
+//     pass that removes entries (promotion, the main queue's) recomputes
+//     it over the entries it keeps. While now is below it no job is
+//     eligible, so promotion moves nothing and the eligibility wake is
+//     that minimum. Once it is at or below now, an eligible job is still
+//     in the main queue after promotion, which only a heavy-user bar
+//     leaves there; the timer pass then reads the whole queue for the
+//     first future eligibility and arms the recheck.
 // tests/test_sched_determinism.cpp diffs this against the profile-based
 // algorithm on the seed ReferenceProfile.
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -59,16 +89,20 @@ class CplantScheduler final : public Scheduler {
   std::optional<Time> next_wakeup() const override;
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
-  const CplantConfig& config() const { return config_; }
-
  private:
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+  static constexpr NodeCount kWiderThanAny = std::numeric_limits<NodeCount>::max();
+
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
-  void promote_starving_jobs();
-  /// The reservation of a blocked starvation head `nodes` wide, given
-  /// `free_now` free nodes at now: the first instant the ends in ends_
-  /// (this call's starts) and of the running jobs free its nodes. Sets
-  /// `spare` to the free nodes left beside it then.
-  Time reserve_head(NodeCount nodes, NodeCount free_now, NodeCount& spare);
+  /// Move the eligible, unbarred main-queue jobs to the starvation queue;
+  /// returns the entries it read.
+  std::uint64_t promote_starving_jobs();
+  /// Emit `job` into `starts` and into running_.
+  void launch(const WaitQueue::Entry& job, std::vector<JobId>& starts);
+  /// The reservation of a blocked starvation head `nodes` wide: the first
+  /// instant the running ends (this call's starts included) free its
+  /// nodes. Sets `spare` to the free nodes left beside it then.
+  Time reserve_head(NodeCount nodes, NodeCount& spare) const;
 
   CplantConfig config_;
   WaitQueue queue_;  // main queue, priority order
@@ -77,13 +111,16 @@ class CplantScheduler final : public Scheduler {
   /// younger jobs.
   std::vector<WaitQueue::Entry> starve_;
   std::optional<Time> wakeup_;
-  struct End {
-    Time at;
-    NodeCount nodes;
-  };
-  /// collect_starts scratch: the (end, nodes) of this call's starts ahead
-  /// of the head, then of the running jobs; reserve_head heap-orders it.
-  std::vector<End> ends_;
+  /// This scheduler's starts that have not completed, ascending (est_end,
+  /// id), and their node total.
+  std::vector<RunningView> running_;
+  NodeCount running_nodes_ = 0;
+  /// Lower bounds on every width in starve_ and in queue_.
+  NodeCount starve_min_nodes_ = kWiderThanAny;
+  NodeCount queue_min_nodes_ = kWiderThanAny;
+  /// Exact minimum of submit + starvation_delay over queue_ (kNever when
+  /// it is empty); read only with starvation on.
+  Time eligible_from_ = kNever;
 };
 
 }  // namespace psched

@@ -33,8 +33,6 @@ class DepthScheduler final : public Scheduler {
   std::optional<Time> next_wakeup() const override;
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
-  const DepthConfig& config() const { return config_; }
-
  private:
   DepthConfig config_;
   WaitQueue queue_;

@@ -23,7 +23,6 @@ class RuntimeLimiter {
   explicit RuntimeLimiter(Time max_runtime);
 
   bool enabled() const { return max_runtime_ != kNoTime; }
-  Time max_runtime() const { return max_runtime_; }
 
   /// Number of segments `original` will be split into (1 = unsplit).
   std::int32_t segment_count(const Job& original) const;

@@ -35,6 +35,7 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"scheduler.replan_incremental", true},
     {"scheduler.compress.reseats", true},
     {"scheduler.priority_resorts", true},
+    {"scheduler.cplant.entries_scanned", true},
     {"profile.gap_index.probes", true},
     {"profile.fit_calls", true},
     {"profile.fit_steps", true},

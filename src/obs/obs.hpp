@@ -55,6 +55,7 @@ enum class Counter : std::size_t {
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kSchedCompressReseats,        ///< core/conservative_scheduler.cpp: seats compression moved
   kSchedPriorityResorts,        ///< core/scheduler.cpp: policy WaitQueue re-sorts after an epoch move
+  kSchedCplantEntriesScanned,   ///< core/cplant_scheduler.cpp: queue entries its passes read
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
   kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit, reserve, proofs)
   kProfileFitSteps,             ///< core/profile.cpp: profile steps those scans advanced

@@ -94,9 +94,6 @@ class SwfStreamReader {
   std::size_t read_chunk(std::vector<Job>& out, std::size_t max_records);
   bool done() const { return done_; }
 
-  /// 1-based number of the last line read.
-  std::size_t line() const { return line_; }
-
   // Counters over everything scanned so far; final once done().
   std::size_t total_records() const { return total_records_; }
   std::size_t skipped_records() const { return skipped_records_; }
@@ -112,7 +109,7 @@ class SwfStreamReader {
   SwfReadOptions options_;
   std::string origin_;
   bool done_ = false;
-  std::size_t line_ = 0;
+  std::size_t line_ = 0;  ///< 1-based number of the last line read
   std::size_t total_records_ = 0;
   std::size_t skipped_records_ = 0;
   std::size_t filtered_records_ = 0;

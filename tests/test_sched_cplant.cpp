@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
@@ -188,6 +191,43 @@ TEST(CplantScheduler, InvariantsOnRandomTrace) {
   const SimulationResult r = run_cplant(w);
   test::expect_no_overallocation(r);
   test::expect_complete_and_causal(r);
+}
+
+/// A context whose running jobs are set by hand, so they can disagree with
+/// the jobs the scheduler started.
+class HandSetContext final : public SchedulerContext {
+ public:
+  Time now() const override { return 0; }
+  NodeCount total_nodes() const override { return 8; }
+  NodeCount free_nodes() const override { return 8 - 2 * static_cast<NodeCount>(running_.size()); }
+  const Job& job(JobId id) const override { return jobs_.at(static_cast<std::size_t>(id)); }
+  const std::vector<RunningView>& running() const override { return running_; }
+  double user_usage(UserId) const override { return 0.0; }
+  double mean_positive_usage() const override { return 0.0; }
+
+  std::vector<Job> jobs_;
+  std::vector<RunningView> running_;
+};
+
+TEST(CplantScheduler, RunningJobsItDidNotStartThrow) {
+  HandSetContext context;
+  Job job = make_job(0, 100, 2);
+  job.id = 0;
+  context.jobs_.push_back(job);
+  CplantScheduler scheduler(CplantConfig{});
+  scheduler.attach(context);
+  scheduler.on_submit(0);
+  // A running job the scheduler never started: its index has none.
+  context.running_.push_back({7, 2, 0, 100});
+  std::vector<JobId> starts;
+  EXPECT_THROW(scheduler.collect_starts(starts), std::logic_error);
+  EXPECT_THROW(scheduler.on_complete(7), std::logic_error);
+  // Once the context agrees, job 0 starts; the context then forgets it.
+  context.running_.clear();
+  scheduler.collect_starts(starts);
+  ASSERT_EQ(starts, std::vector<JobId>{0});
+  starts.clear();
+  EXPECT_THROW(scheduler.collect_starts(starts), std::logic_error);
 }
 
 }  // namespace

@@ -534,6 +534,35 @@ Workload grid_burst(std::size_t jobs) {
   return w;
 }
 
+/// A burst on a 60 s grid behind a blocked starvation head: many jobs run
+/// a few minutes past their wcl, so several over-run at once and their
+/// assumed ends tie at now + 300 (often with a job inside its estimate
+/// ending there too) while others are still inside theirs; grid ends tie
+/// at the head's reservation. Widths are narrow {1, 2} or wide {10..20}:
+/// a narrow job starting behind the head drops `room` below every width
+/// left in the starvation queue mid-scan.
+Workload overrun_tie_burst(std::size_t jobs) {
+  util::Rng rng(9090);
+  WorkloadBuilder b;
+  b.system_size = 32;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(rng.uniform_int(0, 5));
+    job.submit = 60 * rng.uniform_int(0, 300);
+    job.nodes = static_cast<NodeCount>(rng.uniform_int(0, 1) == 0 ? rng.uniform_int(1, 2)
+                                                                 : rng.uniform_int(10, 20));
+    job.wcl = 60 * rng.uniform_int(2, 40);
+    job.runtime = rng.uniform_int(0, 4) < 2 ? job.wcl + 60 * rng.uniform_int(1, 12)
+                                            : 60 * rng.uniform_int(1, job.wcl / 60);
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
 TEST(SchedulerDeterminism, CplantMatchesProfileBasedBackfill) {
   const std::vector<PolicyConfig> policies = cplant_twin_policies();
   std::vector<Workload> workloads;
@@ -544,6 +573,7 @@ TEST(SchedulerDeterminism, CplantMatchesProfileBasedBackfill) {
   workloads.push_back(nested_shape_burst(300));
   workloads.push_back(overrun_burst(400));
   workloads.push_back(grid_burst(300));
+  workloads.push_back(overrun_tie_burst(400));
   for (const Workload& w : workloads)
     for (const PolicyConfig& policy : policies) run_and_compare_cplant(w, policy);
 }
@@ -557,12 +587,14 @@ TEST(SchedulerDeterminism, CplantMatchesProfileBasedBackfillUnderLimitsAndKills)
   const Workload small = workload::generate_small_workload(41, 300, 64, days(7));
   const Workload overruns = overrun_burst(400);
   const Workload grid = grid_burst(300);
+  const Workload ties = overrun_tie_burst(300);
   for (const PolicyConfig& policy : policies) {
     run_and_compare_cplant(small, policy, limited);
     run_and_compare_cplant(small, policy, killing);
     run_and_compare_cplant(overruns, policy, killing);
     run_and_compare_cplant(grid, policy, limited);
     run_and_compare_cplant(grid, policy, killing);
+    run_and_compare_cplant(ties, policy, killing);
   }
 }
 

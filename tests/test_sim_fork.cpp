@@ -80,6 +80,29 @@ TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
   }
 }
 
+// CPlant forks clone the scheduler's index of running ends and its queue
+// bounds mid-run. On a 32-node machine with a 1-hour starvation delay, most
+// invocations walk to a blocked starvation head's reservation, many of
+// them past over-running jobs.
+TEST(PolicyFstFork, CplantForksMatchNaiveBehindAStarvationHead) {
+  const PolicyFstOptions serial{.parallel = false};
+  const Workload w =
+      with_underestimates(workload::generate_small_workload(41, 120, 32, days(1)));
+  std::vector<PolicyConfig> policies = {paper_policy(PaperPolicy::Cplant24NomaxAll),
+                                        paper_policy(PaperPolicy::Cplant24NomaxFair)};
+  for (PolicyConfig policy : {policies[0], policies[1]}) {
+    policy.starvation_delay = hours(1);
+    policies.push_back(policy);
+  }
+  for (const PolicyConfig& policy : policies) {
+    EngineConfig config;
+    config.policy = policy;
+    EXPECT_EQ(policy_no_later_arrivals_fst_naive(w, config, serial),
+              policy_no_later_arrivals_fst(w, config, serial))
+        << policy.display_name() << " delay " << policy.starvation_delay;
+  }
+}
+
 // Forks are independent, so draining them on the pool must be untraceably
 // different from draining them inline (one integer write per fork, each to
 // its own slot). Large enough to roll over several fork batches.

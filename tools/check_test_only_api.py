@@ -22,7 +22,11 @@ The scan is token-level, with comments and string literals stripped:
     declarations that share a name share their uses. A function only counts
     as used where the name is called or passed as a value (`name(`,
     `f(a, name)`, `&name`), so a variable or field of the same name does not
-    hide it; a constructor is covered by its class.
+    hide it. A member function counts only where it is called or its address
+    is taken (`name(`, `&Class::name`): a local of the same name passed as a
+    value (`std::move(name)`, `getline(in, name)`) does not keep it alive. A
+    constructor is covered by its class, and the names in its member
+    initializer list (`) : a(x), b(y)`) are uses, not declarations.
 
 Test-support names that stay on purpose are listed in the allowlist, one
 `key  reason` per line (`#` starts a comment); the reason is mandatory. An
@@ -122,10 +126,11 @@ class Scan:
     """Declarations, declaration sites and uses in one source file."""
 
     def __init__(self, path, is_header):
-        self.declared = []  # (qualified key, is a function)
+        self.declared = []  # (qualified key, is a function, is a member function)
         self.decl_sites = {}  # bare name -> count
         self.uses = {}  # bare name -> count
         self.calls = {}  # bare name -> uses that can name a function
+        self.member_refs = {}  # bare name -> calls and `&Class::name` uses
         with open(path, encoding="utf-8", errors="replace") as handle:
             text = strip_comments_and_strings(handle.read())
         code = []
@@ -133,48 +138,64 @@ class Scan:
             if directive:
                 for tok in TOKEN_RE.findall(define_body):
                     if re.match(r"[A-Za-z_]", tok) and tok not in KEYWORDS:
-                        self._use(tok, call=True)
+                        self._use(tok, call=True, member_ref=True)
             else:
                 code.append(line)
         self._walk(TOKEN_RE.findall("\n".join(code)), is_header)
 
-    def _use(self, name, call):
+    def _use(self, name, call, member_ref):
         self.uses[name] = self.uses.get(name, 0) + 1
         if call:
             self.calls[name] = self.calls.get(name, 0) + 1
+        if member_ref:
+            self.member_refs[name] = self.member_refs.get(name, 0) + 1
+
+    @staticmethod
+    def _address_of_member(toks, i):
+        """True when toks[i] ends a qualified name whose address is taken: `&A::B::name`."""
+        j = i
+        while j >= 2 and toks[j - 1] == "::" and re.match(r"[A-Za-z_]", toks[j - 2]):
+            j -= 2
+        return j < i and j >= 1 and toks[j - 1] == "&"
 
     def _walk(self, toks, is_header):
-        # Each open brace is a scope (namespace/class/enum, name or None) or
-        # a body (function body, initializer, lambda): ("body", None).
+        # Each open brace is a scope (namespace/class/enum, name or None,
+        # whether it is a class) or a body (function body, initializer,
+        # lambda): ("body", None, False).
         braces = []
         statement = []  # tokens since the last ; { } at this level
         parens = angles = 0
+        init_list = False  # inside a constructor's `) : a(x), b(y)`
         in_body = 0
         n = len(toks)
         for i, tok in enumerate(toks):
             if tok == "{":
                 kind = self._scope_of(statement) if not in_body else None
-                braces.append(kind or ("body", None))
+                braces.append(kind or ("body", None, False))
                 if not kind:
                     in_body += 1
-                statement, parens, angles = [], 0, 0
+                statement, parens, angles, init_list = [], 0, 0, False
                 continue
             if tok == "}":
                 if braces and braces.pop()[0] == "body":
                     in_body -= 1
-                statement, parens, angles = [], 0, 0
+                statement, parens, angles, init_list = [], 0, 0, False
                 continue
             if tok == ";":
-                statement, parens, angles = [], 0, 0
+                statement, parens, angles, init_list = [], 0, 0, False
                 continue
             statement.append(tok)
             prev = toks[i - 1] if i else ""
             nxt = toks[i + 1] if i + 1 < n else ""
             call = nxt == "(" or (prev in VALUE_BEFORE and nxt in VALUE_AFTER)
+            address_of_member = self._address_of_member(toks, i)
+            member_ref = nxt == "(" or address_of_member
             if in_body:
                 if re.match(r"[A-Za-z_]", tok) and tok not in KEYWORDS:
-                    self._use(tok, call)
+                    self._use(tok, call, member_ref)
                 continue
+            if tok == ":" and parens == 0 and prev in (")", "noexcept"):
+                init_list = True
             if tok == "(":
                 parens += 1
             elif tok == ")":
@@ -188,20 +209,22 @@ class Scan:
             if not re.match(r"[A-Za-z_]", tok) or tok in KEYWORDS:
                 continue
             if prev in ("operator", "~", ".", "->"):
-                self._use(tok, call)
+                self._use(tok, call, member_ref)
                 continue
-            declarator = parens == 0 and angles == 0 and nxt in DECLARATOR_FOLLOWERS
+            declarator = (not init_list and not address_of_member and parens == 0
+                          and angles == 0 and nxt in DECLARATOR_FOLLOWERS)
             qualified_def = (not is_header and parens == 0 and angles == 0 and nxt == "::"
                              and self._at_namespace_scope(braces))
             if declarator and (prev != "::" or not is_header):
                 self.decl_sites[tok] = self.decl_sites.get(tok, 0) + 1
                 constructor = bool(braces) and braces[-1][1] == tok
                 if is_header and prev != "::" and not constructor:
-                    self.declared.append((self._key(braces, tok), nxt == "("))
+                    member = nxt == "(" and bool(braces) and braces[-1][2]
+                    self.declared.append((self._key(braces, tok), nxt == "(", member))
             elif qualified_def:
                 self.decl_sites[tok] = self.decl_sites.get(tok, 0) + 1
             else:
-                self._use(tok, call)
+                self._use(tok, call, member_ref)
 
     @staticmethod
     def _scope_of(statement):
@@ -215,7 +238,7 @@ class Scan:
                     break
             words = words[j + 1:]
         if words[:1] == ["extern"]:
-            return ("namespace", None)
+            return ("namespace", None, False)
         if not words or words[0] not in SCOPE_KEYWORDS:
             return None
         if "=" in words or "(" in words:
@@ -223,18 +246,18 @@ class Scan:
         names = [t for t in words[1:] if re.match(r"[A-Za-z_]", t)
                  and t not in KEYWORDS]
         if words[0] == "enum":
-            return ("enum", names[0] if names else None)
+            return ("enum", names[0] if names else None, False)
         if words[0] == "namespace":  # namespace a::b {
-            return ("scope", "::".join(names) or None)
-        return ("scope", names[0] if names else None)
+            return ("scope", "::".join(names) or None, False)
+        return ("scope", names[0] if names else None, True)
 
     @staticmethod
     def _at_namespace_scope(braces):
-        return all(kind == "scope" for kind, _ in braces)
+        return all(kind == "scope" for kind, _, _ in braces)
 
     @staticmethod
     def _key(braces, name):
-        key = "::".join([scope for _, scope in braces if scope] + [name])
+        key = "::".join([scope for _, scope, _ in braces if scope] + [name])
         return key[len("psched::"):] if key.startswith("psched::") else key
 
 
@@ -250,8 +273,8 @@ def source_files(root, dirs):
 
 def test_only_keys(root):
     """(declared keys, the test-only subset)."""
-    declared = {}  # key -> (bare name, is a function)
-    decl_sites, uses, calls, test_uses = {}, {}, {}, {}
+    declared = {}  # key -> (bare name, is a function, is a member function)
+    decl_sites, uses, calls, member_refs, test_uses = {}, {}, {}, {}, {}
 
     def add(table, counts):
         for name, count in counts.items():
@@ -261,25 +284,28 @@ def test_only_keys(root):
         in_src = os.path.relpath(path, root).startswith("src" + os.sep)
         scan = Scan(path, is_header=path.endswith(".hpp"))
         if in_src:
-            for key, function in scan.declared:
-                declared[key] = (key.rsplit("::", 1)[-1], function)
+            for key, function, member in scan.declared:
+                declared[key] = (key.rsplit("::", 1)[-1], function, member)
             add(decl_sites, scan.decl_sites)
         else:  # outside src/ a declaration is a user of what it names
             add(uses, scan.decl_sites)
         add(uses, scan.uses)
         add(calls, scan.calls)
+        add(member_refs, scan.member_refs)
     for path in source_files(root, TEST_DIRS):
         scan = Scan(path, is_header=False)
         add(test_uses, scan.uses)
         add(test_uses, scan.decl_sites)
 
-    def used(name, function):
-        # A function is used where it is called or passed; a variable or
-        # field of the same name elsewhere does not keep it alive.
-        return (calls if function else uses).get(name, 0) > 0
+    def used(name, function, member):
+        # A function is used where it is called or passed, a member function
+        # where it is called or its address is taken; a variable or field of
+        # the same name elsewhere does not keep either alive.
+        table = member_refs if member else calls if function else uses
+        return table.get(name, 0) > 0
 
-    return declared, {key for key, (name, function) in declared.items()
-                      if test_uses.get(name) and not used(name, function)}
+    return declared, {key for key, (name, function, member) in declared.items()
+                      if test_uses.get(name) and not used(name, function, member)}
 
 
 def read_allowlist(path):

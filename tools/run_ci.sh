@@ -22,8 +22,8 @@
 #        to SWF and replayed once through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget, with --stats, failing
 #        if a deterministic count (events, scheduler invocations, profile fit
-#        calls and steps, forks, drained and master-resolved forks) grows
-#        past bench/campaigns/archive_smoke.counts
+#        calls and steps, CPlant queue entries read, forks, drained and
+#        master-resolved forks) grows past bench/campaigns/archive_smoke.counts
 #     9. a work-count gate: the conservative pair on a deep queue
 #        (bench/campaigns/cons_deep_queue.spec) with --stats, failing if a
 #        deterministic count (events, snapshot entries, full/incremental
