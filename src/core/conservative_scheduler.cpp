@@ -95,7 +95,13 @@ void ConservativeScheduler::seat(Entry& entry, Time from) {
 void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now, std::size_t reordered) {
   FitFloor floor(now);
   Time freed = freed_horizon_;  // frees ahead of the next seat end by here
-  for (std::size_t i = first; i < queue_.size(); ++i) {
+  Time wake = kUnbounded;       // the earliest seat after now so far
+  for (std::size_t i = 0; i < first; ++i)
+    if (queue_[i].reservation > now) wake = std::min(wake, queue_[i].reservation);
+  frontiers_.points.clear();
+  std::size_t i = first;
+  for (; i < queue_.size(); ++i) {
+    if ((i - first) % kCutStride == 0 && wake != kUnbounded && suffix_waits(i, now, wake)) break;
     Entry& entry = queue_[i];
     const Time old = entry.reservation;
     const Time from = floor.floor(entry);
@@ -107,8 +113,55 @@ void ConservativeScheduler::seat_all_from_now(std::size_t first, Time now, std::
       if (entry.reservation != old) freed = std::max(freed, old + entry.wcl);
     }
     floor.record(entry);
+    if (entry.reservation > now) wake = std::min(wake, entry.reservation);
+  }
+  for (std::size_t k = i; k < queue_.size(); ++k) queue_[k].reservation = kNoTime;
+  if (obs::armed()) {
+    obs::count(obs::Counter::kSchedDynamicSeats, i - first);
+    obs::count(obs::Counter::kSchedDynamicUnseated, queue_.size() - i);
   }
   freed_horizon_ = kNothingFreed;
+}
+
+bool ConservativeScheduler::suffix_waits(std::size_t i, Time now, Time wake) {
+  SuffixFrontiers& f = frontiers_;
+  if (f.points.empty()) {
+    // One backward pass from the queue's end to this loop's first check
+    // point i, keeping the running frontier as a staircase (nodes
+    // ascending, wcl strictly descending) and copying it out at each check
+    // point.
+    f.from = i;
+    f.shapes.clear();
+    f.stair.clear();
+    std::vector<Shape>& stair = f.stair;
+    for (std::size_t j = queue_.size(); j-- > i;) {
+      const Shape shape{queue_[j].wcl, queue_[j].nodes};
+      // The shortest shape no wider than it comes last among those.
+      std::size_t k = 0;
+      while (k < stair.size() && stair[k].nodes <= shape.nodes) ++k;
+      if (k == 0 || stair[k - 1].wcl > shape.wcl) {  // not dominated
+        const std::size_t lo = k > 0 && stair[k - 1].nodes == shape.nodes ? k - 1 : k;
+        std::size_t hi = lo;
+        while (hi < stair.size() && stair[hi].wcl >= shape.wcl) ++hi;  // shapes it dominates
+        const auto at = stair.begin() + static_cast<std::ptrdiff_t>(lo);
+        if (lo == hi) {
+          stair.insert(at, shape);
+        } else {
+          *at = shape;
+          stair.erase(at + 1, stair.begin() + static_cast<std::ptrdiff_t>(hi));
+        }
+      }
+      if ((j - i) % kCutStride != 0) continue;
+      f.points.push_back({f.shapes.size(), f.shapes.size() + stair.size()});
+      f.shapes.insert(f.shapes.end(), stair.begin(), stair.end());
+    }
+  }
+  const auto [begin, end] = f.points[f.points.size() - 1 - (i - f.from) / kCutStride];
+  for (std::size_t k = end; k-- > begin;) {  // widest first
+    const Shape& shape = f.shapes[k];
+    if (plan_->earliest_fit_before(now, wake, shape.wcl, shape.nodes, kUnbounded)) return false;
+  }
+  return true;
 }
 
 void ConservativeScheduler::seed_plan(Time now) {
@@ -238,11 +291,13 @@ void ConservativeScheduler::incremental_replan(Time now, std::size_t reordered, 
       prefix = 0;
       while (prefix < size && queue_[prefix].reservation != kNoTime) ++prefix;
     }
-    if (prefix * 2 < size) {  // mostly reshuffled: rebuild is cheaper
+    // The seated entries past the prefix are exactly the old plan's suffix.
+    std::size_t lifted = 0;
+    for (std::size_t i = prefix; i < size; ++i) lifted += queue_[i].reservation != kNoTime;
+    if (prefix < lifted) {  // mostly reshuffled: rebuild is cheaper
       rebuild(obs::Counter::kSchedReplanFullReshuffle);
       return;
     }
-    // The seated entries past the prefix are exactly the old plan's suffix.
     for (std::size_t i = prefix; i < size; ++i) {
       const Entry& entry = queue_[i];
       if (entry.reservation != kNoTime)
@@ -324,6 +379,7 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   NodeCount free = ctx().free_nodes();
   std::optional<Time> wake;
   queue_.retain([&](const Entry& entry) {
+    if (entry.reservation == kNoTime) return true;  // cut: seats after the wakeup
     if (entry.reservation > now) {
       if (!wake || entry.reservation < *wake) wake = entry.reservation;
       return true;

@@ -34,6 +34,8 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"scheduler.replan_full.rebuild", true},
     {"scheduler.replan_incremental", true},
     {"scheduler.compress.reseats", true},
+    {"scheduler.dynamic.seats", true},
+    {"scheduler.dynamic.unseated", true},
     {"scheduler.priority_resorts", true},
     {"scheduler.cplant.entries_scanned", true},
     {"profile.gap_index.probes", true},

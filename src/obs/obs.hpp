@@ -54,6 +54,8 @@ enum class Counter : std::size_t {
   kSchedReplanFullRebuild,      ///< ... because the plan was invalid (first, stale, unknown job)
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kSchedCompressReseats,        ///< core/conservative_scheduler.cpp: seats compression moved
+  kSchedDynamicSeats,           ///< core/conservative_scheduler.cpp: reserve calls of dynamic loops
+  kSchedDynamicUnseated,        ///< ... entries those loops left unseated by the cut proof
   kSchedPriorityResorts,        ///< core/scheduler.cpp: policy WaitQueue re-sorts after an epoch move
   kSchedCplantEntriesScanned,   ///< core/cplant_scheduler.cpp: queue entries its passes read
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "core/cplant_scheduler.hpp"
 #include "core/policy.hpp"
 #include "core/scheduler.hpp"
+#include "obs/obs.hpp"
 #include "oracles/priority_order.hpp"
 #include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
@@ -656,6 +658,188 @@ TEST(SchedulerDeterminism, ChainedSegments) {
   config.segment_arrival = sim::SegmentArrival::Chained;
   const Workload w = workload::generate_small_workload(61, 250, 64, days(7));
   run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);
+}
+
+/// One shape of job stream for the cut tests: `count` jobs of `user`
+/// submitted uniformly in [from, to), width in [1, max_nodes], wcl in [60,
+/// max_wcl] seconds, and runtime the wcl times a factor drawn from
+/// [lo_pct, hi_pct] percent (above 100 runs past the estimate).
+struct Stream {
+  UserId user;
+  std::size_t count;
+  Time from;
+  Time to;
+  NodeCount max_nodes;
+  Time max_wcl;
+  std::int64_t lo_pct;
+  std::int64_t hi_pct;
+};
+
+Workload streams_workload(std::uint64_t seed, NodeCount system_size,
+                          std::initializer_list<Stream> streams) {
+  util::Rng rng(seed);
+  WorkloadBuilder b;
+  b.system_size = system_size;
+  for (const Stream& stream : streams) {
+    for (std::size_t i = 0; i < stream.count; ++i) {
+      Job job;
+      job.id = static_cast<JobId>(b.jobs.size());
+      job.user = stream.user;
+      job.submit = rng.uniform_int(stream.from, stream.to - 1);
+      job.nodes = static_cast<NodeCount>(rng.uniform_int(1, stream.max_nodes));
+      job.wcl = rng.uniform_int(60, stream.max_wcl);
+      job.runtime = std::max<Time>(1, job.wcl * rng.uniform_int(stream.lo_pct, stream.hi_pct) / 100);
+      b.jobs.push_back(job);
+    }
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+/// `counter` after one armed optimized run of `w` under `config`: shows
+/// that a case reaches the state it is named for.
+std::uint64_t counted(const Workload& w, sim::EngineConfig config, obs::Counter counter) {
+  obs::reset();
+  obs::arm();
+  sim::simulate(w, config);
+  const std::uint64_t value = obs::counter_value(counter);
+  obs::reset();
+  return value;
+}
+
+sim::EngineConfig dynamic_config(PriorityKind priority, sim::EngineConfig config = {}) {
+  config.policy.kind = PolicyKind::ConservativeDynamic;
+  config.policy.priority = priority;
+  return config;
+}
+
+// Dynamic seating loops stop once no entry left can start before the next
+// wakeup, leaving a tail of the queue unseated. The cases below drive the
+// states that cut creates against the seed algorithm.
+
+TEST(SchedulerDeterminism, HighPriorityArrivalAheadOfAnUnseatedTail) {
+  // One user floods a 32-node machine in the first ten minutes; three light
+  // users trickle in over the next six hours. Usage is published every 30
+  // minutes, so once the heavy user's usage counts, every light job is
+  // binary-inserted ahead of the flood's unseated tail (and often ahead of
+  // its seated prefix too), and it may start at once or move the wakeup.
+  const Workload w = streams_workload(
+      101, 32,
+      {{0, 160, 0, 600, 16, 7200, 40, 100}, {1, 25, 600, 6 * 3600, 4, 1800, 50, 100},
+       {2, 25, 600, 6 * 3600, 8, 3600, 50, 100}, {3, 25, 600, 6 * 3600, 2, 900, 50, 100}});
+  sim::EngineConfig config;
+  config.fairshare_period = minutes(30);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
+  EXPECT_GT(counted(w, dynamic_config(PriorityKind::Fairshare, config),
+                    obs::Counter::kSchedDynamicUnseated),
+            0u);
+}
+
+TEST(SchedulerDeterminism, FairshareResortAfterACut) {
+  // Four users submit comparable floods; a publish every 10 minutes
+  // re-sorts the queue while a tail of it is unseated, so unseated entries
+  // move ahead of seated ones and seated ones behind unseated ones.
+  const Workload w = streams_workload(
+      202, 48,
+      {{0, 60, 0, 3600, 24, 5400, 30, 100}, {1, 60, 0, 3600, 12, 5400, 30, 100},
+       {2, 60, 0, 3600, 6, 5400, 30, 100}, {3, 60, 0, 3600, 48, 5400, 30, 100}});
+  sim::EngineConfig config;
+  config.fairshare_period = minutes(10);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
+  const sim::EngineConfig dynamic = dynamic_config(PriorityKind::Fairshare, config);
+  EXPECT_GT(counted(w, dynamic, obs::Counter::kSchedDynamicUnseated), 0u);
+  EXPECT_GT(counted(w, dynamic, obs::Counter::kSchedPriorityResorts), 10u);
+}
+
+TEST(SchedulerDeterminism, OverrunGrowthBesideACutPlan) {
+  // Narrow jobs run up to 3x past their estimate beside a deep queue of
+  // wide ones: their tails grow in place beside the seated prefix while the
+  // rest of the queue is unseated, and sometimes collide with a seat.
+  const Workload w = streams_workload(
+      303, 32,
+      {{0, 40, 0, 3600, 2, 1800, 150, 300}, {1, 80, 0, 3600, 16, 3600, 30, 100},
+       {2, 80, 0, 3600, 24, 3600, 30, 100}});
+  sim::EngineConfig config;
+  config.wcl_enforcement = sim::WclEnforcement::Never;
+  for (const PriorityKind priority : {PriorityKind::Fairshare, PriorityKind::Fcfs})
+    run_and_compare(w, /*dynamic=*/true, priority, config);
+  EXPECT_GT(counted(w, dynamic_config(PriorityKind::Fcfs, config),
+                    obs::Counter::kSchedDynamicUnseated),
+            0u);
+}
+
+TEST(SchedulerDeterminism, CompletionRebuildAfterACut) {
+  // Jobs finish after 5-30% of their estimate, so nearly every completion
+  // frees future capacity and forces a full dynamic rebuild, from a queue
+  // whose tail the previous loop left unseated.
+  const Workload w = streams_workload(
+      404, 64,
+      {{0, 120, 0, 1800, 32, 7200, 5, 30}, {1, 120, 0, 1800, 8, 7200, 5, 30},
+       {2, 60, 0, 1800, 64, 3600, 5, 30}});
+  for (const PriorityKind priority : {PriorityKind::Fairshare, PriorityKind::Fcfs})
+    run_and_compare(w, /*dynamic=*/true, priority);
+  const sim::EngineConfig dynamic = dynamic_config(PriorityKind::Fcfs);
+  EXPECT_GT(counted(w, dynamic, obs::Counter::kSchedDynamicUnseated), 0u);
+  EXPECT_GT(counted(w, dynamic, obs::Counter::kSchedReplanFullCompletion), 0u);
+}
+
+/// A small random workload for the randomized differential test: 10-80
+/// jobs from 1-6 users on 8-64 nodes, submitted in one burst or spread
+/// over up to a day, with widths narrow or up to the whole machine, wcls
+/// on a minute grid or not, and runtimes from a tenth of the wcl to three
+/// times it.
+Workload random_workload(util::Rng& rng) {
+  constexpr NodeCount kSizes[] = {8, 16, 32, 64};
+  WorkloadBuilder b;
+  b.system_size = kSizes[rng.uniform_int(0, 3)];
+  const std::size_t jobs = static_cast<std::size_t>(rng.uniform_int(10, 80));
+  const Time span = rng.flip(0.5) ? rng.uniform_int(1, 3600) : rng.uniform_int(3600, days(1));
+  const std::int64_t users = rng.uniform_int(1, 6);
+  const bool grid = rng.flip(0.5);
+  const std::int64_t overrun_pct = rng.uniform_int(0, 2) * 20;  // share past the wcl
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job job;
+    job.id = static_cast<JobId>(i);
+    job.user = static_cast<UserId>(rng.uniform_int(0, users - 1));
+    job.submit = rng.uniform_int(0, span);
+    job.nodes = static_cast<NodeCount>(
+        rng.flip(0.6) ? rng.uniform_int(1, std::max<NodeCount>(1, b.system_size / 8))
+                      : rng.uniform_int(1, b.system_size));
+    job.wcl = grid ? 60 * rng.uniform_int(1, 120) : rng.uniform_int(30, 7200);
+    job.runtime = rng.uniform_int(0, 99) < overrun_pct
+                      ? job.wcl + rng.uniform_int(1, 2 * job.wcl)
+                      : std::max<Time>(1, rng.uniform_int(job.wcl / 10, job.wcl));
+    b.jobs.push_back(job);
+  }
+  b.normalize();
+  Workload w = b.build();
+  w.validate();
+  return w;
+}
+
+TEST(SchedulerDeterminism, RandomizedDynamicWorkloads) {
+  // 200 seeded random workloads, each under Fairshare and Fcfs priority,
+  // with the publish period and WCL enforcement drawn too.
+  util::Rng rng(4242);
+  obs::reset();
+  obs::arm();
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    const Workload w = random_workload(rng);
+    sim::EngineConfig config;
+    constexpr Time kPeriods[] = {minutes(1), minutes(20), hours(6), days(1)};
+    config.fairshare_period = kPeriods[rng.uniform_int(0, 3)];
+    config.wcl_enforcement =
+        rng.flip(0.5) ? sim::WclEnforcement::Never : sim::WclEnforcement::KillIfNeeded;
+    for (const PriorityKind priority : {PriorityKind::Fairshare, PriorityKind::Fcfs})
+      run_and_compare(w, /*dynamic=*/true, priority, config);
+    if (HasFatalFailure()) break;
+  }
+  const std::uint64_t unseated = obs::counter_value(obs::Counter::kSchedDynamicUnseated);
+  obs::reset();
+  EXPECT_GT(unseated, 0u);
 }
 
 }  // namespace

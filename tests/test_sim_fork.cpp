@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "oracles/policy_fst_naive.hpp"
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
@@ -100,6 +101,29 @@ TEST(PolicyFstFork, CplantForksMatchNaiveBehindAStarvationHead) {
     EXPECT_EQ(policy_no_later_arrivals_fst_naive(w, config, serial),
               policy_no_later_arrivals_fst(w, config, serial))
         << policy.display_name() << " delay " << policy.starvation_delay;
+  }
+}
+
+// Dynamic conservative leaves the tail of a deep queue unseated when no
+// entry in it can start before the next wakeup, so most forks here clone a
+// queue with unseated entries and a plan that holds only the seated ones.
+// A 90-job burst on 16 nodes keeps the queue deep for hours.
+TEST(PolicyFstFork, ConsdynForksCloneUnseatedEntries) {
+  const PolicyFstOptions serial{.parallel = false};
+  const Workload w = workload::generate_small_workload(31, 90, 16, hours(2));
+  for (const PriorityKind priority : {PriorityKind::Fairshare, PriorityKind::Fcfs}) {
+    EngineConfig config;
+    config.policy.kind = PolicyKind::ConservativeDynamic;
+    config.policy.priority = priority;
+    config.fairshare_period = minutes(30);
+    const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config, serial);
+    obs::reset();
+    obs::arm();
+    const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config, serial);
+    const std::uint64_t unseated = obs::counter_value(obs::Counter::kSchedDynamicUnseated);
+    obs::reset();
+    EXPECT_EQ(naive, forked) << "priority " << static_cast<int>(priority);
+    EXPECT_GT(unseated, 0u) << "priority " << static_cast<int>(priority);
   }
 }
 
