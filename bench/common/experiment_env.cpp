@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <utility>
 
 #include "scenario/campaign.hpp"
 #include "util/parse.hpp"
@@ -77,20 +76,6 @@ void print_header(const std::string& experiment_id, const std::string& what,
             << "# trace: " << trace.jobs.size() << " jobs, " << trace.system_size
             << " nodes, scale " << bench_scale() << ", synthetic CPlant/Ross\n"
             << "==================================================================\n";
-}
-
-std::vector<metrics::PolicyReport> run_policies(const std::vector<PolicyConfig>& policies) {
-  // No concurrency level in the header: stdout must byte-diff clean across
-  // --jobs values and hosts (the verification contract for the sweep).
-  std::cout << "# sweeping " << policies.size() << " policies:";
-  for (const PolicyConfig& policy : policies) std::cout << ' ' << policy.display_name();
-  std::cout << '\n' << std::flush;
-
-  std::vector<sim::ExperimentResult> results = runner().run_all(policies, jobs());
-  std::vector<metrics::PolicyReport> reports;
-  reports.reserve(results.size());
-  for (sim::ExperimentResult& result : results) reports.push_back(std::move(result.report));
-  return reports;
 }
 
 }  // namespace psched::bench

@@ -1,6 +1,9 @@
 #pragma once
-// Shared environment for the table/figure experiment binaries: the synthetic
-// CPlant/Ross trace, a shared experiment runner, and uniform report headers.
+// Shared environment for the experiment binaries that no campaign spec can
+// express (the workload characterization of Figures 3-7 and Tables 1-2, and
+// four ablations): the synthetic CPlant/Ross trace, a shared experiment
+// runner, and uniform report headers. The policy figures and the knob
+// ablations are campaign specs in bench/figures/.
 //
 // Command-line flags (parsed by init(), shared by every binary):
 //   --jobs N   run up to N policy simulations concurrently (default: the
@@ -17,7 +20,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "metrics/report.hpp"
 #include "sim/experiment.hpp"
@@ -39,15 +41,11 @@ const sim::ExperimentRunner& runner();
 double bench_scale();
 
 /// The --jobs value (0 = global pool size), for binaries that sweep through
-/// runner().run_all themselves.
+/// runner().run_all.
 std::size_t jobs();
 
 /// Standard banner: experiment id, what the paper shows, what to expect.
 void print_header(const std::string& experiment_id, const std::string& what,
                   const std::string& paper_shape);
-
-/// Run the given policies through the shared runner — up to jobs() of them
-/// concurrently — and return their reports in order.
-std::vector<metrics::PolicyReport> run_policies(const std::vector<PolicyConfig>& policies);
 
 }  // namespace psched::bench

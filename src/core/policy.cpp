@@ -13,36 +13,27 @@ namespace psched {
 
 std::string PolicyConfig::display_name() const {
   if (!name.empty()) return name;
-  const std::string max_part = max_runtime == kNoTime
-                                   ? "nomax"
-                                   : std::to_string(max_runtime / hours(1)) + "max";
+  const std::string max_part =
+      max_runtime == kNoTime ? ".nomax" : "." + std::to_string(max_runtime / hours(1)) + "max";
+  const std::string fcfs_part = priority == PriorityKind::Fcfs ? ".fcfs" : "";
+  const std::string fairshare_part = priority == PriorityKind::Fcfs ? "" : ".fairshare";
+  // fcfs and easy leave an unlimited runtime out of their names.
+  const std::string limit_part = max_runtime == kNoTime ? "" : max_part;
   switch (kind) {
     case PolicyKind::Fcfs:
-      return priority == PriorityKind::Fcfs ? "fcfs" : "fcfs.fairshare";
+      return "fcfs" + fairshare_part + limit_part;
     case PolicyKind::Easy:
-      return priority == PriorityKind::Fcfs ? "easy" : "easy.fairshare";
-    case PolicyKind::Depth: {
-      std::string n = "depth" + std::to_string(reservation_depth);
-      if (priority == PriorityKind::Fcfs) n += ".fcfs";
-      return n + "." + max_part;
-    }
-    case PolicyKind::Cplant: {
-      if (starvation_delay == kNoTime) return "noguarantee." + max_part;
-      std::string n = "cplant" + std::to_string(starvation_delay / hours(1));
-      n += "." + max_part;
-      n += bar_heavy_users ? ".fair" : ".all";
-      return n;
-    }
-    case PolicyKind::Conservative: {
-      std::string n = "cons";
-      if (priority == PriorityKind::Fcfs) n += ".fcfs";
-      return n + "." + max_part;
-    }
-    case PolicyKind::ConservativeDynamic: {
-      std::string n = "consdyn";
-      if (priority == PriorityKind::Fcfs) n += ".fcfs";
-      return n + "." + max_part;
-    }
+      return "easy" + fairshare_part + limit_part;
+    case PolicyKind::Depth:
+      return "depth" + std::to_string(reservation_depth) + fcfs_part + max_part;
+    case PolicyKind::Cplant:
+      if (starvation_delay == kNoTime) return "noguarantee" + max_part;
+      return "cplant" + std::to_string(starvation_delay / hours(1)) + max_part +
+             (bar_heavy_users ? ".fair" : ".all");
+    case PolicyKind::Conservative:
+      return "cons" + fcfs_part + max_part;
+    case PolicyKind::ConservativeDynamic:
+      return "consdyn" + fcfs_part + max_part;
   }
   throw std::logic_error("PolicyConfig::display_name: unknown kind");
 }
@@ -176,19 +167,12 @@ std::optional<PolicyConfig> policy_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-std::vector<PolicyConfig> minor_change_policies() {
+std::vector<PolicyConfig> all_paper_policies() {
   return {paper_policy(PaperPolicy::Cplant24NomaxAll), paper_policy(PaperPolicy::Cplant24NomaxFair),
           paper_policy(PaperPolicy::Cplant72NomaxAll), paper_policy(PaperPolicy::Cplant24MaxAll),
-          paper_policy(PaperPolicy::Cplant72MaxFair)};
-}
-
-std::vector<PolicyConfig> all_paper_policies() {
-  std::vector<PolicyConfig> all = minor_change_policies();
-  all.push_back(paper_policy(PaperPolicy::ConsNomax));
-  all.push_back(paper_policy(PaperPolicy::ConsdynNomax));
-  all.push_back(paper_policy(PaperPolicy::ConsMax));
-  all.push_back(paper_policy(PaperPolicy::ConsdynMax));
-  return all;
+          paper_policy(PaperPolicy::Cplant72MaxFair),  paper_policy(PaperPolicy::ConsNomax),
+          paper_policy(PaperPolicy::ConsdynNomax),     paper_policy(PaperPolicy::ConsMax),
+          paper_policy(PaperPolicy::ConsdynMax)};
 }
 
 }  // namespace psched

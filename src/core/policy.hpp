@@ -83,9 +83,9 @@ PolicyConfig paper_policy(PaperPolicy policy);
 /// surface speaks the same vocabulary.
 std::optional<PolicyConfig> policy_from_name(const std::string& name);
 
-/// Figures 8-13 compare these five ("minor changes" group).
-std::vector<PolicyConfig> minor_change_policies();
-/// Figures 14-19 compare all nine.
+/// The nine paper policies in presentation order: the five "minor change"
+/// CPlant policies of Figures 8-13 first, then the conservative family
+/// Figures 14-19 add.
 std::vector<PolicyConfig> all_paper_policies();
 
 }  // namespace psched

@@ -1,6 +1,7 @@
 #include "metrics/selection.hpp"
 
-#include <algorithm>
+#include <functional>
+#include <map>
 #include <stdexcept>
 
 namespace psched::metrics {
@@ -49,17 +50,35 @@ constexpr NamedMetric kCatalog[] = {
     {"utilization", [](const PolicyReport& r) { return r.standard.utilization; }},
     {"loss_of_capacity", [](const PolicyReport& r) { return r.standard.loss_of_capacity; }},
 };
+
+using Getter = std::function<double(const PolicyReport&)>;
+
+// The catalog plus the per-width families of Figures 10/12/16/18:
+// avg_miss_w<k> and avg_turnaround_w<k> for each width category k of
+// core/categories.hpp, generated here so no bin is spelled out by hand.
+const std::map<std::string, Getter>& metrics_by_name() {
+  static const std::map<std::string, Getter> all = [] {
+    std::map<std::string, Getter> named;
+    for (const NamedMetric& metric : kCatalog) named.emplace(metric.name, metric.get);
+    for (std::size_t w = 0; w < static_cast<std::size_t>(kWidthCategories); ++w) {
+      named.emplace("avg_miss_w" + std::to_string(w),
+                    [w](const PolicyReport& r) { return r.fairness.avg_miss_by_width[w]; });
+      named.emplace("avg_turnaround_w" + std::to_string(w),
+                    [w](const PolicyReport& r) { return r.standard.avg_turnaround_by_width[w]; });
+    }
+    return named;
+  }();
+  return all;
+}
 }  // namespace
 
-bool is_metric_name(const std::string& name) {
-  return std::any_of(std::begin(kCatalog), std::end(kCatalog),
-                     [&](const NamedMetric& metric) { return metric.name == name; });
-}
+bool is_metric_name(const std::string& name) { return metrics_by_name().count(name) != 0; }
 
 double metric_value(const PolicyReport& report, const std::string& name) {
-  for (const NamedMetric& metric : kCatalog)
-    if (metric.name == name) return metric.get(report);
-  throw std::invalid_argument("metric_value: unknown metric '" + name + "'");
+  const auto it = metrics_by_name().find(name);
+  if (it == metrics_by_name().end())
+    throw std::invalid_argument("metric_value: unknown metric '" + name + "'");
+  return it->second(report);
 }
 
 }  // namespace psched::metrics

@@ -3,6 +3,9 @@
 // quantities a campaign records and aggregates. Every name maps to one scalar
 // of a PolicyReport, so a campaign cell reduces to a (name -> double) row
 // that the CSV/JSON results store and the bootstrap aggregator consume.
+// Besides the fixed catalog there are two per-width families, avg_miss_w<k>
+// and avg_turnaround_w<k>, one name per width category k of
+// core/categories.hpp (k = 0..10, no leading zeros).
 
 #include <string>
 

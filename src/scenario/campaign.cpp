@@ -121,6 +121,10 @@ CampaignPlan expand_campaign(const ScenarioSpec& spec) {
                   // dedup; always re-derive from the knobs.
                   cell.policy.name.clear();
                   cell.policy = normalize_irrelevant_knobs(cell.policy);
+                  cell.name = cell.policy.display_name();
+                  if (cell.policy.heavy_user_factor != PolicyConfig{}.heavy_user_factor)
+                    cell.name += "[heavy_user_factor=" +
+                                 format_round_trip_double(cell.policy.heavy_user_factor) + "]";
                   cell.key = cell_key(cell, spec.wcl_enforcement);
                   if (!seen_keys.insert(cell.key).second) continue;
                   cell.index = plan.cells.size();
@@ -412,6 +416,13 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     }
   }
 
+  // Reports carry their cell's name; the fairness and performance tables
+  // have no decay column, so a decay axis of several values joins it.
+  const bool tag_decay = spec.grid.decay.size() > 1;
+  for (std::size_t i = 0; i < n; ++i)
+    result.reports[i].policy =
+        result.plan.cells[i].name +
+        (tag_decay ? "[decay=" + format_round_trip_double(result.plan.cells[i].decay) + "]" : "");
   result.interrupted = options.stop.stop_requested();
   result.reports_complete =
       result.restored_cells == 0 &&
@@ -447,7 +458,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     const AggSlot& slot = slots[a];
     AggregateResult aggregate;
     const CampaignCell& first = result.cells[slot.cell_positions.front()].cell;
-    aggregate.policy = first.policy.display_name();
+    aggregate.policy = first.name;
     aggregate.decay = first.decay;
     aggregate.replicates = slot.cell_positions.size();
     const util::Rng agg_rng = bootstrap_base.fork(a);
@@ -472,7 +483,7 @@ void write_cells_csv(const CampaignResult& result, std::ostream& out) {
   for (const CellResult& cell : result.cells) {
     out << cell.cell.index << ',' << cell.cell.seed << ','
         << format_round_trip_double(cell.cell.decay) << ','
-        << wcl_name(result.spec.wcl_enforcement) << ',' << cell.cell.policy.display_name() << ','
+        << wcl_name(result.spec.wcl_enforcement) << ',' << cell.cell.name << ','
         << cell_status_name(cell.status);
     if (cell.status == CellStatus::Ok)
       for (const double value : cell.metrics) out << ',' << format_round_trip_double(value);
@@ -544,7 +555,7 @@ void write_summary_json(const CampaignResult& result, std::ostream& out) {
       const CellResult::Breakdown& b = cell.breakdown;
       const char* provenance = cell.restored ? "journal" : !b.collected ? "none" : "computed";
       out << "    {\"index\": " << cell.cell.index << ", \"policy\": \""
-          << json_escape(cell.cell.policy.display_name()) << "\", \"seed\": " << cell.cell.seed
+          << json_escape(cell.cell.name) << "\", \"seed\": " << cell.cell.seed
           << ", \"status\": \"" << cell_status_name(cell.status) << "\", \"provenance\": \""
           << provenance << "\", \"wall_seconds\": " << format_round_trip_double(b.wall_seconds)
           << ", \"events_delivered\": " << b.events_delivered

@@ -43,6 +43,7 @@ struct CampaignCell {
   std::uint64_t seed = 0;       ///< workload seed (Ross) / the single SWF slot
   double decay = 0.9;           ///< engine fairshare decay for this cell
   PolicyConfig policy;
+  std::string name;  ///< display name, + [heavy_user_factor=F] off the default
   std::string key;              ///< seed|decay|wcl|PolicyConfig::canonical_key()
 };
 
@@ -87,7 +88,7 @@ struct CellResult {
 
 /// One policy cell aggregated across the replicate seeds.
 struct AggregateResult {
-  std::string policy;   ///< display name
+  std::string policy;   ///< the cells' name (CampaignCell::name)
   double decay = 0.9;
   std::size_t replicates = 0;
   std::vector<util::BootstrapCi> metrics;  ///< spec.metrics order
@@ -102,7 +103,8 @@ struct CampaignResult {
   std::vector<AggregateResult> aggregates;
   /// Full per-cell reports (for figure-style tables); parallel to cells.
   /// Only meaningful when `reports_complete` — restored cells carry their
-  /// journaled metrics but no report, and non-Ok cells have none.
+  /// journaled metrics but no report, and non-Ok cells have none. `policy`
+  /// is the cell's name, + [decay=D] under a decay axis of several values.
   std::vector<metrics::PolicyReport> reports;
   bool reports_complete = false;
   /// True when the campaign-wide stop tripped (signal / wall budget) before

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 namespace psched {
 namespace {
 
@@ -31,6 +33,18 @@ TEST(PolicyConfig, DerivedNamesForLibraryPolicies) {
   c.kind = PolicyKind::Conservative;
   c.max_runtime = hours(48);
   EXPECT_EQ(c.display_name(), "cons.fcfs.48max");
+}
+
+// The engine-level runtime limit applies to every kind, so fcfs and easy
+// name it too; without it a max_runtime grid axis over `easy` would print
+// two rows called "easy". Unlimited, they keep their policy_from_name names.
+TEST(PolicyConfig, FcfsAndEasyNameTheirRuntimeLimit) {
+  for (const char* name : {"fcfs", "fcfs.fairshare", "easy", "easy.fairshare"}) {
+    PolicyConfig c = *policy_from_name(name);
+    EXPECT_EQ(c.display_name(), name);
+    c.max_runtime = hours(72);
+    EXPECT_EQ(c.display_name(), std::string(name) + ".72max");
+  }
 }
 
 TEST(PolicyConfig, ExplicitNameWins) {
@@ -80,15 +94,16 @@ TEST(PolicyFactory, BuildsEveryKind) {
 }
 
 TEST(PolicyMatrix, PaperGroups) {
-  const auto minor = minor_change_policies();
-  ASSERT_EQ(minor.size(), 5u);
-  EXPECT_EQ(minor.front().display_name(), "cplant24.nomax.all");
-
   const auto all = all_paper_policies();
   ASSERT_EQ(all.size(), 9u);
-  // The minor group is a prefix of the full group.
-  for (std::size_t i = 0; i < minor.size(); ++i)
-    EXPECT_EQ(all[i].display_name(), minor[i].display_name());
+  // The five "minor change" policies of Figures 8-13 are a prefix of the
+  // full group, and each name resolves to its preset.
+  const char* const minor[] = {"cplant24.nomax.all", "cplant24.nomax.fair", "cplant72.nomax.all",
+                               "cplant24.72max.all", "cplant72.72max.fair"};
+  for (std::size_t i = 0; i < std::size(minor); ++i) {
+    EXPECT_EQ(all[i].display_name(), minor[i]);
+    EXPECT_EQ(policy_from_name(minor[i])->canonical_key(), all[i].canonical_key());
+  }
   // All names unique.
   for (std::size_t i = 0; i < all.size(); ++i)
     for (std::size_t j = i + 1; j < all.size(); ++j)

@@ -1,17 +1,22 @@
-// Campaign runner integration: the committed example specs reproduce the
-// figure-binary path bit-for-bit, SWF replay works end to end at smoke scale,
-// serial and parallel campaigns are byte-identical, and multi-seed
-// replication aggregates into deterministic bootstrap intervals.
+// Campaign runner integration: the committed paper spec reproduces a
+// hand-built policy sweep bit-for-bit and the paper's orderings at full
+// scale, SWF replay works end to end at smoke scale, serial and parallel
+// campaigns are byte-identical, every grid cell is named in the stores and
+// tables, and multi-seed replication aggregates into deterministic bootstrap
+// intervals.
 
 #include "scenario/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/categories.hpp"
 #include "metrics/report.hpp"
 #include "metrics/selection.hpp"
 #include "sim/experiment.hpp"
@@ -41,10 +46,11 @@ std::string json_of(const CampaignResult& result) {
 }
 
 TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
-  // The committed spec IS the figure configuration (same seed, same policy
-  // list); only the trace scale is turned down so the test stays quick — the
-  // workload construction formula (span scaling included) is what's pinned.
-  ScenarioSpec spec = parse_spec_file(kSourceDir + "/examples/campaigns/fig14_all_policies.spec");
+  // The committed paper spec runs Figure 14's configuration (same seed, all
+  // nine policies in paper order); only the trace scale is turned down so
+  // the test stays quick — the workload construction formula (span scaling
+  // included) is what's pinned.
+  ScenarioSpec spec = parse_spec_file(kSourceDir + "/bench/figures/paper_policies.spec");
   EXPECT_EQ(spec.workload.seed, 20021201u);
   const std::vector<PolicyConfig> paper = all_paper_policies();
   ASSERT_EQ(spec.policy_names.size(), paper.size());
@@ -56,7 +62,7 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
 
   // The reference, built without build_workload: the Ross generator with the
   // span scaling spelled out, swept through an ExperimentRunner with
-  // default engine settings (what the exp_* binaries run).
+  // default engine settings.
   workload::GeneratorConfig generator;
   generator.seed = spec.workload.seed;
   generator.count_scale = spec.workload.scale;
@@ -79,9 +85,165 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
           << result.reports[i].policy << " / " << spec.metrics[m];
     }
   }
-  // The rendered table — what exp_fig14_percent_unfair_all prints — byte-diffs clean.
+  // The rendered Figure 14 table byte-diffs clean.
   EXPECT_EQ(metrics::fairness_summary_table(result.reports).str(),
             metrics::fairness_summary_table(reference).str());
+}
+
+std::size_t metric_column(const ScenarioSpec& spec, const std::string& name) {
+  const auto it = std::find(spec.metrics.begin(), spec.metrics.end(), name);
+  EXPECT_NE(it, spec.metrics.end()) << name;
+  return static_cast<std::size_t>(it - spec.metrics.begin());
+}
+
+TEST(Campaign, PaperPoliciesSpecShowsThePaperOrderings) {
+  // The committed spec at full scale: three orderings the paper reports.
+  const ScenarioSpec spec = parse_spec_file(kSourceDir + "/bench/figures/paper_policies.spec");
+  ASSERT_EQ(spec.workload.scale, 1.0);
+  const CampaignResult result = run_campaign(spec);
+  ASSERT_EQ(result.count(CellStatus::Ok), 9u);
+  const auto value = [&](const std::string& policy, const std::string& metric) {
+    for (const CellResult& cell : result.cells)
+      if (cell.cell.name == policy) return cell.metrics[metric_column(spec, metric)];
+    ADD_FAILURE() << "no cell " << policy;
+    return 0.0;
+  };
+
+  // Figure 8: every minor change leaves fewer jobs unfair than the baseline.
+  const double baseline = value("cplant24.nomax.all", "percent_unfair");
+  for (const char* minor :
+       {"cplant24.nomax.fair", "cplant72.nomax.all", "cplant24.72max.all", "cplant72.72max.fair"})
+    EXPECT_LT(value(minor, "percent_unfair"), baseline) << minor;
+
+  // Figure 14: conservative with dynamic reservations has the fewest.
+  const double consdyn = value("consdyn.nomax", "percent_unfair");
+  for (const CellResult& cell : result.cells) {
+    if (cell.cell.name == "consdyn.nomax") continue;
+    EXPECT_LT(consdyn, cell.metrics[metric_column(spec, "percent_unfair")]) << cell.cell.name;
+  }
+
+  // Figure 16: conservative backfilling lowers the summed miss of the wide
+  // (65+ node) categories below the baseline's.
+  const auto wide_miss = [&](const std::string& policy) {
+    double sum = 0.0;
+    for (int w = width_category(65); w < kWidthCategories; ++w)
+      sum += value(policy, "avg_miss_w" + std::to_string(w));
+    return sum;
+  };
+  EXPECT_LT(wide_miss("cons.nomax"), wide_miss("cplant24.nomax.all"));
+}
+
+TEST(Campaign, WidthMetricsReadTheReportArrays) {
+  const ScenarioSpec spec = parse(R"(
+[campaign]
+name = widths
+metrics = avg_miss_w0, avg_turnaround_w10
+
+[workload]
+scale = 0.02
+rescale_load = 30
+
+[policies]
+names = cplant24.nomax.all, cons.nomax
+)");
+  const CampaignResult result = run_campaign(spec);
+  ASSERT_TRUE(result.reports_complete);
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const metrics::PolicyReport& report = result.reports[i];
+    for (int w = 0; w < kWidthCategories; ++w) {
+      const auto k = static_cast<std::size_t>(w);
+      EXPECT_EQ(metrics::metric_value(report, "avg_miss_w" + std::to_string(w)),
+                report.fairness.avg_miss_by_width[k]);
+      EXPECT_EQ(metrics::metric_value(report, "avg_turnaround_w" + std::to_string(w)),
+                report.standard.avg_turnaround_by_width[k]);
+    }
+    EXPECT_EQ(result.cells[i].metrics[0], report.fairness.avg_miss_by_width[0]);
+    EXPECT_EQ(result.cells[i].metrics[1], report.standard.avg_turnaround_by_width[10]);
+  }
+  // Something in the widest bin ran, so the comparison above is not 0 == 0.
+  EXPECT_GT(result.reports[0].standard.avg_turnaround_by_width[10], 0.0);
+  EXPECT_THROW(metrics::metric_value(result.reports[0], "avg_miss_w11"), std::invalid_argument);
+}
+
+/// The policy column (the fifth field) of every cells.csv row.
+std::vector<std::string> csv_policies(const CampaignResult& result) {
+  std::istringstream csv(csv_of(result));
+  std::string line;
+  std::getline(csv, line);  // header
+  std::vector<std::string> policies;
+  while (std::getline(csv, line)) {
+    std::istringstream fields(line);
+    std::string field;
+    for (int f = 0; f < 5; ++f) std::getline(fields, field, ',');
+    policies.push_back(field);
+  }
+  return policies;
+}
+
+TEST(Campaign, HeavyUserFactorAxisNamesEveryStoreRow) {
+  // display_name leaves the factor out; the store rows must not.
+  const ScenarioSpec spec = parse(R"(
+[campaign]
+name = factors
+metrics = percent_unfair
+
+[workload]
+scale = 0.02
+rescale_load = 30
+
+[policies]
+names = cplant24.nomax.fair
+
+[grid]
+heavy_user_factor = 1.5, 4, 8
+)");
+  const CampaignResult result = run_campaign(spec);
+  const std::vector<std::string> expected = {"cplant24.nomax.fair[heavy_user_factor=1.5]",
+                                             "cplant24.nomax.fair",
+                                             "cplant24.nomax.fair[heavy_user_factor=8]"};
+  EXPECT_EQ(csv_policies(result), expected);
+  ASSERT_EQ(result.aggregates.size(), 3u);
+  const std::string json = json_of(result);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.aggregates[i].policy, expected[i]);
+    EXPECT_EQ(result.reports[i].policy, expected[i]);
+    EXPECT_NE(json.find("{\"policy\": \"" + expected[i] + "\""), std::string::npos);
+  }
+}
+
+TEST(Campaign, DecayAxisNamesEveryTableRow) {
+  // The fairness and performance tables have no decay column, so a decay
+  // axis puts the decay into each row's name; the store keeps the bare name
+  // beside its decay column.
+  const ScenarioSpec spec = parse(R"(
+[campaign]
+name = decays
+metrics = percent_unfair
+
+[workload]
+scale = 0.02
+rescale_load = 30
+
+[policies]
+names = cplant24.nomax.all, consdyn.nomax
+
+[grid]
+decay = 0.5, 0.99
+)");
+  const CampaignResult result = run_campaign(spec);
+  ASSERT_TRUE(result.reports_complete);
+  const std::vector<std::string> expected = {
+      "cplant24.nomax.all[decay=0.5]", "cplant24.nomax.all[decay=0.99]",
+      "consdyn.nomax[decay=0.5]", "consdyn.nomax[decay=0.99]"};
+  for (const util::TextTable& table : {metrics::fairness_summary_table(result.reports),
+                                       metrics::performance_summary_table(result.reports)}) {
+    ASSERT_EQ(table.rows(), expected.size());
+    for (std::size_t row = 0; row < expected.size(); ++row)
+      EXPECT_EQ(table.cell(row, 0), expected[row]);
+  }
+  EXPECT_EQ(csv_policies(result), (std::vector<std::string>{"cplant24.nomax.all",
+                                                            "cplant24.nomax.all", "consdyn.nomax",
+                                                            "consdyn.nomax"}));
 }
 
 TEST(Campaign, CommittedSwfReplaySpecRunsTheSampleArchive) {

@@ -111,6 +111,20 @@ TEST(ScenarioSpec, ValueValidationCarriesLineNumbers) {
                "test.spec:5", "wcl_enforcement");
 }
 
+TEST(ScenarioSpec, WidthMetricNamesParseStrictly) {
+  // One name per width category k = 0..10: no bin past the last, no
+  // leading zeros, no missing index.
+  for (const char* bad : {"avg_miss_w11", "avg_miss_w01", "avg_turnaround_w", "avg_miss_w-1",
+                          "avg_miss_w+1", "avg_wait_w3"})
+    expect_error(std::string("[campaign]\nname = x\n\nmetrics = percent_unfair, ") + bad +
+                     "\n[policies]\nnames = fcfs\n",
+                 "test.spec:4", "unknown metric '" + std::string(bad) + "'");
+  const ScenarioSpec spec = parse(
+      "[campaign]\nname = x\nmetrics = avg_miss_w0, avg_miss_w10, avg_turnaround_w7\n"
+      "[policies]\nnames = fcfs\n");
+  EXPECT_EQ(spec.metrics.size(), 3u);
+}
+
 TEST(ScenarioSpec, MissingRequiredKeys) {
   expect_error("[campaign]\nmetrics = percent_unfair\n[policies]\nnames = fcfs\n",
                "missing required [campaign] name");
@@ -258,9 +272,10 @@ starvation_delay_hours = 24, 72
 }
 
 TEST(ScenarioSpec, ExpansionKeepsEqualDisplayNamesWithDistinctKeys) {
-  // heavy_user_factor is not part of the display name, so both cells print
-  // as cplant24.nomax.fair; the dedupe must key on the full config and keep
-  // both, or one factor's results would stand in for the other's.
+  // heavy_user_factor is not part of the display name, so both cells share
+  // the display name cplant24.nomax.fair; the dedupe must key on the full
+  // config and keep both, or one factor's results would stand in for the
+  // other's. The cell name carries a factor that is not the default.
   const ScenarioSpec spec = parse(R"(
 [campaign]
 name = factors
@@ -280,6 +295,8 @@ heavy_user_factor = 4, 1
   EXPECT_EQ(plan.cells[0].policy.heavy_user_factor, 4.0);
   EXPECT_EQ(plan.cells[1].policy.heavy_user_factor, 1.0);
   EXPECT_NE(plan.cells[0].key, plan.cells[1].key);
+  EXPECT_EQ(plan.cells[0].name, "cplant24.nomax.fair");
+  EXPECT_EQ(plan.cells[1].name, "cplant24.nomax.fair[heavy_user_factor=1]");
 }
 
 TEST(ScenarioSpec, OverridesDropStalePresetNames) {

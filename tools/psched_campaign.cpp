@@ -33,9 +33,9 @@
 // 4 interrupted (signal or wall budget) — resume with --resume.
 //
 // A single-seed campaign additionally prints the standard fairness and
-// performance tables, so a spec mirroring a figure binary (same workload,
-// policies and seed — see examples/campaigns/fig14_all_policies.spec)
-// reproduces that binary's table bytes exactly.
+// performance tables of the paper's Figures 8-19; bench/figures/ holds the
+// specs that run those figures and the knob ablations, with every quantity
+// they plot (per-width ones included) in cells.csv.
 
 #include <unistd.h>
 
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
           .add_int(static_cast<long long>(cell.index))
           .add_int(static_cast<long long>(cell.seed))
           .add(cell.decay, 3)
-          .add(cell.policy.display_name());
+          .add(cell.name);
     std::cout << (csv ? table.csv() : table.str());
     return 0;
   }
@@ -228,9 +228,9 @@ int main(int argc, char** argv) {
     std::cout << "# resume: replayed " << result.replayed_records << " journal records, restored "
               << result.restored_cells << " cells, simulated " << result.simulated_cells << '\n';
 
-  // Figure-binary parity: a single-seed, fully-simulated campaign is exactly
-  // one policy sweep, so print the same summary tables the exp_* binaries
-  // print. Restored or non-ok cells have no PolicyReport to tabulate.
+  // A single-seed, fully-simulated campaign is one report per cell, so print
+  // the paper's summary tables. Restored or non-ok cells have no
+  // PolicyReport to tabulate.
   if (plan.seeds.size() == 1 && result.reports_complete) {
     const util::TextTable fairness = metrics::fairness_summary_table(result.reports);
     const util::TextTable performance = metrics::performance_summary_table(result.reports);
@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
     for (const scenario::CellResult& cell : result.cells)
       if (!cell.error.empty())
         std::cout << "#   cell " << cell.cell.index << " ("
-                  << cell.cell.policy.display_name() << "): "
+                  << cell.cell.name << "): "
                   << scenario::cell_status_name(cell.status) << ": " << cell.error << '\n';
   }
   if (result.interrupted)
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
       const auto& b = cell.breakdown;
       breakdown.begin_row()
           .add_int(static_cast<long long>(cell.cell.index))
-          .add(cell.cell.policy.display_name())
+          .add(cell.cell.name)
           .add(scenario::cell_status_name(cell.status))
           .add(cell.restored ? "journal" : !b.collected ? "none" : "computed")
           .add(b.wall_seconds, 3)

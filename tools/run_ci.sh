@@ -8,7 +8,10 @@
 #        oracles/ use fails unless tools/test_only_api.allow lists it with a
 #        reason
 #     3. ctest (the correctness contract; includes the lint fixture tests)
-#     4. compile-gate the opt-in experiment/example binaries under -Werror
+#     4. compile-gate the opt-in experiment/example binaries under -Werror,
+#        and parse every bench/figures/*.spec (the paper's policy figures
+#        and knob ablations) with psched_campaign --dry-run, so a figure
+#        spec that stops parsing fails here
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
 #        trace), checked for a non-empty results store
 #     6. a kill-and-resume smoke: SIGKILL the campaign mid-cell (a
@@ -74,6 +77,11 @@ run_tier1() {
 
   echo "== experiments/examples compile gate =="
   ./tools/check_examples.sh
+
+  echo "== figure specs parse =="
+  for spec in bench/figures/*.spec; do
+    "$BUILD"/psched_campaign "$spec" --dry-run >/dev/null
+  done
 
   echo "== campaign smoke run =="
   SMOKE_OUT="$BUILD/campaign-smoke"
