@@ -19,10 +19,7 @@ int main(int argc, char** argv) {
       "preprocessing lets sibling segments overlap (optimistic turnaround); chaining "
       "serializes them (later finishes, slightly different fairness mix)");
 
-  workload::GeneratorConfig generator;
-  generator.count_scale = std::min(0.5, bench::bench_scale());
-  generator.span = weeks(16);
-  const Workload trace = workload::generate_ross_workload(generator);
+  const Workload trace = bench::ablation_trace();
 
   util::TextTable table({"mode", "policy", "records", "percent_unfair", "avg_miss_s",
                          "avg_turnaround_s", "loc"});

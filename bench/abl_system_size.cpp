@@ -21,11 +21,7 @@ int main(int argc, char** argv) {
   util::TextTable table({"nodes", "policy", "percent_unfair", "avg_miss_s", "avg_turnaround_s",
                          "utilization", "loc"});
   for (const NodeCount size : {1100, 1280, 1524, 2048}) {
-    workload::GeneratorConfig generator;
-    generator.count_scale = std::min(0.5, bench::bench_scale());
-    generator.span = weeks(16);
-    generator.system_size = size;
-    const Workload trace = workload::generate_ross_workload(generator);
+    const Workload trace = bench::ablation_trace(size);
     for (const PaperPolicy policy : {PaperPolicy::Cplant24NomaxAll, PaperPolicy::ConsMax}) {
       sim::EngineConfig config;
       config.policy = paper_policy(policy);

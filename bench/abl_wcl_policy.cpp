@@ -18,10 +18,7 @@ int main(int argc, char** argv) {
       "under-estimating jobs are <3% of the trace, so enforcement barely moves aggregate "
       "metrics; Always truncates the most work");
 
-  workload::GeneratorConfig generator;
-  generator.count_scale = std::min(0.5, bench::bench_scale());
-  generator.span = weeks(16);
-  const Workload trace = workload::generate_ross_workload(generator);
+  const Workload trace = bench::ablation_trace();
 
   util::TextTable table({"enforcement", "killed_jobs", "lost_proc_hours", "avg_turnaround_s",
                          "percent_unfair", "loc"});

@@ -1,5 +1,6 @@
 #include "common/experiment_env.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -12,6 +13,12 @@ namespace psched::bench {
 
 namespace {
 std::size_t g_jobs = 0;  // 0 = global pool size
+
+std::uint64_t bench_seed() {
+  static const std::uint64_t seed = util::env_number(
+      "PSCHED_BENCH_SEED", std::uint64_t{20021201}, "an unsigned integer", std::uint64_t{0});
+  return seed;
+}
 }  // namespace
 
 void init(int argc, char** argv) {
@@ -55,11 +62,16 @@ const Workload& ross_trace() {
   static const Workload trace = [] {
     scenario::WorkloadSpec spec;
     spec.scale = bench_scale();
-    return scenario::build_workload(
-        spec, util::env_number("PSCHED_BENCH_SEED", std::uint64_t{20021201}, "an unsigned integer",
-                               std::uint64_t{0}));
+    return scenario::build_workload(spec, bench_seed());
   }();
   return trace;
+}
+
+Workload ablation_trace(NodeCount system_size) {
+  scenario::WorkloadSpec spec;
+  spec.scale = std::min(0.5, bench_scale());
+  spec.system_size = system_size;
+  return scenario::build_workload(spec, bench_seed());
 }
 
 const sim::ExperimentRunner& runner() {

@@ -34,6 +34,12 @@ void init(int argc, char** argv);
 /// The trace every experiment binary runs on (constructed once per process).
 const Workload& ross_trace();
 
+/// The half-scale trace of the ablation binaries (scale min(0.5,
+/// PSCHED_BENCH_SCALE), same seed), built like the scale-0.5 workload of
+/// bench/figures/ablation_*.spec, so a baseline row equals that spec's
+/// cell. `system_size` 0 keeps the generator's machine.
+Workload ablation_trace(NodeCount system_size = 0);
+
 /// Shared runner over ross_trace() with default engine settings.
 const sim::ExperimentRunner& runner();
 

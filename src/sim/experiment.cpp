@@ -23,20 +23,24 @@ ExperimentResult ExperimentRunner::run(const PolicyConfig& policy, util::StopTok
   EngineConfig config = base_;
   config.policy = policy;
   if (stop.valid()) config.stop = stop;
-  result.simulation = simulate(workload_, config);
-  result.report = metrics::evaluate(result.simulation, fst_options_);
-  if (fst_options_.policy_knowledge) {
-    // The forked-engine FST re-runs the policy itself, so it needs the
-    // workload and config — this is the one place with both in hand. The
-    // fork drain help-drains safely from inside a sweep lane's pool task.
-    PolicyFstOptions policy_options;
-    policy_options.fork_batch = fst_options_.fork_batch;
-    policy_options.stats = &result.fst_stats;
-    result.report.policy_fairness.fair_start =
-        policy_no_later_arrivals_fst(workload_, config, policy_options);
-    metrics::aggregate_fst(result.simulation, fst_options_, result.report.policy_fairness);
-    result.report.has_policy_fairness = true;
+  if (!fst_options_.policy_knowledge) {
+    result.simulation = simulate(workload_, config);
+    result.report = metrics::evaluate(result.simulation, fst_options_);
+    return result;
   }
+  // The forked-engine FST re-runs the policy itself, so it needs the
+  // workload and config — this is the one place with both in hand. Its
+  // master pass is the cell's simulation, so the trace is simulated once.
+  // The fork drains help-drain safely from inside a sweep lane's pool task.
+  PolicyFstOptions policy_options;
+  policy_options.fork_batch = fst_options_.fork_batch;
+  policy_options.stats = &result.fst_stats;
+  PolicyFstRun pass = simulate_with_policy_fst(workload_, config, policy_options);
+  result.simulation = std::move(pass.simulation);
+  result.report = metrics::evaluate(result.simulation, fst_options_);
+  result.report.policy_fairness.fair_start = std::move(pass.fair_start);
+  metrics::aggregate_fst(result.simulation, fst_options_, result.report.policy_fairness);
+  result.report.has_policy_fairness = true;
   return result;
 }
 

@@ -7,7 +7,9 @@
 // every result is owned by whoever asked for it. Deduplicating configs is the
 // caller's job: campaign plans already drop duplicate
 // PolicyConfig::canonical_key()s (scenario::expand_campaign), and a config
-// asked for twice is simply simulated twice.
+// asked for twice is simply simulated twice. A config is simulated once per
+// run() even with the policy-knowledge FST: its fork master is the cell's
+// simulation (sim::simulate_with_policy_fst).
 
 #include <exception>
 #include <functional>
@@ -81,9 +83,11 @@ class ExperimentRunner {
                    metrics::FstOptions fst_options = {});
 
   /// Simulate `policy`, evaluate its report and, when the FST options ask
-  /// for it, the policy-knowledge FST. Safe to call from many threads at
-  /// once. `stop` (when valid) cancels the simulation at an event boundary
-  /// with SimulationCancelled; empty falls back to the base config's token.
+  /// for it, the policy-knowledge FST from the same pass (a max_runtime
+  /// policy then throws std::invalid_argument before simulating). Safe to
+  /// call from many threads at once. `stop` (when valid) cancels the
+  /// simulation and its fork drains at an event boundary with
+  /// SimulationCancelled; empty falls back to the base config's token.
   ExperimentResult run(const PolicyConfig& policy, util::StopToken stop = {}) const;
 
   /// The one policy sweep: up to `options.jobs` lanes on util::global_pool()

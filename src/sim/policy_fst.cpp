@@ -1,6 +1,8 @@
 #include "sim/policy_fst.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -11,42 +13,40 @@
 
 namespace psched::sim {
 
-std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
-                                               const EngineConfig& config,
-                                               const PolicyFstOptions& options) {
+PolicyFstRun simulate_with_policy_fst(const Workload& workload, const EngineConfig& config,
+                                      const PolicyFstOptions& options) {
   if (config.policy.max_runtime != kNoTime)
     throw std::invalid_argument(
         "policy_no_later_arrivals_fst: requires config.policy.max_runtime == kNoTime — "
         "segment chaining has no well-defined per-original start");
 
   const std::size_t n = workload.jobs.size();
-  std::vector<Time> fair_start(n, kNoTime);
-  if (n == 0) return fair_start;
-
-  EngineConfig run = config;
-  run.record_snapshots = false;
+  PolicyFstRun out;
+  std::vector<Time>& fair_start = out.fair_start;
+  fair_start.assign(n, kNoTime);
 
   // One full pass: the master engine simulates the whole workload and forks
   // itself at every arrival; each fork sees no later arrivals and is drained
   // until its job starts. Forks are independent (they share only the
-  // read-only workload), so batches of them drain concurrently as leaf tasks
-  // — safe to help-drain from inside another pool task, and byte-identical
-  // to a serial drain (one integer write per fork, each to its own slot).
-  // The batch is bounded to keep peak memory at O(batch * engine) instead of
-  // accumulating all n forks.
-  // Serial draining uses the same bounded batch as parallel: deferring a
-  // fork's drain to a later hook lets the master answer it for free via the
-  // resolve-without-drain check below (draining inside the fork's own hook
-  // would find recorded_start still unset and always pay the full tail).
+  // read-only workload), so their drains run as pool leaf tasks while the
+  // master keeps simulating — byte-identical to a serial drain (one integer
+  // write per fork, each to its own slot).
+  // Forks gather in batches, and each batch boundary first tries to resolve
+  // them from the master (resolve-without-drain below): deferring that check
+  // past the fork's own hook lets the master answer most forks for free.
+  // Serial draining uses the same batches, so every count is the same.
   std::vector<std::pair<JobId, std::unique_ptr<SimulationEngine>>> batch;
   const std::size_t batch_cap =
       options.fork_batch > 0
           ? options.fork_batch
           : std::max<std::size_t>(options.parallel ? 4 * util::global_pool().size() : 0, 16);
   batch.reserve(batch_cap);
+  // In-flight drains are bounded in forks, not completions: peak memory is
+  // O(window * engine), and drains retire at the same boundaries on any pool.
+  const std::size_t window_cap = 4 * batch_cap;
   // Stats are kept unconditionally (integer bookkeeping is free); only the
-  // per-batch footprint walk — a fork_footprint_bytes() sweep — stays gated
-  // on someone actually consuming it (the caller's out-param or armed obs).
+  // footprint walk — a fork_footprint_bytes() call per fork — stays gated on
+  // someone actually consuming it (the caller's out-param or armed obs).
   PolicyFstStats local_stats;
   PolicyFstStats* stats = options.stats != nullptr ? options.stats : &local_stats;
   *stats = PolicyFstStats{};
@@ -54,7 +54,7 @@ std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
   stats->fork_batch = batch_cap;
   const bool want_batch_bytes = options.stats != nullptr || obs::armed();
 
-  SimulationEngine master(workload, run);
+  SimulationEngine master(workload, config);
   const SimulationResult* master_result = nullptr;  // set once the pass ends
 
   // A fork's universe diverges from the master only when the first later
@@ -72,53 +72,97 @@ std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
     return start;
   };
 
-  std::vector<std::size_t> pending;  // batch indices that genuinely need a drain
-  const auto drain_batch = [&] {
-    if (batch.empty()) return;
-    obs::Span batch_span("fork-batch");
-    if (obs::armed()) batch_span.set_arg(std::to_string(batch.size()) + " forks");
-    if (want_batch_bytes) {
-      // Peak engine-state memory this batch admitted: every fork in it is
-      // still alive here, before resolution frees any of them.
-      std::size_t batch_bytes = 0;
-      for (const auto& entry : batch) batch_bytes += entry.second->fork_footprint_bytes();
-      stats->peak_batch_bytes = std::max(stats->peak_batch_bytes, batch_bytes);
-    }
-    pending.clear();
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const Time resolved = resolved_without_drain(batch[k].first);
-      if (resolved != kNoTime) {
-        fair_start[static_cast<std::size_t>(batch[k].first)] = resolved;
-        batch[k].second.reset();
-      } else {
-        pending.push_back(k);
-      }
-    }
-    const auto drain_one = [&](std::size_t p) {
-      auto& [target, fork] = batch[pending[p]];
-      fair_start[static_cast<std::size_t>(target)] = fork->run_until_started(target);
-      fork.reset();  // free the fork as soon as it is drained
+  // In-flight drains, oldest first. Targets ascend through the window, so
+  // retiring from the front rethrows the lowest failing target's error. A
+  // deque keeps each entry in place while its task writes through it.
+  struct Drain {
+    JobId target;
+    std::unique_ptr<SimulationEngine> fork;
+    std::size_t bytes;  ///< footprint when forked, counted until retired
+    std::future<void> done;
+  };
+  std::deque<Drain> window;
+  std::size_t window_bytes = 0;
+  util::ThreadPool* pool = options.parallel ? &util::global_pool() : nullptr;
+  const auto launch = [&](Drain& drain) {
+    const auto task = [&fair_start, &drain] {
+      fair_start[static_cast<std::size_t>(drain.target)] =
+          drain.fork->run_until_started(drain.target);
+      drain.fork.reset();  // free the fork as soon as it is drained
     };
-    if (options.parallel)
-      util::parallel_for(pending.size(), drain_one);
-    else
-      for (std::size_t p = 0; p < pending.size(); ++p) drain_one(p);
-    stats->drained += pending.size();
-    stats->resolved_from_master += batch.size() - pending.size();
-    batch.clear();
+    if (pool != nullptr) {
+      drain.done = pool->submit_leaf(task);
+      return;
+    }
+    std::packaged_task<void()> inline_task(task);
+    drain.done = inline_task.get_future();
+    inline_task();
+  };
+  const auto retire_front = [&] {
+    if (pool != nullptr) pool->wait(window.front().done);
+    std::future<void> done = std::move(window.front().done);
+    window_bytes -= window.front().bytes;
+    window.pop_front();
+    done.get();  // rethrows the drain's error
   };
 
-  const SimulationResult result = master.run_with_arrival_hook([&](JobId id) {
-    batch.emplace_back(id, master.fork_for_arrival(id));
-    if (batch.size() >= batch_cap) drain_batch();
-  });
-  master_result = &result;  // run() moved the records out of the engine
-  drain_batch();
+  // One batch boundary: resolve or launch every fork of the batch, then
+  // retire the oldest drains until at most `keep` are in flight.
+  const auto end_batch = [&](std::size_t keep) {
+    if (batch.empty() && window.size() <= keep) return;
+    obs::Span batch_span("fork-batch");
+    if (obs::armed()) batch_span.set_arg(std::to_string(batch.size()) + " forks");
+    std::size_t held_bytes = window_bytes;  // drains still held from earlier batches
+    for (auto& [target, fork] : batch) {
+      const std::size_t bytes = want_batch_bytes ? fork->fork_footprint_bytes() : 0;
+      held_bytes += bytes;
+      const Time resolved = resolved_without_drain(target);
+      if (resolved != kNoTime) {
+        fair_start[static_cast<std::size_t>(target)] = resolved;
+        fork.reset();
+        ++stats->resolved_from_master;
+        continue;
+      }
+      Drain& drain = window.emplace_back(Drain{target, std::move(fork), bytes, {}});
+      window_bytes += bytes;
+      ++stats->drained;
+      launch(drain);
+    }
+    stats->peak_batch_bytes = std::max(stats->peak_batch_bytes, held_bytes);
+    batch.clear();
+    while (window.size() > keep) retire_front();
+  };
+
+  try {
+    out.simulation = master.run_with_arrival_hook([&](JobId id) {
+      batch.emplace_back(id, master.fork_for_arrival(id));
+      if (batch.size() >= batch_cap) end_batch(window_cap);
+    });
+    master_result = &out.simulation;  // run() moved the records out of the engine
+    end_batch(0);
+  } catch (...) {
+    // A drain still in flight writes into fair_start and its window entry:
+    // wait for every one before unwinding. Their own errors are dropped; the
+    // one in flight here is the master's (a cancelled pass, say) or the
+    // lowest failing target's.
+    if (pool != nullptr)
+      for (const Drain& drain : window)
+        if (drain.done.valid()) pool->wait(drain.done);
+    throw;
+  }
   obs::count(obs::Counter::kFstForks, stats->forks);
   obs::count(obs::Counter::kFstForksDrained, stats->drained);
   obs::count(obs::Counter::kFstResolvedFromMaster, stats->resolved_from_master);
   obs::record_max(obs::Counter::kFstPeakBatchBytes, stats->peak_batch_bytes);
-  return fair_start;
+  return out;
+}
+
+std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
+                                               const EngineConfig& config,
+                                               const PolicyFstOptions& options) {
+  EngineConfig run = config;
+  run.record_snapshots = false;
+  return simulate_with_policy_fst(workload, run, options).fair_start;
 }
 
 }  // namespace psched::sim

@@ -47,9 +47,9 @@ std::future<void> ThreadPool::enqueue(std::function<void()> task, bool leaf) {
     const std::lock_guard<std::mutex> lock(mutex_);
     // Leaf chunks stay accepted while stopping: a queued compound task that
     // calls parallel_for during the shutdown drain must still complete (the
-    // drain guarantee), and the parallel_for caller always drains its own
-    // chunks via try_run_one, so leaf work cannot outlive its waiter even
-    // with zero workers left.
+    // drain guarantee), and a leaf's waiter always drains pending chunks via
+    // wait(), so leaf work cannot outlive its waiter even with zero workers
+    // left.
     if (stopping_ && !leaf) {
       // Reject via the future, not by throwing into the caller: shutdown can
       // race submission from another thread, and the caller already has a
@@ -65,7 +65,7 @@ std::future<void> ThreadPool::enqueue(std::function<void()> task, bool leaf) {
                     leaf_tasks_.size() + compound_tasks_.size());
   }
   cv_.notify_one();
-  if (leaf) done_cv_.notify_all();  // parallel_for waiters may help with leaf work
+  if (leaf) done_cv_.notify_all();  // waiters may help with leaf work
   return result;
 }
 
@@ -135,25 +135,8 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
         /*leaf=*/true));
   }
   std::exception_ptr first_error;
-  const auto ready = [](const std::future<void>& f) {
-    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  };
   for (auto& future : futures) {
-    // Help drain leaf chunks while waiting so nested parallel_for calls from
-    // worker threads make progress instead of deadlocking. When no leaf work
-    // is pending, block on done_cv_ (woken on every task completion and leaf
-    // enqueue) instead of spinning; the epoch snapshot closes the window
-    // where our chunk completes between the readiness check and the wait.
-    while (!ready(future)) {
-      if (try_run_one()) continue;
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (!leaf_tasks_.empty()) continue;  // help with the chunk that just appeared
-      const std::uint64_t epoch = completed_epoch_;
-      lock.unlock();
-      if (ready(future)) break;
-      lock.lock();
-      done_cv_.wait(lock, [&] { return completed_epoch_ != epoch || !leaf_tasks_.empty(); });
-    }
+    wait(future);
     try {
       future.get();
     } catch (...) {
@@ -161,6 +144,31 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::future<void> ThreadPool::submit_leaf(std::function<void()> task) {
+  return enqueue(std::move(task), /*leaf=*/true);
+}
+
+void ThreadPool::wait(const std::future<void>& future) {
+  const auto ready = [&] {
+    return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  };
+  // Help drain leaf chunks while waiting so nested waits from worker threads
+  // make progress instead of deadlocking. When no leaf work is pending, block
+  // on done_cv_ (woken on every task completion and leaf enqueue) instead of
+  // spinning; the epoch snapshot closes the window where the task completes
+  // between the readiness check and the wait.
+  while (!ready()) {
+    if (try_run_one()) continue;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!leaf_tasks_.empty()) continue;  // help with the chunk that just appeared
+    const std::uint64_t epoch = completed_epoch_;
+    lock.unlock();
+    if (ready()) return;
+    lock.lock();
+    done_cv_.wait(lock, [&] { return completed_epoch_ != epoch || !leaf_tasks_.empty(); });
+  }
 }
 
 bool ThreadPool::try_run_one() {

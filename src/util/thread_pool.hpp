@@ -1,13 +1,15 @@
 #pragma once
 // Work-stealing-free, dead-simple thread pool with a blocking parallel_for.
 // Used for the embarrassingly parallel layers of the study: per-job FST
-// computation and running independent policy simulations side by side.
+// computation, policy-FST fork drains and running independent policy
+// simulations side by side.
 //
 // Two task classes keep nested waiting safe and cells isolated:
 //
-//  - *Leaf* tasks are the chunks parallel_for creates. They are pure compute
-//    (never block on shared state), so any thread stuck waiting for a
-//    parallel_for may execute them ("help-drain") without risk.
+//  - *Leaf* tasks are the chunks parallel_for creates and the tasks
+//    submit_leaf() enqueues. They are pure compute (never block on shared
+//    state), so any thread stuck in wait() may execute them ("help-drain")
+//    without risk.
 //  - *Compound* tasks enter through submit(): whole units of work such as an
 //    ExperimentRunner sweep lane, which runs one cell after another. They run
 //    only at worker-thread top level, never nested inside another task, so
@@ -63,6 +65,17 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t min_chunk = 1);
 
+  /// Enqueue one leaf task (pure compute, like a parallel_for chunk) and
+  /// return its future. Its waiter must call wait() before get(), so the
+  /// task runs even when every worker is busy or gone.
+  std::future<void> submit_leaf(std::function<void()> task);
+
+  /// Block until `future` is ready, running queued leaf chunks on the calling
+  /// thread meanwhile and otherwise sleeping on a condition variable until
+  /// some task completes. The one help-draining wait: parallel_for waits
+  /// through it too.
+  void wait(const std::future<void>& future);
+
   /// Run one queued *leaf* chunk on the calling thread if any is pending.
   /// Compound tasks are deliberately not eligible (see the header comment).
   bool try_run_one();
@@ -83,7 +96,7 @@ class ThreadPool {
  private:
   void worker_loop();
   /// Run `task` and publish its completion (bumps completed_epoch_ and wakes
-  /// parallel_for waiters blocked on done_cv_).
+  /// waiters blocked on done_cv_).
   void run_task(std::packaged_task<void()>& task);
   std::future<void> enqueue(std::function<void()> task, bool leaf);
 

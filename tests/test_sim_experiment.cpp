@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <optional>
+#include <string>
 #include <thread>
 
+#include "obs/obs.hpp"
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -133,9 +137,9 @@ TEST(ExperimentRunner, BrokenConfigErrorIsCachedAndRethrown) {
 }
 
 // run_all rethrows the lowest-index error, not whichever lane failed first.
-// Cell 0 fails only after a full simulation (the policy-knowledge FST rejects
-// its max runtime) while cell 1 fails at scheduler construction, so on four
-// lanes cell 1's error usually comes first in time; cell 0's must win anyway.
+// Cell 0 fails on its max runtime (the policy-knowledge FST rejects it) and
+// cell 1 at scheduler construction, so on four lanes either error may come
+// first in time; cell 0's must win anyway.
 TEST(ExperimentRunner, RunAllRethrowsLowestIndexError) {
   const Workload w = psched::workload::generate_small_workload(61, 60, 16, days(1));
   metrics::FstOptions fst_options;
@@ -285,6 +289,172 @@ TEST(PolicyFst, SerialAndParallelAgree) {
   PolicyFstOptions parallel{.parallel = true};
   EXPECT_EQ(policy_no_later_arrivals_fst(w, config, serial),
             policy_no_later_arrivals_fst(w, config, parallel));
+}
+
+void expect_identical_snapshots(const SimulationResult& a, const SimulationResult& b) {
+  ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
+  for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
+    const ArrivalSnapshot& x = a.snapshots[i];
+    const ArrivalSnapshot& y = b.snapshots[i];
+    EXPECT_EQ(x.id, y.id) << "snapshot " << i;
+    EXPECT_EQ(x.at, y.at) << "snapshot " << i;
+    ASSERT_EQ(x.running.size(), y.running.size()) << "snapshot " << i;
+    for (std::size_t k = 0; k < x.running.size(); ++k) {
+      EXPECT_EQ(x.running[k].nodes, y.running[k].nodes);
+      EXPECT_EQ(x.running[k].remaining, y.running[k].remaining);
+      EXPECT_EQ(x.running[k].est_remaining, y.running[k].est_remaining);
+    }
+    ASSERT_EQ(x.waiting.size(), y.waiting.size()) << "snapshot " << i;
+    for (std::size_t k = 0; k < x.waiting.size(); ++k) {
+      EXPECT_EQ(x.waiting[k].id, y.waiting[k].id);
+      EXPECT_EQ(x.waiting[k].nodes, y.waiting[k].nodes);
+      EXPECT_EQ(x.waiting[k].runtime, y.waiting[k].runtime);
+      EXPECT_EQ(x.waiting[k].wcl, y.waiting[k].wcl);
+    }
+  }
+}
+
+void expect_identical_fst_stats(const PolicyFstStats& a, const PolicyFstStats& b) {
+  EXPECT_EQ(a.forks, b.forks);
+  EXPECT_EQ(a.drained, b.drained);
+  EXPECT_EQ(a.resolved_from_master, b.resolved_from_master);
+  EXPECT_EQ(a.fork_batch, b.fork_batch);
+  EXPECT_EQ(a.peak_batch_bytes, b.peak_batch_bytes);
+}
+
+// A policy-knowledge cell simulates its trace once: the fork master is the
+// cell's simulation. It must equal the two passes it replaced, simulate()
+// and then policy_no_later_arrivals_fst, in every byte: records, snapshots,
+// run-shape counts, fair starts and drain stats. Pool drains come through
+// the runner, serial drains through simulate_with_policy_fst directly.
+TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
+  const Workload w = psched::workload::generate_small_workload(37, 300, 64, days(3));
+  for (const char* name :
+       {"cplant24.nomax.all", "cplant24.nomax.fair", "easy", "cons.nomax", "consdyn.nomax"}) {
+    const PolicyConfig policy = *policy_from_name(name);
+    for (const std::size_t fork_batch : {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+      for (const bool parallel : {true, false}) {
+        SCOPED_TRACE(std::string(name) + " fork_batch " + std::to_string(fork_batch) +
+                     (parallel ? " pool" : " serial"));
+        EngineConfig config;
+        config.policy = policy;
+        PolicyFstStats two_pass_stats;
+        const PolicyFstOptions options{
+            .parallel = parallel, .fork_batch = fork_batch, .stats = &two_pass_stats};
+        const SimulationResult simulation = simulate(w, config);
+        const std::vector<Time> fair_start = policy_no_later_arrivals_fst(w, config, options);
+
+        SimulationResult one_pass;
+        std::vector<Time> one_pass_fair_start;
+        PolicyFstStats one_pass_stats;
+        if (parallel) {
+          metrics::FstOptions fst;
+          fst.policy_knowledge = true;
+          fst.fork_batch = fork_batch;
+          ExperimentResult cell = ExperimentRunner(w, {}, fst).run(policy);
+          one_pass = std::move(cell.simulation);
+          one_pass_fair_start = cell.report.policy_fairness.fair_start;
+          one_pass_stats = cell.fst_stats;
+        } else {
+          PolicyFstOptions serial = options;
+          serial.stats = &one_pass_stats;
+          PolicyFstRun pass = simulate_with_policy_fst(w, config, serial);
+          one_pass = std::move(pass.simulation);
+          one_pass_fair_start = std::move(pass.fair_start);
+        }
+        expect_identical_records(simulation, one_pass);
+        expect_identical_snapshots(simulation, one_pass);
+        EXPECT_FALSE(one_pass.snapshots.empty());
+        EXPECT_EQ(simulation.events_delivered, one_pass.events_delivered);
+        EXPECT_EQ(simulation.scheduler_invocations, one_pass.scheduler_invocations);
+        EXPECT_EQ(fair_start, one_pass_fair_start);
+        expect_identical_fst_stats(two_pass_stats, one_pass_stats);
+      }
+    }
+  }
+}
+
+// A policy_* cell with a runtime limit fails before it simulates anything,
+// with the message the two-pass path threw after a full simulation.
+TEST(PolicyFst, MaxRuntimeFailsBeforeSimulating) {
+  const Workload w = psched::workload::generate_small_workload(17, 40, 16, days(1));
+  metrics::FstOptions fst;
+  fst.policy_knowledge = true;
+  ExperimentRunner runner(w, {}, fst);
+  obs::reset();
+  obs::arm();
+  try {
+    runner.run(paper_policy(PaperPolicy::Cplant24MaxAll));
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "policy_no_later_arrivals_fst: requires config.policy.max_runtime == kNoTime — "
+                 "segment chaining has no well-defined per-original start");
+  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kEngineEventsDelivered), 0u);
+  obs::reset();
+}
+
+// A cell's token tripped mid-pass, with fork drains in flight on the pool,
+// cancels the cell; the pass waits for every drain before it unwinds, since
+// a drain left running would write into freed fair-start storage (the
+// address and thread sanitizer runs of the suite catch that). The watcher
+// trips the token once the pass has enqueued drains (leaf tasks). In the
+// first round every pool worker is parked until the cell has thrown, so
+// drains queue up behind the master and one the pass left behind would run
+// only afterwards, against freed storage; in the second the workers drain
+// beside the master.
+TEST(PolicyFst, CancelledPassWaitsForInFlightDrains) {
+  const Workload w = psched::workload::generate_small_workload(19, 20000, 32, days(10));
+  metrics::FstOptions fst;
+  fst.policy_knowledge = true;
+  ExperimentRunner runner(w, {}, fst);
+  const PolicyConfig policy = paper_policy(PaperPolicy::Cplant24NomaxAll);
+  util::ThreadPool& pool = util::global_pool();
+
+  for (const bool park_workers : {true, false}) {
+    SCOPED_TRACE(park_workers ? "workers parked" : "workers draining");
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    std::atomic<std::size_t> parked{0};
+    std::vector<std::future<void>> parkers;
+    for (std::size_t k = 0; park_workers && k < pool.size(); ++k)
+      parkers.push_back(pool.submit([&] {
+        ++parked;
+        released.wait();
+      }));
+    while (parked.load() < parkers.size()) std::this_thread::yield();
+
+    obs::reset();
+    obs::arm();
+    util::StopSource stop;
+    std::atomic<bool> finished{false};
+    std::atomic<bool> tripped{false};
+    std::thread watcher([&] {
+      while (!finished.load()) {
+        if (obs::counter_value(obs::Counter::kPoolTasksLeaf) >= 8) {
+          stop.request_stop();
+          tripped.store(true);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    EXPECT_THROW(runner.run(policy, stop.token()), SimulationCancelled);
+    finished.store(true);
+    watcher.join();
+    release.set_value();
+    for (std::future<void>& parker : parkers) parker.get();
+    obs::reset();
+    EXPECT_TRUE(tripped.load());
+  }
+
+  // The pool and the runner stay usable, and a later run is unaffected.
+  const Workload small = psched::workload::generate_small_workload(19, 200, 64, days(2));
+  EngineConfig config;
+  config.policy = policy;
+  EXPECT_EQ(ExperimentRunner(small, {}, fst).run(policy).report.policy_fairness.fair_start,
+            policy_no_later_arrivals_fst(small, config));
 }
 
 }  // namespace

@@ -147,9 +147,10 @@ run_tier1() {
   # scale 3.8 condenses ~3.8x the Ross trace into the same span, so the spec
   # stretches arrivals back (rescale_load 0.26) to keep the queue realistic.
   # --wall-budget is the perf guard: blowing it exits 4 (interrupted store)
-  # and fails the gate. The uncontended run takes about 1.8 s at
-  # PSCHED_THREADS=4 and 2.7 s on one thread (4-core 2.1 GHz Xeon host), so
-  # 30 s fails a 10x slowdown of the one-thread run.
+  # and fails the gate. The uncontended run takes about 1.0 s at
+  # PSCHED_THREADS=4 and 1.6 s on one thread (4-core 2.1 GHz Xeon host; 1.4 s
+  # and 1.9 s while the cell simulated the trace a second time for the
+  # policy FST), so 30 s fails a ~20x slowdown of the one-thread run.
   ARCHIVE_OUT="$BUILD/archive-smoke"
   rm -rf "$ARCHIVE_OUT"
   mkdir -p "$ARCHIVE_OUT"
