@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
       "perfect-runtime FSTs are strictly harder to meet (earlier), inflating miss counts "
       "for reservation-based schedulers; estimate-based FSTs compare each policy to the "
       "schedule it could actually have built; policy-knowledge FSTs re-run the policy "
-      "itself without later arrivals and judge it against its own counterfactual");
+      "itself without later arrivals and judge it against its own counterfactual",
+      bench::ross_trace(), bench::bench_scale());
 
   const std::vector<PolicyConfig> policies = {paper_policy(PaperPolicy::Cplant24NomaxAll),
                                               paper_policy(PaperPolicy::ConsNomax),

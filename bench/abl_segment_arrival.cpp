@@ -13,13 +13,13 @@ int main(int argc, char** argv) {
   using namespace psched;
   bench::init(argc, argv);
 
+  const Workload trace = bench::ablation_trace();
   bench::print_header(
       "Ablation: segment arrival semantics (72 h limit)",
       "paper-style preprocessing vs chained checkpoint/restart submission",
       "preprocessing lets sibling segments overlap (optimistic turnaround); chaining "
-      "serializes them (later finishes, slightly different fairness mix)");
-
-  const Workload trace = bench::ablation_trace();
+      "serializes them (later finishes, slightly different fairness mix)",
+      trace, bench::ablation_scale());
 
   util::TextTable table({"mode", "policy", "records", "percent_unfair", "avg_miss_s",
                          "avg_turnaround_s", "loc"});

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
       "Ablation: system size",
       "baseline vs cons.72max on machines from 1,100 to 2,048 nodes (same job stream)",
       "smaller machines are overloaded (misses explode); larger ones underloaded (every "
-      "policy looks fair); the cons.72max advantage is stable across the range");
+      "policy looks fair); the cons.72max advantage is stable across the range",
+      bench::ablation_trace(), bench::ablation_scale());
 
   util::TextTable table({"nodes", "policy", "percent_unfair", "avg_miss_s", "avg_turnaround_s",
                          "utilization", "loc"});

@@ -12,13 +12,13 @@ int main(int argc, char** argv) {
   using namespace psched;
   bench::init(argc, argv);
 
+  const Workload trace = bench::ablation_trace();
   bench::print_header(
       "Ablation: WCL enforcement",
       "baseline policy under Never / KillIfNeeded / Always enforcement",
       "under-estimating jobs are <3% of the trace, so enforcement barely moves aggregate "
-      "metrics; Always truncates the most work");
-
-  const Workload trace = bench::ablation_trace();
+      "metrics; Always truncates the most work",
+      trace, bench::ablation_scale());
 
   util::TextTable table({"enforcement", "killed_jobs", "lost_proc_hours", "avg_turnaround_s",
                          "percent_unfair", "loc"});

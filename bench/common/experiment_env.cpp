@@ -69,10 +69,12 @@ const Workload& ross_trace() {
 
 Workload ablation_trace(NodeCount system_size) {
   scenario::WorkloadSpec spec;
-  spec.scale = std::min(0.5, bench_scale());
+  spec.scale = ablation_scale();
   spec.system_size = system_size;
   return scenario::build_workload(spec, bench_seed());
 }
+
+double ablation_scale() { return std::min(0.5, bench_scale()); }
 
 const sim::ExperimentRunner& runner() {
   static const sim::ExperimentRunner shared(ross_trace());
@@ -80,13 +82,12 @@ const sim::ExperimentRunner& runner() {
 }
 
 void print_header(const std::string& experiment_id, const std::string& what,
-                  const std::string& paper_shape) {
-  const Workload& trace = ross_trace();
+                  const std::string& paper_shape, const Workload& trace, double scale) {
   std::cout << "==================================================================\n"
             << experiment_id << ": " << what << '\n'
             << "# paper: " << paper_shape << '\n'
             << "# trace: " << trace.jobs.size() << " jobs, " << trace.system_size
-            << " nodes, scale " << bench_scale() << ", synthetic CPlant/Ross\n"
+            << " nodes, scale " << scale << ", synthetic CPlant/Ross\n"
             << "==================================================================\n";
 }
 

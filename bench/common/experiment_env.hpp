@@ -34,24 +34,28 @@ void init(int argc, char** argv);
 /// The trace every experiment binary runs on (constructed once per process).
 const Workload& ross_trace();
 
-/// The half-scale trace of the ablation binaries (scale min(0.5,
-/// PSCHED_BENCH_SCALE), same seed), built like the scale-0.5 workload of
+/// The half-scale trace of the ablation binaries (scale ablation_scale(),
+/// same seed), built like the scale-0.5 workload of
 /// bench/figures/ablation_*.spec, so a baseline row equals that spec's
 /// cell. `system_size` 0 keeps the generator's machine.
 Workload ablation_trace(NodeCount system_size = 0);
 
+/// The count scale of ablation_trace(): min(0.5, bench_scale()).
+double ablation_scale();
+
 /// Shared runner over ross_trace() with default engine settings.
 const sim::ExperimentRunner& runner();
 
-/// The trace scale in effect (for report headers).
+/// The count scale of ross_trace(): PSCHED_BENCH_SCALE, default 1.0.
 double bench_scale();
 
 /// The --jobs value (0 = global pool size), for binaries that sweep through
 /// runner().run_all.
 std::size_t jobs();
 
-/// Standard banner: experiment id, what the paper shows, what to expect.
+/// Standard banner: experiment id, what the paper shows, what to expect, and
+/// the trace the rows are computed on, generated at count scale `scale`.
 void print_header(const std::string& experiment_id, const std::string& what,
-                  const std::string& paper_shape);
+                  const std::string& paper_shape, const Workload& trace, double scale);
 
 }  // namespace psched::bench

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Figure 3", "weekly offered load and actual utilization (baseline policy)",
       "bursty offered load oscillating well above and below 100%, with high-load weeks "
-      "followed by low-load weeks; utilization tracks offered load, capped near 100%");
+      "followed by low-load weeks; utilization tracks offered load, capped near 100%",
+      bench::ross_trace(), bench::bench_scale());
 
   const sim::ExperimentResult& baseline =
       bench::runner().run(paper_policy(PaperPolicy::Cplant24NomaxAll));

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Figure 4", "runtime vs nodes scatter",
-      "points span 1..1e4 nodes x 1..1e8 s with strong horizontal banding at powers of two");
+      "points span 1..1e4 nodes x 1..1e8 s with strong horizontal banding at powers of two",
+      bench::ross_trace(), bench::bench_scale());
 
   util::Histogram2D density(util::log_edges(10.0, 2.0e6, 48), util::log_edges(1.0, 2048.0, 12));
   std::vector<double> log_runtime, log_nodes;

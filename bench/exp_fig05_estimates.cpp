@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Figure 5", "WCL estimate vs actual runtime",
       "all mass on or above the WCL = runtime diagonal (over-estimation), with a thin "
-      "tail below it (jobs that ran past their limit)");
+      "tail below it (jobs that ran past their limit)",
+      bench::ross_trace(), bench::bench_scale());
 
   util::Histogram2D density(util::log_edges(10.0, 2.0e6, 48), util::log_edges(10.0, 4.0e6, 14));
   std::vector<double> runtimes, wcls;

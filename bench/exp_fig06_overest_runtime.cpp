@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   using namespace psched::workload;
 
   bench::print_header("Figure 6", "over-estimation factor vs runtime",
-                      "the over-estimation factor reduces for longer jobs");
+                      "the over-estimation factor reduces for longer jobs",
+                      bench::ross_trace(), bench::bench_scale());
 
   std::vector<double> runtimes, factors;
   for (const Job& job : bench::ross_trace().jobs) {

@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   using namespace psched::workload;
 
   bench::print_header("Figure 7", "over-estimation factor vs nodes",
-                      "the over-estimation factor appears unrelated to the node selection");
+                      "the over-estimation factor appears unrelated to the node selection",
+                      bench::ross_trace(), bench::bench_scale());
 
   std::vector<double> nodes, factors;
   for (const Job& job : bench::ross_trace().jobs) {

@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   using namespace psched::workload;
 
   bench::print_header("Table 1", "job count per width x length category",
-                      "generated counts equal the published table cell-by-cell at scale 1.0");
+                      "generated counts equal the published table cell-by-cell at scale 1.0",
+                      bench::ross_trace(), bench::bench_scale());
 
   const CategoryCounts counts = category_job_counts(bench::ross_trace());
   const CountTable& paper = ross_table1_job_counts();

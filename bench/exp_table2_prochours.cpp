@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Table 2", "processor-hours per width x length category",
       "per-cell proc-hours track the published table (runtime rescaling within bins); "
-      "the (513+, 4-8h) cell is inconsistent in the paper itself (0 jobs, 3183 hours)");
+      "the (513+, 4-8h) cell is inconsistent in the paper itself (0 jobs, 3183 hours)",
+      bench::ross_trace(), bench::bench_scale());
 
   const CategoryHours hours = category_proc_hours(bench::ross_trace());
   const HoursTable& paper = ross_table2_proc_hours();

@@ -117,7 +117,6 @@ void BM_PolicyFstForked(benchmark::State& state) {
   const Workload& trace = policy_fst_trace(state.range(0));
   const sim::EngineConfig config = policy_fst_config();
   sim::PolicyFstOptions options;
-  options.parallel = true;
   sim::PolicyFstStats stats;
   options.stats = &stats;
   for (auto _ : state)
@@ -213,10 +212,8 @@ BENCHMARK(BM_RefForkOverheadRecordCopy)
 void BM_RefPolicyFstNaive(benchmark::State& state) {
   const Workload& trace = policy_fst_trace(state.range(0));
   const sim::EngineConfig config = policy_fst_config();
-  sim::PolicyFstOptions options;
-  options.parallel = true;
   for (auto _ : state)
-    benchmark::DoNotOptimize(sim::policy_no_later_arrivals_fst_naive(trace, config, options));
+    benchmark::DoNotOptimize(sim::policy_no_later_arrivals_fst_naive(trace, config));
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(trace.jobs.size()));
   record_pool_counters(state, /*parallel=*/true);
 }

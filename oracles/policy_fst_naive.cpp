@@ -7,8 +7,7 @@
 namespace psched::sim {
 
 std::vector<Time> policy_no_later_arrivals_fst_naive(const Workload& workload,
-                                                     const EngineConfig& config,
-                                                     const PolicyFstOptions& options) {
+                                                     const EngineConfig& config) {
   if (config.policy.max_runtime != kNoTime)
     throw std::invalid_argument(
         "policy_no_later_arrivals_fst_naive: requires config.policy.max_runtime == kNoTime — "
@@ -27,10 +26,7 @@ std::vector<Time> policy_no_later_arrivals_fst_naive(const Workload& workload,
     fair_start[i] = result.records.at(i).start;
   };
 
-  if (options.parallel)
-    util::parallel_for(n, compute_one);
-  else
-    for (std::size_t i = 0; i < n; ++i) compute_one(i);
+  util::parallel_for(n, compute_one);
   return fair_start;
 }
 

@@ -10,16 +10,13 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/policy_fst.hpp"
 
 namespace psched::sim {
 
 /// fair_start[i] = start of workload.jobs[i] in a simulation of the workload
-/// truncated after jobs[i]. Same contract and precondition as
-/// policy_no_later_arrivals_fst (options.fork_batch and options.stats are
-/// ignored).
+/// truncated after jobs[i], one re-simulation per job on the global pool.
+/// Same contract and precondition as policy_no_later_arrivals_fst.
 std::vector<Time> policy_no_later_arrivals_fst_naive(const Workload& workload,
-                                                     const EngineConfig& config,
-                                                     const PolicyFstOptions& options = {});
+                                                     const EngineConfig& config);
 
 }  // namespace psched::sim

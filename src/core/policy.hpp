@@ -76,11 +76,11 @@ enum class PaperPolicy {
 PolicyConfig paper_policy(PaperPolicy policy);
 
 /// Resolve a policy by name: any of the nine paper display names
-/// ("cplant24.nomax.all", "consdyn.72max", ...) plus the extra spellings the
-/// CLI accepts — "fcfs", "fcfs.fairshare", "easy", "easy.fairshare",
-/// "noguarantee", "cons.fcfs", and "depthN" (N >= 1). Returns nullopt for an
-/// unknown name. Shared by psched_run and the scenario spec parser so every
-/// surface speaks the same vocabulary.
+/// ("cplant24.nomax.all", "consdyn.72max", ...) plus the extra spellings a
+/// spec's policy names accept — "fcfs", "fcfs.fairshare", "easy",
+/// "easy.fairshare", "noguarantee", "cons.fcfs", and "depthN" (N >= 1).
+/// Returns nullopt for an unknown name. The scenario spec parser resolves
+/// every policy name through it.
 std::optional<PolicyConfig> policy_from_name(const std::string& name);
 
 /// The nine paper policies in presentation order: the five "minor change"

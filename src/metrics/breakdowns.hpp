@@ -1,6 +1,6 @@
 #pragma once
 // Finer-grained breakdowns beyond the paper's width categories: who exactly
-// is treated unfairly? (psched_run --by-user).
+// is treated unfairly? (examples/fairness_study.cpp prints the heaviest users.)
 
 #include <vector>
 

@@ -1,6 +1,6 @@
 #include "metrics/report.hpp"
 
-#include <functional>
+#include <utility>
 
 namespace psched::metrics {
 
@@ -44,30 +44,16 @@ util::TextTable performance_summary_table(const std::vector<PolicyReport>& repor
   return table;
 }
 
-namespace {
-util::TextTable by_width_table(const std::vector<PolicyReport>& reports,
-                               const std::function<double(const PolicyReport&, std::size_t)>& get) {
+util::TextTable miss_by_width_table(const std::vector<PolicyReport>& reports) {
   std::vector<std::string> header{"width"};
   for (const PolicyReport& r : reports) header.push_back(r.policy);
   util::TextTable table(std::move(header));
   for (int w = 0; w < kWidthCategories; ++w) {
     table.begin_row().add(width_category_label(w));
-    for (const PolicyReport& r : reports) table.add(get(r, static_cast<std::size_t>(w)), 0);
+    for (const PolicyReport& r : reports)
+      table.add(r.fairness.avg_miss_by_width[static_cast<std::size_t>(w)], 0);
   }
   return table;
-}
-}  // namespace
-
-util::TextTable miss_by_width_table(const std::vector<PolicyReport>& reports) {
-  return by_width_table(reports, [](const PolicyReport& r, std::size_t w) {
-    return r.fairness.avg_miss_by_width[w];
-  });
-}
-
-util::TextTable turnaround_by_width_table(const std::vector<PolicyReport>& reports) {
-  return by_width_table(reports, [](const PolicyReport& r, std::size_t w) {
-    return r.standard.avg_turnaround_by_width[w];
-  });
 }
 
 }  // namespace psched::metrics

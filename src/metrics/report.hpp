@@ -38,8 +38,4 @@ util::TextTable performance_summary_table(const std::vector<PolicyReport>& repor
 /// (average miss time).
 util::TextTable miss_by_width_table(const std::vector<PolicyReport>& reports);
 
-/// Figures 12/18: rows = width categories, one column per policy
-/// (average turnaround time).
-util::TextTable turnaround_by_width_table(const std::vector<PolicyReport>& reports);
-
 }  // namespace psched::metrics

@@ -165,8 +165,8 @@ struct CampaignOptions {
 };
 
 /// Build the workload a spec describes for one replicate seed: the one trace
-/// builder behind campaigns, psched_run and the figure binaries, so they all
-/// replay the same bytes. An SWF source takes `head` inside the scan and
+/// builder behind campaigns, `psched_campaign --write-swf` and the figure
+/// binaries, so they all replay the same bytes. An SWF source takes `head` inside the scan and
 /// fills `swf_info` (when given) with the ingest counters and sizing.
 Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
                         workload::SwfReadResult* swf_info = nullptr,

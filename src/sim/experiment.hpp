@@ -1,6 +1,6 @@
 #pragma once
 // Experiment runner: one workload, many policies. Every figure binary in
-// bench/, psched_run and each campaign group funnel through this.
+// bench/ and each campaign group funnel through this.
 //
 // A runner is the (workload, engine config, FST options) bundle a sweep
 // shares; it holds no per-policy state. run() is const and lock-free, and

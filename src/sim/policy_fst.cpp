@@ -29,17 +29,15 @@ PolicyFstRun simulate_with_policy_fst(const Workload& workload, const EngineConf
   // itself at every arrival; each fork sees no later arrivals and is drained
   // until its job starts. Forks are independent (they share only the
   // read-only workload), so their drains run as pool leaf tasks while the
-  // master keeps simulating — byte-identical to a serial drain (one integer
-  // write per fork, each to its own slot).
+  // master keeps simulating — the same bytes on any pool (one integer write
+  // per fork, each to its own slot).
   // Forks gather in batches, and each batch boundary first tries to resolve
   // them from the master (resolve-without-drain below): deferring that check
   // past the fork's own hook lets the master answer most forks for free.
-  // Serial draining uses the same batches, so every count is the same.
   std::vector<std::pair<JobId, std::unique_ptr<SimulationEngine>>> batch;
+  util::ThreadPool& pool = util::global_pool();
   const std::size_t batch_cap =
-      options.fork_batch > 0
-          ? options.fork_batch
-          : std::max<std::size_t>(options.parallel ? 4 * util::global_pool().size() : 0, 16);
+      options.fork_batch > 0 ? options.fork_batch : std::max<std::size_t>(4 * pool.size(), 16);
   batch.reserve(batch_cap);
   // In-flight drains are bounded in forks, not completions: peak memory is
   // O(window * engine), and drains retire at the same boundaries on any pool.
@@ -83,23 +81,15 @@ PolicyFstRun simulate_with_policy_fst(const Workload& workload, const EngineConf
   };
   std::deque<Drain> window;
   std::size_t window_bytes = 0;
-  util::ThreadPool* pool = options.parallel ? &util::global_pool() : nullptr;
   const auto launch = [&](Drain& drain) {
-    const auto task = [&fair_start, &drain] {
+    drain.done = pool.submit_leaf([&fair_start, &drain] {
       fair_start[static_cast<std::size_t>(drain.target)] =
           drain.fork->run_until_started(drain.target);
       drain.fork.reset();  // free the fork as soon as it is drained
-    };
-    if (pool != nullptr) {
-      drain.done = pool->submit_leaf(task);
-      return;
-    }
-    std::packaged_task<void()> inline_task(task);
-    drain.done = inline_task.get_future();
-    inline_task();
+    });
   };
   const auto retire_front = [&] {
-    if (pool != nullptr) pool->wait(window.front().done);
+    pool.wait(window.front().done);
     std::future<void> done = std::move(window.front().done);
     window_bytes -= window.front().bytes;
     window.pop_front();
@@ -145,9 +135,8 @@ PolicyFstRun simulate_with_policy_fst(const Workload& workload, const EngineConf
     // wait for every one before unwinding. Their own errors are dropped; the
     // one in flight here is the master's (a cancelled pass, say) or the
     // lowest failing target's.
-    if (pool != nullptr)
-      for (const Drain& drain : window)
-        if (drain.done.valid()) pool->wait(drain.done);
+    for (const Drain& drain : window)
+      if (drain.done.valid()) pool.wait(drain.done);
     throw;
   }
   obs::count(obs::Counter::kFstForks, stats->forks);

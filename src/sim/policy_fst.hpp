@@ -44,15 +44,11 @@ struct PolicyFstStats {
 };
 
 struct PolicyFstOptions {
-  /// Drain forks concurrently on the global pool (results are byte-identical
-  /// to a serial drain: each fork is independent and writes one integer to
-  /// its own result slot). Serial drains run inline at their batch boundary.
-  bool parallel = true;
   /// Forks accumulated before a batch boundary, where each fork is resolved
-  /// from the master or its drain starts. 0 = automatic (max(4 * pool size,
-  /// 16) when parallel, 16 serial). At most 4 * fork_batch drains are in
-  /// flight, so peak memory scales with this times the per-fork O(queue)
-  /// footprint; latency on wide pools wants it >= the pool size.
+  /// from the master or its drain starts on the global pool. 0 = automatic
+  /// (max(4 * pool size, 16)). At most 4 * fork_batch drains are in flight,
+  /// so peak memory scales with this times the per-fork O(queue) footprint;
+  /// latency on wide pools wants it >= the pool size.
   std::size_t fork_batch = 0;
   /// Optional out-param for drain observability; untouched when null.
   PolicyFstStats* stats = nullptr;

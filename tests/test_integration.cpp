@@ -132,8 +132,7 @@ TEST(Integration, ReportTablesRenderForAllPolicies) {
   const std::string fairness = metrics::fairness_summary_table(reports).str();
   const std::string perf = metrics::performance_summary_table(reports).str();
   const std::string miss = metrics::miss_by_width_table(reports).str();
-  const std::string tat = metrics::turnaround_by_width_table(reports).str();
-  for (const auto* table : {&fairness, &perf, &miss, &tat}) {
+  for (const auto* table : {&fairness, &perf, &miss}) {
     EXPECT_NE(table->find("cplant24.nomax.all"), std::string::npos);
     EXPECT_GT(table->size(), 100u);
   }

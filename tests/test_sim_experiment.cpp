@@ -270,8 +270,6 @@ TEST(PolicyFst, RejectsMaxRuntimePolicies) {
   EngineConfig config;
   config.policy.max_runtime = hours(72);
   EXPECT_THROW(policy_no_later_arrivals_fst(w, config), std::invalid_argument);
-  PolicyFstOptions serial{.parallel = false};
-  EXPECT_THROW(policy_no_later_arrivals_fst(w, config, serial), std::invalid_argument);
   config.segment_arrival = SegmentArrival::Chained;
   EXPECT_THROW(policy_no_later_arrivals_fst(w, config), std::invalid_argument);
   try {
@@ -280,15 +278,6 @@ TEST(PolicyFst, RejectsMaxRuntimePolicies) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("max_runtime"), std::string::npos);
   }
-}
-
-TEST(PolicyFst, SerialAndParallelAgree) {
-  const Workload w = psched::workload::generate_small_workload(13, 50, 16, days(1));
-  EngineConfig config;
-  PolicyFstOptions serial{.parallel = false};
-  PolicyFstOptions parallel{.parallel = true};
-  EXPECT_EQ(policy_no_later_arrivals_fst(w, config, serial),
-            policy_no_later_arrivals_fst(w, config, parallel));
 }
 
 void expect_identical_snapshots(const SimulationResult& a, const SimulationResult& b) {
@@ -325,29 +314,28 @@ void expect_identical_fst_stats(const PolicyFstStats& a, const PolicyFstStats& b
 // A policy-knowledge cell simulates its trace once: the fork master is the
 // cell's simulation. It must equal the two passes it replaced, simulate()
 // and then policy_no_later_arrivals_fst, in every byte: records, snapshots,
-// run-shape counts, fair starts and drain stats. Pool drains come through
-// the runner, serial drains through simulate_with_policy_fst directly.
+// run-shape counts, fair starts and drain stats, whether the pass runs
+// through the runner or through simulate_with_policy_fst directly.
 TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
   const Workload w = psched::workload::generate_small_workload(37, 300, 64, days(3));
   for (const char* name :
        {"cplant24.nomax.all", "cplant24.nomax.fair", "easy", "cons.nomax", "consdyn.nomax"}) {
     const PolicyConfig policy = *policy_from_name(name);
     for (const std::size_t fork_batch : {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
-      for (const bool parallel : {true, false}) {
+      for (const bool through_runner : {true, false}) {
         SCOPED_TRACE(std::string(name) + " fork_batch " + std::to_string(fork_batch) +
-                     (parallel ? " pool" : " serial"));
+                     (through_runner ? " runner" : " direct"));
         EngineConfig config;
         config.policy = policy;
         PolicyFstStats two_pass_stats;
-        const PolicyFstOptions options{
-            .parallel = parallel, .fork_batch = fork_batch, .stats = &two_pass_stats};
+        const PolicyFstOptions options{.fork_batch = fork_batch, .stats = &two_pass_stats};
         const SimulationResult simulation = simulate(w, config);
         const std::vector<Time> fair_start = policy_no_later_arrivals_fst(w, config, options);
 
         SimulationResult one_pass;
         std::vector<Time> one_pass_fair_start;
         PolicyFstStats one_pass_stats;
-        if (parallel) {
+        if (through_runner) {
           metrics::FstOptions fst;
           fst.policy_knowledge = true;
           fst.fork_batch = fork_batch;
@@ -356,9 +344,9 @@ TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
           one_pass_fair_start = cell.report.policy_fairness.fair_start;
           one_pass_stats = cell.fst_stats;
         } else {
-          PolicyFstOptions serial = options;
-          serial.stats = &one_pass_stats;
-          PolicyFstRun pass = simulate_with_policy_fst(w, config, serial);
+          PolicyFstOptions direct = options;
+          direct.stats = &one_pass_stats;
+          PolicyFstRun pass = simulate_with_policy_fst(w, config, direct);
           one_pass = std::move(pass.simulation);
           one_pass_fair_start = std::move(pass.fair_start);
         }

@@ -1,9 +1,9 @@
 // Forkable-engine coverage: the forked policy-knowledge FST must be
 // byte-identical to the preserved naive re-simulation (the behavioral
-// oracle) for every policy, every WCL enforcement mode and several seeds;
-// serial and parallel fork draining must agree; and the fork API must
-// enforce its preconditions. `tools/run_sanitize.sh thread` runs this
-// suite under ThreadSanitizer (parallel draining races would surface here).
+// oracle) for every policy, every WCL enforcement mode and several seeds,
+// with the drains on the pool; and the fork API must enforce its
+// preconditions. `tools/run_sanitize.sh thread` runs this suite under
+// ThreadSanitizer (parallel draining races would surface here).
 
 #include <gtest/gtest.h>
 
@@ -49,21 +49,19 @@ Workload with_underestimates(const Workload& workload) {
 }
 
 TEST(PolicyFstFork, ByteIdenticalToNaiveForAllNinePolicies) {
-  const PolicyFstOptions serial{.parallel = false};
   for (const std::uint64_t seed : {3ull, 17ull}) {
     const Workload w = workload::generate_small_workload(seed, 70, 64, days(2));
     for (const PolicyConfig& policy : nine_policies_nomax()) {
       EngineConfig config;
       config.policy = policy;
-      const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config, serial);
-      const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config, serial);
+      const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config);
+      const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config);
       EXPECT_EQ(naive, forked) << policy.display_name() << " seed " << seed;
     }
   }
 }
 
 TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
-  const PolicyFstOptions serial{.parallel = false};
   const Workload w =
       with_underestimates(workload::generate_small_workload(11, 80, 64, days(2)));
   for (const PolicyKind kind :
@@ -73,8 +71,8 @@ TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
       EngineConfig config;
       config.policy.kind = kind;
       config.wcl_enforcement = mode;
-      const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config, serial);
-      const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config, serial);
+      const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config);
+      const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config);
       EXPECT_EQ(naive, forked) << "kind " << static_cast<int>(kind) << " mode "
                                << static_cast<int>(mode);
     }
@@ -86,7 +84,6 @@ TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
 // invocations walk to a blocked starvation head's reservation, many of
 // them past over-running jobs.
 TEST(PolicyFstFork, CplantForksMatchNaiveBehindAStarvationHead) {
-  const PolicyFstOptions serial{.parallel = false};
   const Workload w =
       with_underestimates(workload::generate_small_workload(41, 120, 32, days(1)));
   std::vector<PolicyConfig> policies = {paper_policy(PaperPolicy::Cplant24NomaxAll),
@@ -98,8 +95,8 @@ TEST(PolicyFstFork, CplantForksMatchNaiveBehindAStarvationHead) {
   for (const PolicyConfig& policy : policies) {
     EngineConfig config;
     config.policy = policy;
-    EXPECT_EQ(policy_no_later_arrivals_fst_naive(w, config, serial),
-              policy_no_later_arrivals_fst(w, config, serial))
+    EXPECT_EQ(policy_no_later_arrivals_fst_naive(w, config),
+              policy_no_later_arrivals_fst(w, config))
         << policy.display_name() << " delay " << policy.starvation_delay;
   }
 }
@@ -109,17 +106,16 @@ TEST(PolicyFstFork, CplantForksMatchNaiveBehindAStarvationHead) {
 // queue with unseated entries and a plan that holds only the seated ones.
 // A 90-job burst on 16 nodes keeps the queue deep for hours.
 TEST(PolicyFstFork, ConsdynForksCloneUnseatedEntries) {
-  const PolicyFstOptions serial{.parallel = false};
   const Workload w = workload::generate_small_workload(31, 90, 16, hours(2));
   for (const PriorityKind priority : {PriorityKind::Fairshare, PriorityKind::Fcfs}) {
     EngineConfig config;
     config.policy.kind = PolicyKind::ConservativeDynamic;
     config.policy.priority = priority;
     config.fairshare_period = minutes(30);
-    const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config, serial);
+    const std::vector<Time> naive = policy_no_later_arrivals_fst_naive(w, config);
     obs::reset();
     obs::arm();
-    const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config, serial);
+    const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config);
     const std::uint64_t unseated = obs::counter_value(obs::Counter::kSchedDynamicUnseated);
     obs::reset();
     EXPECT_EQ(naive, forked) << "priority " << static_cast<int>(priority);
@@ -127,31 +123,13 @@ TEST(PolicyFstFork, ConsdynForksCloneUnseatedEntries) {
   }
 }
 
-// Forks are independent, so draining them on the pool must be untraceably
-// different from draining them inline (one integer write per fork, each to
-// its own slot). Large enough to roll over several fork batches.
-TEST(PolicyFstFork, ParallelDrainMatchesSerialDrain) {
-  const Workload w =
-      with_underestimates(workload::generate_small_workload(29, 300, 128, days(4)));
-  for (const PolicyKind kind : {PolicyKind::Cplant, PolicyKind::ConservativeDynamic}) {
-    EngineConfig config;
-    config.policy.kind = kind;
-    config.wcl_enforcement = WclEnforcement::KillIfNeeded;
-    EXPECT_EQ(policy_no_later_arrivals_fst(w, config, {.parallel = false}),
-              policy_no_later_arrivals_fst(w, config, {.parallel = true}))
-        << "kind " << static_cast<int>(kind);
-  }
-}
-
 // The max_runtime precondition applies to the oracle exactly like the forked
-// path (same message, both options paths).
+// path (same message).
 TEST(PolicyFstFork, NaivePreconditionThrowsUnchanged) {
   const Workload w = workload::generate_small_workload(5, 20, 16, days(1));
   EngineConfig config;
   config.policy.max_runtime = hours(72);
   EXPECT_THROW(policy_no_later_arrivals_fst_naive(w, config), std::invalid_argument);
-  EXPECT_THROW(policy_no_later_arrivals_fst_naive(w, config, {.parallel = false}),
-               std::invalid_argument);
   try {
     policy_no_later_arrivals_fst_naive(w, config);
     FAIL() << "expected std::invalid_argument";

@@ -16,6 +16,8 @@
 //     --keep-going     keep scheduling cells after a failed cell (default:
 //                      halt; already-running cells still finish either way)
 //     --dry-run        parse the spec, print the expanded cell plan, and exit
+//     --write-swf FILE write the spec's workload (one seed only) as SWF to
+//                      FILE, built as the campaign would build it, and exit
 //     --csv            print stdout tables as CSV instead of aligned text
 //     --trace FILE     arm the observability layer and export a Chrome
 //                      trace-event / Perfetto JSON trace to FILE (equivalent
@@ -55,6 +57,7 @@
 #include "util/atomic_file.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
+#include "workload/swf.hpp"
 
 namespace {
 
@@ -82,7 +85,8 @@ void print_usage() {
   std::cout <<
       "psched_campaign — declarative scenario campaigns (spec format: docs/campaign_specs.md)\n"
       "  psched_campaign SPEC [--out DIR] [--jobs N] [--resume] [--cell-timeout S]\n"
-      "                  [--wall-budget S] [--keep-going] [--dry-run] [--csv]\n"
+      "                  [--wall-budget S] [--keep-going] [--dry-run] [--write-swf FILE]\n"
+      "                  [--csv] [--trace FILE] [--stats]\n"
       "  --out DIR        write DIR/cells.csv, DIR/summary.json, DIR/journal.jsonl\n"
       "  --jobs N         concurrent simulations per sweep (1 = serial; output identical)\n"
       "  --resume         skip cells already journaled ok (requires --out)\n"
@@ -90,6 +94,7 @@ void print_usage() {
       "  --wall-budget S  stop the campaign after S seconds -> interrupted store\n"
       "  --keep-going     keep scheduling cells after a failure (default: halt)\n"
       "  --dry-run        print the expanded cell plan without simulating\n"
+      "  --write-swf FILE write the spec's workload (one seed) as SWF without simulating\n"
       "  --csv            CSV tables on stdout\n"
       "  --trace FILE     export a Perfetto/Chrome trace-event JSON to FILE\n"
       "  --stats          print the per-cell breakdown and subsystem counters\n"
@@ -119,6 +124,7 @@ int main(int argc, char** argv) {
   options.keep_going = false;
   double wall_budget = 0.0;
   bool dry_run = false;
+  std::string write_swf_path;
   bool csv = false;
   bool stats = false;
   std::string trace_path;
@@ -149,6 +155,8 @@ int main(int argc, char** argv) {
       options.keep_going = true;
     } else if (arg == "--dry-run") {
       dry_run = true;
+    } else if (arg == "--write-swf") {
+      write_swf_path = next();
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--trace") {
@@ -181,6 +189,19 @@ int main(int argc, char** argv) {
             << plan.cells.size() << " unique cells, " << plan.seeds.size() << " seed"
             << (plan.seeds.size() == 1 ? "" : "s") << ", " << spec.metrics.size()
             << " metrics\n";
+  if (!write_swf_path.empty()) {
+    if (plan.seeds.size() != 1) fail("--write-swf wants a spec with one seed");
+    try {
+      const Workload trace = scenario::build_workload(spec.workload, plan.seeds.front());
+      workload::write_swf_file(write_swf_path, trace);
+      std::cout << "# seed " << plan.seeds.front() << ": " << trace.jobs.size() << " jobs, "
+                << trace.system_size << " nodes\n# wrote " << write_swf_path << '\n';
+    } catch (const std::exception& error) {
+      std::cerr << "psched_campaign: " << error.what() << '\n';
+      return 2;
+    }
+    return 0;
+  }
   if (dry_run) {
     util::TextTable table({"cell", "seed", "decay", "policy"});
     for (const scenario::CampaignCell& cell : plan.cells)

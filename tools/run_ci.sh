@@ -22,7 +22,7 @@
 #        and asserts every failure lands in the retried / degraded /
 #        fail-loud trichotomy with byte-identical recovered stores
 #     8. an archive-scale replay smoke: a ~50k-job synthetic trace exported
-#        to SWF and replayed once through a campaign with the forked
+#        to SWF (psched_campaign --write-swf) and replayed once through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget, with --stats, failing
 #        if a deterministic count (events, scheduler invocations, profile fit
 #        calls and steps, CPlant queue entries read, forks, drained and
@@ -142,8 +142,10 @@ run_tier1() {
     --spec examples/campaigns/swf_replay.spec --out "$CHAOS_OUT" --timeout 60
 
   echo "== archive-scale replay smoke (~50k jobs, forked FST) =="
-  # Generate a ~50k-job synthetic trace, export it to SWF, and replay it
-  # through a campaign that selects the policy-knowledge (forked-engine) FST.
+  # Export a ~50k-job synthetic trace to SWF with `psched_campaign
+  # --write-swf` (a one-seed Ross spec, built as a campaign builds it), and
+  # replay it through a campaign that selects the policy-knowledge
+  # (forked-engine) FST.
   # scale 3.8 condenses ~3.8x the Ross trace into the same span, so the spec
   # stretches arrivals back (rescale_load 0.26) to keep the queue realistic.
   # --wall-budget is the perf guard: blowing it exits 4 (interrupted store)
@@ -154,7 +156,20 @@ run_tier1() {
   ARCHIVE_OUT="$BUILD/archive-smoke"
   rm -rf "$ARCHIVE_OUT"
   mkdir -p "$ARCHIVE_OUT"
-  "$BUILD"/psched_run --scale 3.8 --seed 42 --write-swf "$ARCHIVE_OUT/archive.swf" \
+  cat > "$ARCHIVE_OUT/export.spec" <<SPEC
+[campaign]
+name = archive_export
+metrics = percent_unfair
+
+[workload]
+source = ross
+seed = 42
+scale = 3.8
+
+[policies]
+names = cplant24.nomax.all
+SPEC
+  "$BUILD"/psched_campaign "$ARCHIVE_OUT/export.spec" --write-swf "$ARCHIVE_OUT/archive.swf" \
     >/dev/null
   test "$(grep -cv '^[;#]' "$ARCHIVE_OUT/archive.swf")" -ge 50000  # archive-scale, not a toy
   cat > "$ARCHIVE_OUT/archive.spec" <<SPEC
