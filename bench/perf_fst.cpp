@@ -45,15 +45,22 @@ void record_pool_counters(benchmark::State& state, bool parallel) {
 
 /// The seed per-snapshot FST computation: a freshly allocated per-node list
 /// scheduler per snapshot, scheduling the stored (fairshare-ordered) prefix.
-Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size,
-                            metrics::FstKnowledge knowledge) {
+/// Shapes are read from the run's records, as metrics::hybrid_fairshare_fst
+/// reads them.
+Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, const std::vector<JobRecord>& records,
+                            NodeCount system_size, metrics::FstKnowledge knowledge) {
   const bool perfect = knowledge == metrics::FstKnowledge::Perfect;
   reference::ReferenceListScheduler list(system_size, snapshot.at);
-  for (const SnapshotRunning& r : snapshot.running)
-    list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
+  for (const SnapshotRunning& r : snapshot.running) {
+    const JobRecord& record = records.at(static_cast<std::size_t>(r.id));
+    const Time remaining = perfect ? record.start + record.job.runtime - snapshot.at
+                                   : std::max<Time>(1, record.start + record.job.wcl - snapshot.at);
+    list.occupy(record.job.nodes, snapshot.at + std::max<Time>(remaining, 0));
+  }
 
   for (const SnapshotWaiting& w : snapshot.waiting) {
-    const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+    const Job& job = records.at(static_cast<std::size_t>(w.id)).job;
+    const Time start = list.schedule(job.nodes, perfect ? job.runtime : job.wcl, snapshot.at);
     if (w.id == snapshot.id) return start;
   }
   throw std::logic_error("reference_snapshot_fst: target job missing from its own snapshot");
@@ -224,8 +231,8 @@ void BM_RefHybridFstSerial(benchmark::State& state) {
   std::vector<Time> fair_start(input.records.size());
   for (auto _ : state) {
     for (std::size_t i = 0; i < input.snapshots.size(); ++i)
-      fair_start[i] = reference_snapshot_fst(input.snapshots[i], input.system_size,
-                                             metrics::FstKnowledge::Estimates);
+      fair_start[i] = reference_snapshot_fst(input.snapshots[i], input.records,
+                                             input.system_size, metrics::FstKnowledge::Estimates);
     benchmark::DoNotOptimize(fair_start.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(input.records.size()));

@@ -4,7 +4,8 @@
 // "no later arrivals" FST of Sabin et al. — plus the resource-equality
 // metric. The Sabin variant runs on the forked simulation engine (one pass
 // plus a per-arrival fork) instead of the historical O(n^2) per-job
-// re-simulation, so it is no longer restricted to toy traces. It ends with
+// re-simulation, so it is no longer restricted to toy traces; that one pass
+// is also the schedule the other metrics read. It ends with
 // who is treated unfairly: the heaviest users' treatment under the hybrid FST.
 
 #include <algorithm>
@@ -26,14 +27,16 @@ int main() {
                                         /*span=*/days(14), /*user_count=*/12);
   sim::EngineConfig config;
   config.policy = paper_policy(PaperPolicy::Cplant24NomaxAll);
-  const SimulationResult result = sim::simulate(trace, config);
+  // Sabin et al.: the policy's own schedule with later arrivals removed —
+  // one forked drain per job instead of a full re-simulation per job. The
+  // pass that forks them is also the simulation every metric reads.
+  const sim::PolicyFstRun run = sim::simulate_with_policy_fst(trace, config);
+  const SimulationResult& result = run.simulation;
+  const std::vector<Time>& sabin_fst = run.fair_start;
 
   const metrics::FstResult hybrid = metrics::hybrid_fairshare_fst(result);
   const metrics::FstResult consp = metrics::cons_p_fst(result);
 
-  // Sabin et al.: the policy's own schedule with later arrivals removed —
-  // one forked drain per job instead of a full re-simulation per job.
-  const std::vector<Time> sabin_fst = sim::policy_no_later_arrivals_fst(trace, config);
   std::size_t sabin_unfair = 0;
   double sabin_miss = 0.0;
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {

@@ -1,8 +1,8 @@
 #pragma once
 // Simulation outputs: per-job records, the per-arrival snapshots consumed by
-// the fair-start-time engines, and the whole-run result bundle. These are
-// plain data, shared between the engine (producer) and the metrics layer
-// (consumer).
+// the fair-start-time engines (record ids, read against the records), and
+// the whole-run result bundle. These are plain data, shared between the
+// engine (producer) and the metrics layer (consumer).
 
 #include <cstdint>
 #include <string>
@@ -26,26 +26,25 @@ struct JobRecord {
   Time executed_runtime() const { return finish - start; }
 };
 
-/// A running job as seen at some snapshot instant.
+/// A running job at some snapshot instant. Its shape and start are its
+/// record's (SimulationResult::records[id]), so only the id is stored.
 struct SnapshotRunning {
-  NodeCount nodes = 0;
-  Time remaining = 0;      ///< actual remaining runtime (perfect knowledge)
-  Time est_remaining = 0;  ///< WCL-based remaining (the scheduler's knowledge)
+  JobId id = kInvalidJob;
 };
 
-/// A waiting job as seen at some snapshot instant.
+/// A waiting job at some snapshot instant, read through its record like
+/// SnapshotRunning.
 struct SnapshotWaiting {
   JobId id = kInvalidJob;
-  NodeCount nodes = 0;
-  Time runtime = 0;      ///< actual runtime (perfect knowledge)
-  Time wcl = 0;          ///< wall clock limit (the scheduler's knowledge)
 };
 
 /// System state captured at one job's arrival: the input of the paper's
-/// hybrid FST metric (section 4.1). `waiting` holds the jobs ahead of the
-/// arrival in FST order — fairshare order, ascending (usage at the arrival,
-/// submit, id) — then the arrival itself, last; the jobs behind it cannot
-/// affect its fair start and are not stored.
+/// hybrid FST metric (section 4.1). `running` holds the jobs running at the
+/// arrival; `waiting` holds the jobs ahead of the arrival in FST order —
+/// fairshare order, ascending (usage at the arrival, submit, id) — then the
+/// arrival itself, last; the jobs behind it cannot affect its fair start and
+/// are not stored. Both hold record ids only (4 bytes an entry): every
+/// field the FST reads (nodes, runtime, WCL, start) is in the run's records.
 struct ArrivalSnapshot {
   JobId id = kInvalidJob;
   Time at = kNoTime;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/list_scheduler.hpp"
 #include "core/profile.hpp"
@@ -27,18 +28,35 @@ struct FstScratch {
   }
 };
 
+/// The record of a snapshot entry; throws std::invalid_argument when `id`
+/// names none.
+const JobRecord& snapshot_record(const std::vector<JobRecord>& records, JobId id) {
+  if (id < 0 || static_cast<std::size_t>(id) >= records.size())
+    throw std::invalid_argument("snapshot_fst: snapshot names job " + std::to_string(id) +
+                                ", which has no record");
+  return records[static_cast<std::size_t>(id)];
+}
+
 /// FST of one snapshot: list-schedule the waiting jobs on top of the running
 /// jobs in stored order (the engine stores them in fairshare order, the
-/// arrival last); return the target job's start.
-Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKnowledge knowledge,
-                  FstScratch& scratch) {
+/// arrival last); return the target job's start. Shapes come from the
+/// records: a running job's perfect remaining time is start + runtime - at
+/// (the engine's actual end, runtime-based even when it is killed at its
+/// WCL), its estimate max(1, start + wcl - at) (the engine's clamp).
+Time snapshot_fst(const ArrivalSnapshot& snapshot, const std::vector<JobRecord>& records,
+                  NodeCount system_size, FstKnowledge knowledge, FstScratch& scratch) {
   const bool perfect = knowledge == FstKnowledge::Perfect;
   ListScheduler& list = scratch.list_for(system_size, snapshot.at);
-  for (const SnapshotRunning& r : snapshot.running)
-    list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
+  for (const SnapshotRunning& r : snapshot.running) {
+    const JobRecord& record = snapshot_record(records, r.id);
+    const Time remaining = perfect ? record.start + record.job.runtime - snapshot.at
+                                   : std::max<Time>(1, record.start + record.job.wcl - snapshot.at);
+    list.occupy(record.job.nodes, snapshot.at + std::max<Time>(remaining, 0));
+  }
 
   for (const SnapshotWaiting& w : snapshot.waiting) {
-    const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+    const Job& job = snapshot_record(records, w.id).job;
+    const Time start = list.schedule(job.nodes, perfect ? job.runtime : job.wcl, snapshot.at);
     if (w.id == snapshot.id) return start;
   }
   throw std::logic_error("snapshot_fst: target job missing from its own snapshot");
@@ -102,7 +120,8 @@ FstResult hybrid_fairshare_fst(const SimulationResult& result, const FstOptions&
   const auto compute_one = [&](std::size_t i) {
     thread_local FstScratch scratch;
     fst.fair_start[i] =
-        snapshot_fst(result.snapshots[i], result.system_size, options.knowledge, scratch);
+        snapshot_fst(result.snapshots[i], result.records, result.system_size, options.knowledge,
+                     scratch);
   };
   if (options.parallel)
     util::parallel_for(n, compute_one, /*min_chunk=*/16);

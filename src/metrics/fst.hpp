@@ -78,7 +78,9 @@ struct FstResult {
 };
 
 /// The paper's hybrid fairshare FST. Requires result.snapshots (throws if
-/// the engine ran with record_snapshots = false).
+/// the engine ran with record_snapshots = false). Snapshots hold record ids:
+/// each job's nodes, runtime, WCL and start are read from result.records,
+/// and an id with no record throws std::invalid_argument.
 FstResult hybrid_fairshare_fst(const SimulationResult& result, const FstOptions& options = {});
 
 /// CONS_P FST: one conservative FCFS perfect-estimate schedule of the whole

@@ -346,7 +346,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     // Serialized by run_isolated: classify, record durably, count. A cell is
     // in the journal the instant it finished — a crash after this point
     // cannot lose it.
-    run_options.on_finish = [&](std::size_t i, const sim::CellOutcome& outcome) {
+    run_options.on_finish = [&](std::size_t i, sim::CellOutcome& outcome) {
       const std::size_t position = pending_positions[i];
       CellResult& cell = result.cells[position];
       if (outcome.result) {
@@ -387,6 +387,12 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           b.fst_peak_batch_bytes = outcome.result->fst_stats.peak_batch_bytes;
         }
       }
+      // Keep the report; free the simulation (records and snapshots) now,
+      // so the sweep holds at most one per lane.
+      if (outcome.result) {
+        result.reports[position] = std::move(outcome.result->report);
+        outcome.result->simulation = SimulationResult{};
+      }
       ++result.simulated_cells;
       if (journal) {
         JournalCellRecord record;
@@ -408,12 +414,9 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
       }
     };
 
-    std::vector<sim::CellOutcome> outcomes = runner.run_isolated(policies, run_options);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].result)
-        result.reports[pending_positions[i]] = std::move(outcomes[i].result->report);
-      if (outcomes[i].error && !options.keep_going) halted = true;
-    }
+    const std::vector<sim::CellOutcome> outcomes = runner.run_isolated(policies, run_options);
+    for (const sim::CellOutcome& outcome : outcomes)
+      if (outcome.error && !options.keep_going) halted = true;
   }
 
   // Reports carry their cell's name; the fairness and performance tables

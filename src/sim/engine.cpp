@@ -68,7 +68,6 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
       arrival_limit_(target),
       next_seeded_(other.next_seeded_),
       seeded_end_(std::min<JobId>(other.seeded_end_, target + 1)),
-      running_state_(other.running_state_),
       running_view_(other.running_view_),
       waiting_(other.waiting_),
       waiting_demand_(other.waiting_demand_),
@@ -154,24 +153,16 @@ void SimulationEngine::advance_accounting(Time to) {
 }
 
 void SimulationEngine::record_snapshot(JobId id, std::size_t index) {
+  // Ids only: the FST reads each job's shape and start from the records.
   ArrivalSnapshot snapshot;
   snapshot.id = id;
   snapshot.at = now_;
-  snapshot.running.reserve(running_state_.size());
-  for (std::size_t i = 0; i < running_state_.size(); ++i) {
-    SnapshotRunning r;
-    r.nodes = running_view_[i].nodes;
-    r.remaining = running_state_[i].actual_end - now_;
-    r.est_remaining = std::max<Time>(1, running_view_[i].est_end - now_);
-    snapshot.running.push_back(r);
-  }
+  snapshot.running.reserve(running_view_.size());
+  for (const RunningView& r : running_view_) snapshot.running.push_back({r.id});
   // The hybrid FST list-schedules the queue in order and stops at the
   // arrival, so the jobs behind it never matter.
   snapshot.waiting.reserve(index + 1);
-  for (std::size_t i = 0; i <= index; ++i) {
-    const WaitQueue::Entry& entry = snapshot_queue_[i];
-    snapshot.waiting.push_back({entry.id, entry.nodes, job(entry.id).runtime, entry.wcl});
-  }
+  for (std::size_t i = 0; i <= index; ++i) snapshot.waiting.push_back({snapshot_queue_[i].id});
   result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
 }
 
@@ -210,7 +201,6 @@ void SimulationEngine::start_job(JobId id) {
     end = now_ + j.wcl;
     killed = true;
   }
-  running_state_.push_back({id, now_ + j.runtime});
   running_view_.push_back({id, j.nodes, now_, now_ + j.wcl});
 
   if (killed) {
@@ -225,18 +215,15 @@ void SimulationEngine::start_job(JobId id) {
 }
 
 void SimulationEngine::deliver_completion(JobId id, Time finish, bool killed) {
-  const auto state_it =
-      std::find_if(running_state_.begin(), running_state_.end(),
-                   [id](const RunningState& r) { return r.id == id; });
-  if (state_it == running_state_.end()) return;  // already completed (e.g. killed earlier)
-  const auto index = static_cast<std::size_t>(std::distance(running_state_.begin(), state_it));
+  const auto running_it = std::find_if(running_view_.begin(), running_view_.end(),
+                                       [id](const RunningView& r) { return r.id == id; });
+  if (running_it == running_view_.end()) return;  // already completed (e.g. killed earlier)
 
   const Job& j = job(id);
   free_nodes_ += j.nodes;
   running_nodes_ -= j.nodes;
   fairshare_.on_job_stop(j.user, j.nodes);
-  running_state_.erase(state_it);
-  running_view_.erase(running_view_.begin() + static_cast<std::ptrdiff_t>(index));
+  running_view_.erase(running_it);
 
   if (!is_fork()) {
     JobRecord& record = result_.records[static_cast<std::size_t>(id)];
@@ -277,10 +264,9 @@ void SimulationEngine::remove_started(std::vector<JobId>& starts) {
 }
 
 void SimulationEngine::handle_wcl_check(JobId id) {
-  const auto state_it =
-      std::find_if(running_state_.begin(), running_state_.end(),
-                   [id](const RunningState& r) { return r.id == id; });
-  if (state_it == running_state_.end()) return;  // finished before the check fired
+  const bool running = std::any_of(running_view_.begin(), running_view_.end(),
+                                   [id](const RunningView& r) { return r.id == id; });
+  if (!running) return;  // finished before the check fired
   const Job& j = job(id);
   // CPlant semantics: the over-running job dies only if some waiting job
   // could start with the freed processors.
@@ -331,7 +317,6 @@ std::size_t SimulationEngine::fork_footprint_bytes() const {
   constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);  // hash-bucket / tree links
   return events_.capacity() * sizeof(Event) +
          waiting_.size() * sizeof(JobId) +
-         running_state_.capacity() * sizeof(RunningState) +
          running_view_.capacity() * sizeof(RunningView) +
          pending_timers_.size() * (sizeof(Time) + 2 * kNodeOverhead);
 }
@@ -425,7 +410,7 @@ SimulationResult SimulationEngine::run_with_arrival_hook(const ArrivalHook& hook
   if (!waiting_.empty())
     throw std::logic_error("engine: simulation ended with " + std::to_string(waiting_.size()) +
                            " jobs still waiting");
-  if (!running_state_.empty())
+  if (!running_view_.empty())
     throw std::logic_error("engine: simulation ended with jobs still running");
 
   return std::move(result_);

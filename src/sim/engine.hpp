@@ -189,11 +189,6 @@ class SimulationEngine final : public SchedulerContext {
   /// arrival cursor capped at `target`; all copied state is O(queue depth).
   SimulationEngine(const SimulationEngine& other, JobId target);
 
-  struct RunningState {
-    JobId id;
-    Time actual_end;  ///< when the job completes if never killed
-  };
-
   bool is_fork() const { return arrival_limit_ != kInvalidJob; }
 
   void advance_accounting(Time to);
@@ -254,7 +249,6 @@ class SimulationEngine final : public SchedulerContext {
   JobId seeded_end_ = 0;
 
   SimulationResult result_;
-  std::vector<RunningState> running_state_;   // parallel to running_view_
   std::vector<RunningView> running_view_;
   /// Arrived, not yet started: record ids, ascending. Enough for every
   /// question the run loop asks (anyone waiting? anyone this wide?), so it

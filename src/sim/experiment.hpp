@@ -68,8 +68,11 @@ struct IsolatedRunOptions {
   /// the test-only fault-injection point; a throw becomes the cell's error.
   std::function<void(std::size_t, const util::StopToken&)> on_start;
   /// Called once per attempted cell as it finishes, serialized under an
-  /// internal mutex (safe to append to a journal). Must not throw.
-  std::function<void(std::size_t, const CellOutcome&)> on_finish;
+  /// internal mutex (safe to append to a journal). Must not throw. It may
+  /// move out of or reset the outcome (a sweep that keeps only the reports
+  /// frees each simulation here, so peak memory follows the lanes, not the
+  /// cells); the returned vector holds whatever it leaves.
+  std::function<void(std::size_t, CellOutcome&)> on_finish;
 };
 
 class ExperimentRunner {

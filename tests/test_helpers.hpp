@@ -44,6 +44,22 @@ inline SimulationResult run_policy(const Workload& workload, PolicyKind kind,
   return sim::simulate(workload, config);
 }
 
+/// The record a snapshot entry names (snapshots store record ids only).
+inline const JobRecord& record_of(const SimulationResult& result, JobId id) {
+  return result.records.at(static_cast<std::size_t>(id));
+}
+
+/// A running job's remaining time at a snapshot instant `at`, as the hybrid
+/// FST reads it from the record: runtime-based (perfect knowledge) ...
+inline Time remaining_at(const JobRecord& record, Time at) {
+  return record.start + record.job.runtime - at;
+}
+
+/// ... and WCL-based (the scheduler's knowledge), clamped to at least 1.
+inline Time est_remaining_at(const JobRecord& record, Time at) {
+  return std::max<Time>(1, record.start + record.job.wcl - at);
+}
+
 /// No record may over-allocate the machine at any instant.
 inline void expect_no_overallocation(const SimulationResult& result) {
   // Sweep start/finish events.

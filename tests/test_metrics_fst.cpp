@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -89,21 +91,39 @@ TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
   // full, unordered waiting sets: the seed computation (sort every waiting
   // job by (usage, submit, id), list-schedule on the seed list scheduler
   // until the target) equals hybrid_fairshare_fst over the sorted prefix.
+  // Snapshots hold record ids, so every job of every snapshot gets its own
+  // record; records [0, kSnapshots) are the targets, the rest get a
+  // one-job snapshot of their own and are not checked.
   struct Waiting {
-    SnapshotWaiting job;
+    JobId id;
     double usage;
     Time submit;
   };
   const auto fairshare_less = [](const Waiting& a, const Waiting& b) {
     if (a.usage != b.usage) return a.usage < b.usage;
     if (a.submit != b.submit) return a.submit < b.submit;
-    return a.job.id < b.job.id;
+    return a.id < b.id;
   };
   constexpr NodeCount kNodes = 16;
   constexpr std::size_t kSnapshots = 300;
   util::Rng rng(20261017);
   SimulationResult result;
   result.system_size = kNodes;
+  result.records.resize(kSnapshots);
+  result.snapshots.resize(kSnapshots);
+  // A record beside the targets (ids above kSnapshots never collide with
+  // them), with its own trivial snapshot.
+  const auto add_record = [&result](const JobRecord& record) {
+    const auto id = static_cast<JobId>(result.records.size());
+    result.records.push_back(record);
+    result.records.back().job.id = id;
+    ArrivalSnapshot own;
+    own.id = id;
+    own.at = record.start;
+    own.waiting.push_back({id});
+    result.snapshots.push_back(std::move(own));
+    return id;
+  };
   std::vector<std::vector<Waiting>> sorted(kSnapshots);  // the oracle's order
   for (std::size_t i = 0; i < kSnapshots; ++i) {
     const auto target = static_cast<JobId>(i);
@@ -112,37 +132,43 @@ TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
     snapshot.at = rng.uniform_int(0, 1000);
     NodeCount busy = 0;
     for (auto k = rng.uniform_int(0, 6); k > 0 && busy < kNodes; --k) {
-      SnapshotRunning running;
-      running.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes - busy));
-      running.remaining = rng.uniform_int(0, 500);
-      running.est_remaining = running.remaining + rng.uniform_int(1, 300);
-      busy += running.nodes;
-      snapshot.running.push_back(running);
+      // Remaining time in [0, 500]; the WCL overshoots it by [1, 300].
+      JobRecord running;
+      running.job.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes - busy));
+      const Time remaining = rng.uniform_int(0, 500);
+      running.start = snapshot.at - rng.uniform_int(0, 200);
+      running.job.runtime = remaining + (snapshot.at - running.start);
+      running.job.wcl = running.job.runtime + rng.uniform_int(1, 300);
+      busy += running.job.nodes;
+      snapshot.running.push_back({add_record(running)});
     }
     // Few distinct usages and submits, so the id and submit tie-breaks
-    // decide many pairs; ids above kSnapshots never collide with targets.
+    // decide many pairs.
     const auto depth = rng.uniform_int(0, 30);
     for (std::int64_t k = 0; k <= depth; ++k) {
+      JobRecord record;
+      record.job.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes));
+      record.job.runtime = rng.uniform_int(1, 400);
+      record.job.wcl = record.job.runtime + rng.uniform_int(0, 400);
+      record.start = snapshot.at;
       Waiting w;
-      w.job.id = k == 0 ? target : static_cast<JobId>(kSnapshots) + static_cast<JobId>(k);
-      w.job.nodes = static_cast<NodeCount>(rng.uniform_int(1, kNodes));
-      w.job.runtime = rng.uniform_int(1, 400);
-      w.job.wcl = w.job.runtime + rng.uniform_int(0, 400);
+      if (k == 0) {
+        record.job.id = target;
+        result.records[i] = record;
+        w.id = target;
+      } else {
+        w.id = add_record(record);
+      }
       w.usage = static_cast<double>(rng.uniform_int(0, 3)) * 0.5;
       w.submit = snapshot.at - rng.uniform_int(0, 2) * 50;
       sorted[i].push_back(w);
     }
     std::sort(sorted[i].begin(), sorted[i].end(), fairshare_less);
     for (const Waiting& w : sorted[i]) {
-      snapshot.waiting.push_back(w.job);
-      if (w.job.id == target) break;
+      snapshot.waiting.push_back({w.id});
+      if (w.id == target) break;
     }
-    JobRecord record;
-    record.job = make_job(0, snapshot.waiting.back().runtime, snapshot.waiting.back().nodes);
-    record.job.id = target;
-    record.start = snapshot.at;
-    result.records.push_back(record);
-    result.snapshots.push_back(std::move(snapshot));
+    result.snapshots[i] = std::move(snapshot);
   }
 
   for (const FstKnowledge knowledge : {FstKnowledge::Perfect, FstKnowledge::Estimates}) {
@@ -153,13 +179,17 @@ TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
     for (std::size_t i = 0; i < kSnapshots; ++i) {
       const ArrivalSnapshot& snapshot = result.snapshots[i];
       reference::ReferenceListScheduler list(kNodes, snapshot.at);
-      for (const SnapshotRunning& r : snapshot.running)
-        list.occupy(r.nodes, snapshot.at + (perfect ? r.remaining : r.est_remaining));
+      for (const SnapshotRunning& r : snapshot.running) {
+        const JobRecord& record = test::record_of(result, r.id);
+        list.occupy(record.job.nodes,
+                    snapshot.at + (perfect ? test::remaining_at(record, snapshot.at)
+                                           : test::est_remaining_at(record, snapshot.at)));
+      }
       Time expected = kNoTime;
       for (const Waiting& w : sorted[i]) {
-        const Time start =
-            list.schedule(w.job.nodes, perfect ? w.job.runtime : w.job.wcl, snapshot.at);
-        if (w.job.id == snapshot.id) {
+        const Job& job = test::record_of(result, w.id).job;
+        const Time start = list.schedule(job.nodes, perfect ? job.runtime : job.wcl, snapshot.at);
+        if (w.id == snapshot.id) {
           expected = start;
           break;
         }
@@ -176,6 +206,81 @@ TEST(HybridFst, RequiresSnapshots) {
   config.record_snapshots = false;
   const SimulationResult r = sim::simulate(w, config);
   EXPECT_THROW(hybrid_fairshare_fst(r), std::invalid_argument);
+}
+
+TEST(HybridFst, SnapshotIdWithoutARecordThrows) {
+  // Job 1 arrives while job 0 runs, so its snapshot holds both kinds of
+  // entry; pointing either at an id past the records must throw.
+  const Workload w = make_workload(4, {make_job(0, 10, 1), make_job(5, 10, 2)});
+  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
+  ASSERT_EQ(r.snapshots[1].running.size(), 1u);
+  ASSERT_EQ(r.snapshots[1].waiting.size(), 1u);
+  const auto missing = static_cast<JobId>(r.records.size());
+  for (const bool parallel : {false, true}) {
+    FstOptions options = strict();
+    options.parallel = parallel;
+    SimulationResult bad_running = r;
+    bad_running.snapshots[1].running[0].id = missing;
+    EXPECT_THROW(hybrid_fairshare_fst(bad_running, options), std::invalid_argument);
+    SimulationResult bad_waiting = r;
+    bad_waiting.snapshots[1].waiting[0].id = kInvalidJob;
+    EXPECT_THROW(hybrid_fairshare_fst(bad_waiting, options), std::invalid_argument);
+  }
+}
+
+/// FNV-1a over every record's fair start: a compact pin of one FST pass.
+std::uint64_t fair_start_digest(const FstResult& fst) {
+  util::Fnv1a hash;
+  for (const Time start : fst.fair_start) hash.mix(start);
+  return hash.digest();
+}
+
+TEST(HybridFst, FairStartsArePinnedOnARossTrace) {
+  // Two weeks of a 1,327-job Ross trace under every engine mode that changes
+  // what a snapshot holds: the three WCL enforcements (23 jobs killed under
+  // kill-if-needed, 35 under always; a killed job's perfect remaining time
+  // stays runtime-based) and a 72 h maximum runtime under both segment
+  // arrivals (1,387 records; chained segments become records mid-run).
+  // Each is pinned in both knowledge modes.
+  workload::GeneratorConfig generator;
+  generator.seed = 5;
+  generator.count_scale = 0.1;
+  generator.span = weeks(2);
+  const Workload w = workload::generate_ross_workload(generator);
+  struct Case {
+    const char* name;
+    PaperPolicy policy;
+    sim::WclEnforcement wcl;
+    sim::SegmentArrival segments;
+    std::uint64_t perfect;
+    std::uint64_t estimates;
+  };
+  const Case cases[] = {
+      {"nomax never", PaperPolicy::Cplant24NomaxAll, sim::WclEnforcement::Never,
+       sim::SegmentArrival::AtOriginalSubmit, 0x9bdd450e7bde335bull, 0x2130362f0bee1575ull},
+      {"nomax kill-if-needed", PaperPolicy::Cplant24NomaxAll, sim::WclEnforcement::KillIfNeeded,
+       sim::SegmentArrival::AtOriginalSubmit, 0xf92fac08cb25e5d2ull, 0x73f8715cc1978ca9ull},
+      {"nomax always", PaperPolicy::Cplant24NomaxAll, sim::WclEnforcement::Always,
+       sim::SegmentArrival::AtOriginalSubmit, 0xeb1246bab13a8c2cull, 0xc63ea48452ed971dull},
+      {"72max at-submit", PaperPolicy::Cplant24MaxAll, sim::WclEnforcement::Never,
+       sim::SegmentArrival::AtOriginalSubmit, 0xa16ccb01ca0f9178ull, 0xed58a06d70321c6eull},
+      {"72max chained", PaperPolicy::Cplant24MaxAll, sim::WclEnforcement::Never,
+       sim::SegmentArrival::Chained, 0xb9ca8e3aedb7151eull, 0x16e4f52fab27c483ull},
+  };
+  for (const Case& c : cases) {
+    sim::EngineConfig config;
+    config.policy = paper_policy(c.policy);
+    config.wcl_enforcement = c.wcl;
+    config.segment_arrival = c.segments;
+    const SimulationResult r = sim::simulate(w, config);
+    FstOptions perfect = strict();
+    FstOptions estimates = strict();
+    estimates.knowledge = FstKnowledge::Estimates;
+    const std::uint64_t got_perfect = fair_start_digest(hybrid_fairshare_fst(r, perfect));
+    const std::uint64_t got_estimates = fair_start_digest(hybrid_fairshare_fst(r, estimates));
+    EXPECT_EQ(got_perfect, c.perfect) << c.name;
+    EXPECT_EQ(got_estimates, c.estimates) << c.name;
+  }
 }
 
 TEST(HybridFst, SerialAndParallelAgree) {

@@ -110,7 +110,8 @@ TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
     EXPECT_EQ(stored, expected[static_cast<std::size_t>(snapshot.id)])
         << "snapshot " << snapshot.id;
     NodeCount running_total = 0;
-    for (const SnapshotRunning& run : snapshot.running) running_total += run.nodes;
+    for (const SnapshotRunning& run : snapshot.running)
+      running_total += test::record_of(r, run.id).job.nodes;
     EXPECT_LE(running_total, r.system_size);
   }
 }

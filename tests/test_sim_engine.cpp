@@ -36,8 +36,9 @@ TEST(Engine, RecordsSnapshotsPerArrival) {
   EXPECT_EQ(r.snapshots[0].waiting[0].id, 0);
   // Second arrival sees the first job running.
   ASSERT_EQ(r.snapshots[1].running.size(), 1u);
-  EXPECT_EQ(r.snapshots[1].running[0].nodes, 1);
-  EXPECT_EQ(r.snapshots[1].running[0].remaining, 5);
+  const JobRecord& running = test::record_of(r, r.snapshots[1].running[0].id);
+  EXPECT_EQ(running.job.nodes, 1);
+  EXPECT_EQ(test::remaining_at(running, r.snapshots[1].at), 5);
 }
 
 TEST(Engine, SnapshotOmitsJobsBehindTheArrival) {

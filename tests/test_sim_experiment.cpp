@@ -221,12 +221,22 @@ TEST(ExperimentRunner, RunIsolatedReportsEveryAttemptThroughOnFinish) {
   IsolatedRunOptions options;
   options.jobs = 2;
   std::vector<std::size_t> finished;  // on_finish is serialized by contract
-  options.on_finish = [&](std::size_t i, const CellOutcome& outcome) {
-    EXPECT_TRUE(outcome.result.has_value());
+  options.on_finish = [&](std::size_t i, CellOutcome& outcome) {
+    ASSERT_TRUE(outcome.result.has_value());
+    EXPECT_FALSE(outcome.result->simulation.snapshots.empty());
     finished.push_back(i);
+    // What a campaign does: keep the report, free the simulation. The
+    // returned outcomes hold whatever on_finish left.
+    outcome.result->simulation = SimulationResult{};
   };
-  runner.run_isolated(all_paper_policies(), options);
+  const std::vector<CellOutcome> outcomes = runner.run_isolated(all_paper_policies(), options);
   EXPECT_EQ(finished.size(), 9u);
+  for (const CellOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.result.has_value());
+    EXPECT_TRUE(outcome.result->simulation.records.empty());
+    EXPECT_TRUE(outcome.result->simulation.snapshots.empty());
+    EXPECT_FALSE(outcome.result->report.fairness.fair_start.empty());
+  }
 }
 
 TEST(ExperimentRunner, RunIsolatedPerCellTokensCancelOnlyTheirCell) {
@@ -289,16 +299,20 @@ void expect_identical_snapshots(const SimulationResult& a, const SimulationResul
     EXPECT_EQ(x.at, y.at) << "snapshot " << i;
     ASSERT_EQ(x.running.size(), y.running.size()) << "snapshot " << i;
     for (std::size_t k = 0; k < x.running.size(); ++k) {
-      EXPECT_EQ(x.running[k].nodes, y.running[k].nodes);
-      EXPECT_EQ(x.running[k].remaining, y.running[k].remaining);
-      EXPECT_EQ(x.running[k].est_remaining, y.running[k].est_remaining);
+      const JobRecord& rx = test::record_of(a, x.running[k].id);
+      const JobRecord& ry = test::record_of(b, y.running[k].id);
+      EXPECT_EQ(rx.job.nodes, ry.job.nodes);
+      EXPECT_EQ(test::remaining_at(rx, x.at), test::remaining_at(ry, y.at));
+      EXPECT_EQ(test::est_remaining_at(rx, x.at), test::est_remaining_at(ry, y.at));
     }
     ASSERT_EQ(x.waiting.size(), y.waiting.size()) << "snapshot " << i;
     for (std::size_t k = 0; k < x.waiting.size(); ++k) {
       EXPECT_EQ(x.waiting[k].id, y.waiting[k].id);
-      EXPECT_EQ(x.waiting[k].nodes, y.waiting[k].nodes);
-      EXPECT_EQ(x.waiting[k].runtime, y.waiting[k].runtime);
-      EXPECT_EQ(x.waiting[k].wcl, y.waiting[k].wcl);
+      const Job& jx = test::record_of(a, x.waiting[k].id).job;
+      const Job& jy = test::record_of(b, y.waiting[k].id).job;
+      EXPECT_EQ(jx.nodes, jy.nodes);
+      EXPECT_EQ(jx.runtime, jy.runtime);
+      EXPECT_EQ(jx.wcl, jy.wcl);
     }
   }
 }

@@ -193,7 +193,15 @@ int main(int argc, char** argv) {
     if (plan.seeds.size() != 1) fail("--write-swf wants a spec with one seed");
     try {
       const Workload trace = scenario::build_workload(spec.workload, plan.seeds.front());
-      workload::write_swf_file(write_swf_path, trace);
+      // A re-exported SWF trace names its source; a Ross export keeps the
+      // writer's default (synthetic) comment.
+      if (spec.workload.source == scenario::WorkloadSpec::Source::Swf)
+        workload::write_swf_file(
+            write_swf_path, trace,
+            "read from SWF trace " +
+                std::filesystem::path(spec.workload.swf_file).lexically_normal().string());
+      else
+        workload::write_swf_file(write_swf_path, trace);
       std::cout << "# seed " << plan.seeds.front() << ": " << trace.jobs.size() << " jobs, "
                 << trace.system_size << " nodes\n# wrote " << write_swf_path << '\n';
     } catch (const std::exception& error) {

@@ -27,6 +27,7 @@
 #        if a deterministic count (events, scheduler invocations, profile fit
 #        calls and steps, CPlant queue entries read, forks, drained and
 #        master-resolved forks) grows past bench/campaigns/archive_smoke.counts
+#        or the run's peak RSS exceeds 64 MiB (tools/check_peak_rss.py)
 #     9. a work-count gate: the conservative pair on a deep queue
 #        (bench/campaigns/cons_deep_queue.spec) with --stats, failing if a
 #        deterministic count (events, snapshot entries, full/incremental
@@ -188,8 +189,13 @@ SPEC
   # The fork batch grows with the pool (4 per thread, at least 16), and with
   # it the forks the master resolves without a drain, so the pool is pinned
   # at 4 threads to keep the fst counts exact on any host.
-  PSCHED_THREADS=4 "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" \
-    --out "$ARCHIVE_OUT/store" --jobs 1 --wall-budget 30 --stats > "$ARCHIVE_OUT/work-counts.txt"
+  # Peak-memory guard: the run's peak RSS (the child's ru_maxrss, as
+  # campaignbench/run.py measures it) must stay at or under 64 MiB. Arrival
+  # snapshots hold record ids, so the run peaks at about 37 MiB; snapshots
+  # that copy each job's shape again (96 MiB) fail the bound.
+  PSCHED_THREADS=4 python3 tools/check_peak_rss.py 64 "$BUILD"/psched_campaign \
+    "$ARCHIVE_OUT/archive.spec" --out "$ARCHIVE_OUT/store" --jobs 1 --wall-budget 30 --stats \
+    > "$ARCHIVE_OUT/work-counts.txt"
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/store/cells.csv"
   # Work-count gate for the CPlant path and the forked FST (step 9 covers
