@@ -1,9 +1,11 @@
 // FST engine throughput, two families:
 //
-//  * Hybrid FST (the paper's metric): serial vs thread-pool scaling over the
-//    per-arrival snapshots of one simulation, plus the preserved seed loop
-//    (per-snapshot allocation + sort-per-occupy list scheduler) so the
-//    recorded BENCH_fst.json baseline carries the speedup as a measured pair.
+//  * Hybrid FST (the paper's metric): serial vs thread-pool scaling of the
+//    arrival sweep that derives each arrival's state from one simulation's
+//    records, plus the preserved seed loop over stored snapshots (built by
+//    the oracle at the arrival hooks; per-snapshot allocation +
+//    sort-per-occupy list scheduler) so the recorded BENCH_fst.json baseline
+//    carries the speedup as a measured pair.
 //  * Policy-knowledge FST (Sabin et al., "no later arrivals" under the actual
 //    policy): the forked-engine one-pass path (BM_PolicyFstForked) vs the
 //    preserved naive per-job re-simulation (BM_RefPolicyFstNaive — O(n^2)
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "metrics/fst.hpp"
+#include "oracles/arrival_snapshots.hpp"
 #include "oracles/policy_fst_naive.hpp"
 #include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
@@ -45,8 +48,7 @@ void record_pool_counters(benchmark::State& state, bool parallel) {
 
 /// The seed per-snapshot FST computation: a freshly allocated per-node list
 /// scheduler per snapshot, scheduling the stored (fairshare-ordered) prefix.
-/// Shapes are read from the run's records, as metrics::hybrid_fairshare_fst
-/// reads them.
+/// Shapes are read from the run's records.
 Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, const std::vector<JobRecord>& records,
                             NodeCount system_size, metrics::FstKnowledge knowledge) {
   const bool perfect = knowledge == metrics::FstKnowledge::Perfect;
@@ -66,12 +68,14 @@ Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, const std::vector<J
   throw std::logic_error("reference_snapshot_fst: target job missing from its own snapshot");
 }
 
+/// One simulation with the oracle's hook-built snapshots beside the arrival
+/// usage the sweep reads.
 const SimulationResult& fst_input() {
   static const SimulationResult result = [] {
     const Workload trace = workload::generate_small_workload(9, 4000, 1024, days(40));
     sim::EngineConfig config;
     config.policy.kind = PolicyKind::Cplant;
-    return sim::simulate(trace, config);
+    return reference::simulate_with_snapshots(trace, config);
   }();
   return result;
 }

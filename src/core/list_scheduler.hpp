@@ -34,11 +34,11 @@ class ListScheduler {
 
   /// Re-initialize to "all nodes available at origin", keeping allocated
   /// storage. The FST hot loop reuses one scratch instance per thread
-  /// instead of constructing (and heap-allocating) one per snapshot.
+  /// instead of constructing (and heap-allocating) one per arrival.
   void reset(Time origin);
 
   /// Mark `nodes` nodes (the earliest-available ones) busy until `until`.
-  /// Used to seed the running jobs of a snapshot. Throws if fewer than
+  /// Used to seed the jobs running at an arrival. Throws if fewer than
   /// `nodes` nodes exist.
   void occupy(NodeCount nodes, Time until);
 

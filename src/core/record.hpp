@@ -1,8 +1,8 @@
 #pragma once
-// Simulation outputs: per-job records, the per-arrival snapshots consumed by
-// the fair-start-time engines (record ids, read against the records), and
-// the whole-run result bundle. These are plain data, shared between the
-// engine (producer) and the metrics layer (consumer).
+// Simulation outputs: per-job records, the published fairshare usage each
+// arrival saw (the hybrid FST's queue key, metrics/fst.hpp), and the
+// whole-run result bundle. These are plain data, shared between the engine
+// (producer) and the metrics layer (consumer).
 
 #include <cstdint>
 #include <string>
@@ -26,30 +26,40 @@ struct JobRecord {
   Time executed_runtime() const { return finish - start; }
 };
 
-/// A running job at some snapshot instant. Its shape and start are its
-/// record's (SimulationResult::records[id]), so only the id is stored.
+/// A running job at some arrival instant, as a record id.
 struct SnapshotRunning {
   JobId id = kInvalidJob;
 };
 
-/// A waiting job at some snapshot instant, read through its record like
-/// SnapshotRunning.
+/// A waiting job at some arrival instant, as a record id.
 struct SnapshotWaiting {
   JobId id = kInvalidJob;
 };
 
-/// System state captured at one job's arrival: the input of the paper's
-/// hybrid FST metric (section 4.1). `running` holds the jobs running at the
-/// arrival; `waiting` holds the jobs ahead of the arrival in FST order —
-/// fairshare order, ascending (usage at the arrival, submit, id) — then the
-/// arrival itself, last; the jobs behind it cannot affect its fair start and
-/// are not stored. Both hold record ids only (4 bytes an entry): every
-/// field the FST reads (nodes, runtime, WCL, start) is in the run's records.
+/// System state at one job's arrival, the input of the paper's hybrid FST
+/// (section 4.1): the running jobs, and the waiting jobs ahead of the
+/// arrival in fairshare order, then the arrival, last. The engine does not
+/// store these: metrics::hybrid_fairshare_fst derives each one from the
+/// records and ArrivalUsage. The test-only oracle in
+/// oracles/arrival_snapshots.hpp builds them from live engine state.
 struct ArrivalSnapshot {
   JobId id = kInvalidJob;
   Time at = kNoTime;
   std::vector<SnapshotRunning> running;
   std::vector<SnapshotWaiting> waiting;
+};
+
+/// The published fairshare usage each arrival saw: the key of the hybrid
+/// FST's queue order. Usage is published once per decay period, so one row
+/// per fairshare epoch in which a job arrived covers every arrival; a row
+/// has one column per user of the workload.
+struct ArrivalUsage {
+  std::vector<UserId> users;          ///< column -> user id, ascending
+  std::vector<double> rows;           ///< row r, column c at r * users.size() + c
+  std::vector<std::uint32_t> row_of;  ///< index == record id: the arrival's row
+  /// Kills at the WCL run after the arrivals of their instant
+  /// (WclEnforcement::KillIfNeeded), so such a job still runs at them.
+  bool kills_after_arrivals = false;
 };
 
 /// Everything one policy run produces.
@@ -61,7 +71,10 @@ struct SimulationResult {
   /// than original jobs (one per segment).
   std::vector<JobRecord> records;
 
-  /// Index == record id; empty when snapshot recording is disabled.
+  /// Filled while EngineConfig::record_snapshots is set; empty otherwise.
+  ArrivalUsage arrival_usage;
+
+  /// Always empty from the engine; oracles/arrival_snapshots.hpp fills it.
   std::vector<ArrivalSnapshot> snapshots;
 
   /// segments_of_original[original job id] -> record ids, in segment order.

@@ -59,9 +59,7 @@ class SchedulerContext {
 /// order; Fcfs is used for baselines and for the CONS_P fairness metric.
 enum class PriorityKind { Fairshare, Fcfs };
 
-/// The waiting set every built-in policy keeps (and the engine while it
-/// records snapshots: the prefix up to an arrival is that arrival's FST
-/// snapshot), in priority order: ascending
+/// The waiting set every built-in policy keeps, in priority order: ascending
 /// (usage key, submit, id), where the usage key is the user's published
 /// fairshare usage under PriorityKind::Fairshare and 0 under Fcfs. Keys are
 /// stored per entry and stay valid while the context's priority_epoch()
@@ -178,8 +176,7 @@ class Scheduler {
   }
 
   /// queue.refresh(ctx()), counting a re-sort as obs
-  /// scheduler.priority_resorts. Policies refresh through here, so the
-  /// counter sees policy queues only (not the engine's snapshot queue).
+  /// scheduler.priority_resorts. Policies refresh through here.
   bool refresh_queue(WaitQueue& queue) const;
 
   /// Reset `profile` to "all free from ctx().now()" minus every running

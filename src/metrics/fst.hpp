@@ -4,9 +4,9 @@
 //
 // Hybrid "fairshare" FST (section 4.1, the paper's contribution): for each
 // job, take the system exactly as it stood when the job arrived (running
-// jobs with their actual remaining runtimes, the waiting queue with its
-// fairshare priorities) and build a *no-holes list schedule* of the waiting
-// jobs in fairshare order using perfect runtimes. The job's start time in
+// jobs with their remaining runtimes, the waiting queue with its fairshare
+// priorities, both derived from the final records) and build a *no-holes
+// list schedule* of the waiting jobs in fairshare order. The job's start time in
 // that hypothetical schedule is its fair start time; starting later than the
 // FST in the real schedule means lower-priority jobs got in its way.
 //
@@ -47,7 +47,7 @@ struct FstOptions {
   /// strict "any miss" count (also always reported as percent_unfair_any).
   Time tolerance = hours(24);
   FstKnowledge knowledge = FstKnowledge::Estimates;
-  /// Compute per-snapshot FSTs on the global thread pool.
+  /// Sweep chunks of the arrivals on the global thread pool.
   bool parallel = true;
   /// Also compute the policy-knowledge FST (Sabin/Sadayappan: re-run the
   /// actual policy with no later arrivals, sim::policy_no_later_arrivals_fst)
@@ -77,10 +77,13 @@ struct FstResult {
   std::array<std::size_t, kWidthCategories> unfair_by_width{};
 };
 
-/// The paper's hybrid fairshare FST. Requires result.snapshots (throws if
-/// the engine ran with record_snapshots = false). Snapshots hold record ids:
-/// each job's nodes, runtime, WCL and start are read from result.records,
-/// and an id with no record throws std::invalid_argument.
+/// The paper's hybrid fairshare FST. Each arrival's state (running jobs,
+/// and the waiting jobs ahead of it in fairshare order) is rebuilt from
+/// result.records and the usage each arrival saw (result.arrival_usage), in
+/// one sweep over the arrivals in (submit, id) order: O(jobs + users x
+/// epochs) memory beside the result. Throws std::invalid_argument when the
+/// arrival usage is missing (the engine ran with record_snapshots = false)
+/// or names no row or user for some record.
 FstResult hybrid_fairshare_fst(const SimulationResult& result, const FstOptions& options = {});
 
 /// CONS_P FST: one conservative FCFS perfect-estimate schedule of the whole

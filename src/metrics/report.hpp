@@ -25,7 +25,7 @@ struct PolicyReport {
   FstResult policy_fairness;
 };
 
-/// Compute both metric families (hybrid FST needs snapshots).
+/// Compute both metric families (the hybrid FST needs the arrival usage).
 PolicyReport evaluate(const SimulationResult& result, const FstOptions& options = {});
 
 /// Figures 8/14: one row per policy with the scalar fairness numbers.

@@ -26,7 +26,6 @@ struct CounterInfo {
 constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"engine.events_delivered", true},
     {"engine.scheduler_invocations", true},
-    {"engine.snapshot_entries", true},
     {"scheduler.replan_full", true},
     {"scheduler.replan_full.overrun", true},
     {"scheduler.replan_full.completion", true},
@@ -41,6 +40,7 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"profile.gap_index.probes", true},
     {"profile.fit_calls", true},
     {"profile.fit_steps", true},
+    {"fst.prefix_entries", true},
     {"fst.forks", true},
     {"fst.forks_drained", true},
     {"fst.resolved_from_master", true},

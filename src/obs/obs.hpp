@@ -46,7 +46,6 @@ enum class Counter : std::size_t {
   // deterministic class
   kEngineEventsDelivered,       ///< sim/engine.cpp: events consumed by run_loop
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
-  kEngineSnapshotEntries,       ///< sim/engine.cpp: waiting entries stored in arrival snapshots
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanFullOverrun,      ///< ... of them while a running job is past its estimate
   kSchedReplanFullCompletion,   ///< ... because a completion freed future capacity (dynamic)
@@ -61,6 +60,7 @@ enum class Counter : std::size_t {
   kGapIndexProbes,              ///< reserved, always 0: Profile has no index to probe
   kProfileFitCalls,             ///< core/profile.cpp: slot scans (earliest_fit, reserve, proofs)
   kProfileFitSteps,             ///< core/profile.cpp: profile steps those scans advanced
+  kFstPrefixEntries,            ///< metrics/fst.cpp: queue-prefix entries the hybrid FST list-scheduled
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start
   kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: forks answered without draining

@@ -387,7 +387,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           b.fst_peak_batch_bytes = outcome.result->fst_stats.peak_batch_bytes;
         }
       }
-      // Keep the report; free the simulation (records and snapshots) now,
+      // Keep the report; free the simulation (records and arrival usage) now,
       // so the sweep holds at most one per lane.
       if (outcome.result) {
         result.reports[position] = std::move(outcome.result->report);
@@ -508,7 +508,7 @@ void write_summary_json(const CampaignResult& result, std::ostream& out) {
     out << "  \"journal_error\": \"" << json_escape(result.journal_error) << "\",\n";
   }
   if (spec.workload.source == WorkloadSpec::Source::Swf) {
-    out << "  \"source\": \"swf:" << json_escape(spec.workload.swf_file) << "\",\n";
+    out << "  \"source\": \"swf:" << json_escape(spec.workload.swf_source()) << "\",\n";
     // Machine-sizing provenance: where the node count came from (header
     // fields vs widest job vs explicit override) plus the ingest counters,
     // computed over the full trace even under a head cap.

@@ -58,7 +58,7 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
   hash.mix(w.seed);
   hash.mix(w.scale);
   hash.mix(w.system_size);
-  hash.mix(std::string_view(w.swf_file));
+  hash.mix(std::string_view(w.swf_source()));
   hash.mix(static_cast<int>(w.swf_accept_all_statuses));
   hash.mix(w.head);
   hash.mix(w.rescale_load);

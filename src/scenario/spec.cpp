@@ -249,6 +249,7 @@ ScenarioSpec Parser::build() {
   if (spec.workload.source == WorkloadSpec::Source::Swf) {
     if (file == nullptr) throw SpecError(origin_ + ": swf source requires [workload] file");
     spec.workload.swf_file = file->value;
+    spec.workload.swf_file_in_spec = file->value;
     if (!base_dir_.empty() && !file->value.empty() && file->value.front() != '/')
       spec.workload.swf_file = base_dir_ + "/" + file->value;
   } else if (file != nullptr) {

@@ -37,8 +37,17 @@ struct WorkloadSpec {
   /// 0 = source default (generator config / SWF header sizing).
   NodeCount system_size = 0;
 
-  /// SWF source only; resolved relative to the spec file's directory.
+  /// SWF source only: the path the trace is read from, resolved relative
+  /// to the spec file's directory.
   std::string swf_file;
+  /// SWF source only: [workload] file as the spec wrote it. Empty for a
+  /// spec built in code.
+  std::string swf_file_in_spec;
+  /// The trace's name in summary.json and the spec fingerprint: the path as
+  /// the spec wrote it, so neither depends on the working directory.
+  const std::string& swf_source() const {
+    return swf_file_in_spec.empty() ? swf_file : swf_file_in_spec;
+  }
   /// SWF source only: ingest every status (disables the completed-jobs
   /// filter, SwfReadOptions::accepted_statuses).
   bool swf_accept_all_statuses = false;

@@ -51,6 +51,15 @@ SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config
     }
   }
   seeded_end_ = static_cast<JobId>(result_.records.size());
+
+  if (config_.record_snapshots) {
+    result_.arrival_usage.kills_after_arrivals =
+        config_.wcl_enforcement == WclEnforcement::KillIfNeeded;
+    std::vector<UserId>& users = result_.arrival_usage.users;
+    for (const Job& original : workload_.jobs) users.push_back(original.user);
+    std::sort(users.begin(), users.end());
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+  }
 }
 
 SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
@@ -152,34 +161,26 @@ void SimulationEngine::advance_accounting(Time to) {
   now_ = to;
 }
 
-void SimulationEngine::record_snapshot(JobId id, std::size_t index) {
-  // Ids only: the FST reads each job's shape and start from the records.
-  ArrivalSnapshot snapshot;
-  snapshot.id = id;
-  snapshot.at = now_;
-  snapshot.running.reserve(running_view_.size());
-  for (const RunningView& r : running_view_) snapshot.running.push_back({r.id});
-  // The hybrid FST list-schedules the queue in order and stops at the
-  // arrival, so the jobs behind it never matter.
-  snapshot.waiting.reserve(index + 1);
-  for (std::size_t i = 0; i <= index; ++i) snapshot.waiting.push_back({snapshot_queue_[i].id});
-  result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
+void SimulationEngine::record_arrival_usage(JobId id) {
+  // Usage only moves at a publish, so one row serves an epoch's arrivals.
+  ArrivalUsage& usage = result_.arrival_usage;
+  if (usage.rows.empty() || fairshare_.epoch() != usage_epoch_) {
+    usage_epoch_ = fairshare_.epoch();
+    for (const UserId user : usage.users) usage.rows.push_back(fairshare_.usage(user));
+  }
+  // Chained segments get records mid-run.
+  if (usage.row_of.size() < result_.records.size()) usage.row_of.resize(result_.records.size());
+  usage.row_of[static_cast<std::size_t>(id)] =
+      static_cast<std::uint32_t>(usage.rows.size() / usage.users.size() - 1);
 }
 
-std::size_t SimulationEngine::deliver_arrival(JobId id) {
+void SimulationEngine::deliver_arrival(JobId id) {
   // Chained segments take fresh ids above every seeded one, so an arrival
   // usually lands at the back.
   waiting_.insert(std::upper_bound(waiting_.begin(), waiting_.end(), id), id);
   waiting_demand_ += job(id).nodes;
-  std::size_t stored = 0;
-  if (config_.record_snapshots) {
-    snapshot_queue_.refresh(*this);
-    const std::size_t index = snapshot_queue_.push(*this, id);
-    record_snapshot(id, index);
-    stored = index + 1;
-  }
+  if (config_.record_snapshots) record_arrival_usage(id);
   scheduler_->on_submit(id);
-  return stored;
 }
 
 void SimulationEngine::start_job(JobId id) {
@@ -248,7 +249,7 @@ void SimulationEngine::deliver_completion(JobId id, Time finish, bool killed) {
   }
 }
 
-void SimulationEngine::remove_started(std::vector<JobId>& starts) {
+void SimulationEngine::remove_started(const std::vector<JobId>& starts) {
   // A repeated id fails its second lookup.
   for (const JobId id : starts) {
     const auto it = std::lower_bound(waiting_.begin(), waiting_.end(), id);
@@ -256,11 +257,6 @@ void SimulationEngine::remove_started(std::vector<JobId>& starts) {
       throw std::logic_error("engine: started a job that is not waiting");
     waiting_.erase(it);
   }
-  if (!config_.record_snapshots) return;
-  std::sort(starts.begin(), starts.end());
-  snapshot_queue_.retain([&](const WaitQueue::Entry& entry) {
-    return !std::binary_search(starts.begin(), starts.end(), entry.id);
-  });
 }
 
 void SimulationEngine::handle_wcl_check(JobId id) {
@@ -331,13 +327,11 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
     SimulationResult* result;
     std::uint64_t events = 0;
     std::uint64_t invocations = 0;
-    std::uint64_t snapshot_entries = 0;
     ~CounterFlush() {
       result->events_delivered += events;
       result->scheduler_invocations += invocations;
       obs::count(obs::Counter::kEngineEventsDelivered, events);
       obs::count(obs::Counter::kEngineSchedulerInvocations, invocations);
-      obs::count(obs::Counter::kEngineSnapshotEntries, snapshot_entries);
     }
   } flush{&result_};
 
@@ -367,11 +361,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
           break;
         case EventKind::Arrive:
           if (arrival_limit_ != kInvalidJob && event.id > arrival_limit_) break;
-          // Snapshot storage may need to grow for chained segments.
-          if (config_.record_snapshots &&
-              result_.snapshots.size() < result_.records.size())
-            result_.snapshots.resize(result_.records.size());
-          flush.snapshot_entries += deliver_arrival(event.id);
+          deliver_arrival(event.id);
           break;
         case EventKind::WclCheck:
           handle_wcl_check(event.id);
@@ -403,7 +393,6 @@ SimulationResult SimulationEngine::run() { return run_with_arrival_hook(nullptr)
 SimulationResult SimulationEngine::run_with_arrival_hook(const ArrivalHook& hook) {
   if (ran_) throw std::logic_error("SimulationEngine::run called twice");
   ran_ = true;
-  if (config_.record_snapshots) result_.snapshots.resize(result_.records.size());
 
   run_loop(hook ? &hook : nullptr, kInvalidJob);
 

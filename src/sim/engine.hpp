@@ -1,7 +1,7 @@
 #pragma once
 // Event-driven simulation engine (paper section 3.1). The engine owns all
 // machine and accounting state — free nodes, running jobs, the fairshare
-// tracker, the loss-of-capacity integral, per-arrival snapshots and the
+// tracker, the loss-of-capacity integral, the usage each arrival saw and the
 // event heap — and delegates policy decisions to a core::Scheduler built
 // from the configured PolicyConfig.
 //
@@ -81,7 +81,9 @@ struct EngineConfig {
   Time fairshare_period = days(1);     ///< CPlant decayed every 24 hours
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
   SegmentArrival segment_arrival = SegmentArrival::AtOriginalSubmit;
-  bool record_snapshots = true;        ///< needed by the FST metrics
+  /// Record the published fairshare usage each arrival saw
+  /// (SimulationResult::arrival_usage), which the hybrid FST needs.
+  bool record_snapshots = true;
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
   /// When it trips, the run throws SimulationCancelled. Empty (the default)
@@ -151,9 +153,7 @@ class SimulationEngine final : public SchedulerContext {
   /// Approximate bytes of fork-owned heap state (event heap, waiting ids,
   /// running set, timers). Excludes the shared job table — that is the
   /// point of the shared-workload design — and the scheduler clone's
-  /// internals. A fork keeps no fairshare-ordered queue (it records no
-  /// snapshots), so none is counted. Used to report peak drain-batch
-  /// footprint.
+  /// internals. Used to report peak drain-batch footprint.
   std::size_t fork_footprint_bytes() const;
 
   // --- SchedulerContext ------------------------------------------------------
@@ -193,18 +193,16 @@ class SimulationEngine final : public SchedulerContext {
 
   void advance_accounting(Time to);
   JobId add_record(const Job& job);
-  /// Returns the number of waiting entries stored in the arrival's snapshot.
-  std::size_t deliver_arrival(JobId id);
+  void deliver_arrival(JobId id);
+  /// Point `id` at the usage row of the current fairshare epoch, adding the
+  /// row at the epoch's first arrival.
+  void record_arrival_usage(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
-  /// Store snapshot_queue_[0, index] (the jobs ahead of the arrival, then
-  /// the arrival) and the running set as `id`'s snapshot.
-  void record_snapshot(JobId id, std::size_t index);
   void start_job(JobId id);
-  /// Drop one collect_starts batch from the waiting ids (and, with
-  /// snapshots on, from snapshot_queue_, sorting `starts`); throws
+  /// Drop one collect_starts batch from the waiting ids; throws
   /// std::logic_error if any started job was not waiting or is listed
   /// twice.
-  void remove_started(std::vector<JobId>& starts);
+  void remove_started(const std::vector<JobId>& starts);
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
 
@@ -251,14 +249,10 @@ class SimulationEngine final : public SchedulerContext {
   SimulationResult result_;
   std::vector<RunningView> running_view_;
   /// Arrived, not yet started: record ids, ascending. Enough for every
-  /// question the run loop asks (anyone waiting? anyone this wide?), so it
-  /// is all a fork or a snapshot-free run keeps.
+  /// question the run loop asks (anyone waiting? anyone this wide?).
   std::vector<JobId> waiting_;
-  /// The same jobs in fairshare order, the order the hybrid FST
-  /// list-schedules each arrival's snapshot in. Kept only while
-  /// config_.record_snapshots is set; empty otherwise and never copied
-  /// into a fork.
-  WaitQueue snapshot_queue_{PriorityKind::Fairshare};
+  /// The fairshare epoch of the last usage row recorded.
+  std::uint64_t usage_epoch_ = 0;
   /// Forks only: the start of the target (arrival_limit_), once it started.
   Time fork_start_ = kNoTime;
   NodeCount waiting_demand_ = 0;              // sum of waiting nodes

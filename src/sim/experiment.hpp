@@ -35,7 +35,7 @@ struct ExperimentResult {
 /// The per-policy outcome of a fault-isolated sweep (run_isolated): exactly
 /// one of `result`/`error` is set for an attempted cell; both are empty when
 /// the sweep stopped before the cell was ever pulled. Move-only: the result
-/// carries the per-arrival snapshots, so it is never copied.
+/// carries the whole simulation, so it is never copied.
 struct CellOutcome {
   CellOutcome() = default;
   CellOutcome(CellOutcome&&) = default;
@@ -78,7 +78,7 @@ struct IsolatedRunOptions {
 class ExperimentRunner {
  public:
   /// `base` supplies everything except the policy (fairshare decay, WCL
-  /// enforcement, snapshot recording); `fst_options` is the metric
+  /// enforcement, arrival-usage recording); `fst_options` is the metric
   /// configuration every report is evaluated with (tolerance, knowledge
   /// model). The workload is copied once and is read-only afterwards, so
   /// concurrent simulations can share it.

@@ -60,8 +60,8 @@ struct PolicyFstRun {
   std::vector<Time> fair_start;
 };
 
-/// One engine pass that is both `config`'s simulation (snapshots as
-/// configured; forks never record any) and the fork master: `simulation`
+/// One engine pass that is both `config`'s simulation (arrival usage
+/// recorded as configured; forks never record any) and the fork master: `simulation`
 /// equals simulate(workload, config) and `fair_start` equals
 /// policy_no_later_arrivals_fst(workload, config, options). Throws
 /// std::invalid_argument before simulating when config.policy.max_runtime is
@@ -74,7 +74,7 @@ PolicyFstRun simulate_with_policy_fst(const Workload& workload, const EngineConf
 /// with every job submitted after jobs[i] removed (same-submit ties with a
 /// lower id are kept). Requires config.policy.max_runtime == kNoTime, since
 /// segment chaining has no well-defined per-original start. The pass above
-/// with snapshots off.
+/// with record_snapshots off.
 std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
                                                const EngineConfig& config,
                                                const PolicyFstOptions& options = {});

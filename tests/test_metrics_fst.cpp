@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracles/arrival_snapshots.hpp"
 #include "oracles/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
@@ -86,11 +87,11 @@ TEST(HybridFst, FstUsesFairsharePriorityOrder) {
 }
 
 TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
-  // The engine stores each snapshot as the fairshare-ordered prefix that
+  // The oracle stores each snapshot as the fairshare-ordered prefix that
   // ends at the arrival. Differential check on random running sets and
   // full, unordered waiting sets: the seed computation (sort every waiting
   // job by (usage, submit, id), list-schedule on the seed list scheduler
-  // until the target) equals hybrid_fairshare_fst over the sorted prefix.
+  // until the target) equals the oracle's FST over the sorted prefix.
   // Snapshots hold record ids, so every job of every snapshot gets its own
   // record; records [0, kSnapshots) are the targets, the rest get a
   // one-job snapshot of their own and are not checked.
@@ -175,7 +176,7 @@ TEST(HybridFst, StoredPrefixMatchesSortedFullQueueOracle) {
     FstOptions options = strict();
     options.knowledge = knowledge;
     const bool perfect = knowledge == FstKnowledge::Perfect;
-    const FstResult f = hybrid_fairshare_fst(result, options);
+    const FstResult f = reference::snapshot_hybrid_fst(result, options);
     for (std::size_t i = 0; i < kSnapshots; ++i) {
       const ArrivalSnapshot& snapshot = result.snapshots[i];
       reference::ReferenceListScheduler list(kNodes, snapshot.at);
@@ -212,7 +213,7 @@ TEST(HybridFst, SnapshotIdWithoutARecordThrows) {
   // Job 1 arrives while job 0 runs, so its snapshot holds both kinds of
   // entry; pointing either at an id past the records must throw.
   const Workload w = make_workload(4, {make_job(0, 10, 1), make_job(5, 10, 2)});
-  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
+  const SimulationResult r = reference::simulate_with_snapshots(w, sim::EngineConfig{});
   ASSERT_EQ(r.snapshots[1].running.size(), 1u);
   ASSERT_EQ(r.snapshots[1].waiting.size(), 1u);
   const auto missing = static_cast<JobId>(r.records.size());
@@ -221,11 +222,82 @@ TEST(HybridFst, SnapshotIdWithoutARecordThrows) {
     options.parallel = parallel;
     SimulationResult bad_running = r;
     bad_running.snapshots[1].running[0].id = missing;
-    EXPECT_THROW(hybrid_fairshare_fst(bad_running, options), std::invalid_argument);
+    EXPECT_THROW(reference::snapshot_hybrid_fst(bad_running, options), std::invalid_argument);
     SimulationResult bad_waiting = r;
     bad_waiting.snapshots[1].waiting[0].id = kInvalidJob;
-    EXPECT_THROW(hybrid_fairshare_fst(bad_waiting, options), std::invalid_argument);
+    EXPECT_THROW(reference::snapshot_hybrid_fst(bad_waiting, options), std::invalid_argument);
   }
+}
+
+TEST(HybridFst, ArrivalUsageWithoutARowOrUserThrows) {
+  const Workload w = make_workload(4, {make_job(0, 10, 1), make_job(5, 10, 2, /*user=*/1)});
+  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
+  ASSERT_EQ(r.arrival_usage.users.size(), 2u);
+  SimulationResult bad_row = r;
+  bad_row.arrival_usage.row_of[1] = 7;
+  EXPECT_THROW(hybrid_fairshare_fst(bad_row), std::invalid_argument);
+  SimulationResult bad_user = r;
+  bad_user.records[1].job.user = 2;
+  EXPECT_THROW(hybrid_fairshare_fst(bad_user), std::invalid_argument);
+  SimulationResult short_row = r;
+  short_row.arrival_usage.rows.pop_back();
+  EXPECT_THROW(hybrid_fairshare_fst(short_row), std::invalid_argument);
+}
+
+/// A small random trace on a one-hour grid: arrivals, completions, WCL kills
+/// (and their hourly re-checks), fairshare publishes and, under a 72 h
+/// maximum runtime, segment boundaries all land on shared instants.
+Workload coarse_grid_workload(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Job> jobs;
+  const auto count = rng.uniform_int(20, 60);
+  for (std::int64_t k = 0; k < count; ++k) {
+    const Time runtime = hours(rng.uniform_int(1, 100));
+    // Under-estimates (WCL below the runtime) are what the kills act on.
+    const Time wcl = hours(rng.uniform_int(1, 100));
+    jobs.push_back(make_job(hours(rng.uniform_int(0, 120)), runtime,
+                            static_cast<NodeCount>(rng.uniform_int(1, 16)),
+                            static_cast<UserId>(rng.uniform_int(0, 4)), wcl));
+  }
+  return make_workload(16, std::move(jobs));
+}
+
+TEST(HybridFst, DerivedStateMatchesHookSnapshotsOnRandomWorkloads) {
+  // The FST rebuilds each arrival's running set and queue prefix from the
+  // records; the oracle reads them from the live engine at the arrival
+  // hook. Every job's fair start must agree, for all nine paper policies
+  // under every WCL enforcement, both segment arrivals (the 72max policies
+  // split jobs) and both knowledge models, serial and chunked.
+  const sim::WclEnforcement wcl_modes[] = {sim::WclEnforcement::Never,
+                                           sim::WclEnforcement::KillIfNeeded,
+                                           sim::WclEnforcement::Always};
+  const sim::SegmentArrival segment_modes[] = {sim::SegmentArrival::AtOriginalSubmit,
+                                               sim::SegmentArrival::Chained};
+  std::size_t killed = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const Workload w = coarse_grid_workload(seed);
+    sim::EngineConfig config;
+    config.wcl_enforcement = wcl_modes[seed % 3];
+    config.segment_arrival = segment_modes[(seed / 3) % 2];
+    for (const PolicyConfig& policy : all_paper_policies()) {
+      config.policy = policy;
+      const SimulationResult r = reference::simulate_with_snapshots(w, config);
+      for (const JobRecord& record : r.records) killed += record.killed_at_wcl ? 1 : 0;
+      for (const FstKnowledge knowledge : {FstKnowledge::Perfect, FstKnowledge::Estimates}) {
+        FstOptions options = strict();
+        options.knowledge = knowledge;
+        options.parallel = seed % 2 == 0;
+        const std::vector<Time> expected = reference::snapshot_hybrid_fst(r, options).fair_start;
+        const std::vector<Time> derived = hybrid_fairshare_fst(r, options).fair_start;
+        ASSERT_EQ(derived.size(), expected.size());
+        for (std::size_t i = 0; i < derived.size(); ++i)
+          ASSERT_EQ(derived[i], expected[i])
+              << "seed " << seed << " " << policy.display_name() << " record " << i
+              << (knowledge == FstKnowledge::Perfect ? " perfect" : " estimates");
+      }
+    }
+  }
+  EXPECT_GT(killed, 0u);
 }
 
 /// FNV-1a over every record's fair start: a compact pin of one FST pass.

@@ -15,10 +15,13 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "metrics/fst.hpp"
 #include "obs/clock.hpp"
+#include "oracles/arrival_snapshots.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/engine.hpp"
 #include "util/thread_pool.hpp"
@@ -195,18 +198,24 @@ TEST_F(ObsTest, DisarmedInstrumentationIsInert) {
 }
 
 TEST_F(ObsTest, SnapshotEntriesCountStoredWaitingEntries) {
+  // fst.prefix_entries counts the queue entries the hybrid FST
+  // list-schedules: the waiting entries of every arrival's snapshot, as the
+  // oracle builds them at the arrival hook. The simulation counts none.
   obs::arm();
   const Workload w = workload::generate_small_workload(5, 120, 32, days(3));
-  const SimulationResult r = sim::simulate(w, sim::EngineConfig{});
+  const SimulationResult r = reference::simulate_with_snapshots(w, sim::EngineConfig{});
   std::uint64_t stored = 0;
   for (const ArrivalSnapshot& snapshot : r.snapshots) stored += snapshot.waiting.size();
   EXPECT_GT(stored, r.snapshots.size());  // some arrival had a job ahead of it
-  EXPECT_EQ(obs::counter_value(Counter::kEngineSnapshotEntries), stored);
+  EXPECT_EQ(obs::counter_value(Counter::kFstPrefixEntries), 0u);
+  metrics::hybrid_fairshare_fst(r);
+  EXPECT_EQ(obs::counter_value(Counter::kFstPrefixEntries), stored);
 
   sim::EngineConfig no_snapshots;
   no_snapshots.record_snapshots = false;
-  sim::simulate(w, no_snapshots);
-  EXPECT_EQ(obs::counter_value(Counter::kEngineSnapshotEntries), stored);
+  EXPECT_THROW(metrics::hybrid_fairshare_fst(sim::simulate(w, no_snapshots)),
+               std::invalid_argument);
+  EXPECT_EQ(obs::counter_value(Counter::kFstPrefixEntries), stored);
 }
 
 TEST_F(ObsTest, ArmedCountersAccumulateAndGaugesTakeTheMax) {

@@ -8,6 +8,7 @@
 
 #include "metrics/fst.hpp"
 #include "metrics/standard.hpp"
+#include "oracles/arrival_snapshots.hpp"
 #include "oracles/loc_integrals.hpp"
 #include "oracles/priority_order.hpp"
 #include "sim/engine.hpp"
@@ -84,7 +85,9 @@ TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
   // The snapshot contract: the jobs ahead of the arrival in fairshare order,
   // then the arrival, last. The expected list is the seed's per-event sort
   // (oracles/priority_order.hpp) of every arrived, unstarted job, read
-  // through the engine at the arrival hook (ids == arrival order here).
+  // through the engine at the arrival hook (ids == arrival order here); the
+  // snapshots are the oracle's, and the FST derived from the records must
+  // equal the one list-scheduled from them.
   const PropertyCase& c = GetParam();
   const Workload w = workload::generate_small_workload(c.seed, 220, 48, days(5));
   sim::EngineConfig config;
@@ -92,7 +95,7 @@ TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
   config.policy.priority = c.priority;
   sim::SimulationEngine engine(w, config);
   std::vector<std::vector<JobId>> expected(w.jobs.size());
-  const SimulationResult r = engine.run_with_arrival_hook([&](JobId arriving) {
+  engine.run_with_arrival_hook([&](JobId arriving) {
     std::vector<JobId> waiting;
     for (JobId id = 0; id <= arriving; ++id)
       if (engine.recorded_start(id) == kNoTime) waiting.push_back(id);
@@ -101,6 +104,14 @@ TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
     order.erase(std::find(order.begin(), order.end(), arriving) + 1, order.end());
     expected[static_cast<std::size_t>(arriving)] = std::move(order);
   });
+  const SimulationResult r = reference::simulate_with_snapshots(w, config);
+  for (const metrics::FstKnowledge knowledge :
+       {metrics::FstKnowledge::Perfect, metrics::FstKnowledge::Estimates}) {
+    metrics::FstOptions options;
+    options.knowledge = knowledge;
+    EXPECT_EQ(metrics::hybrid_fairshare_fst(r, options).fair_start,
+              reference::snapshot_hybrid_fst(r, options).fair_start);
+  }
 
   for (const ArrivalSnapshot& snapshot : r.snapshots) {
     ASSERT_FALSE(snapshot.waiting.empty()) << "snapshot " << snapshot.id;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "scenario/campaign.hpp"
+#include "scenario/journal.hpp"
 
 namespace psched::scenario {
 namespace {
@@ -184,6 +185,24 @@ names = fcfs
 list = 1, 2
 )",
                "test.spec:14", "SWF trace is fixed data");
+}
+
+TEST(ScenarioSpec, SwfSourceKeepsThePathAsWritten) {
+  // The trace is read through the spec directory, but summary.json and the
+  // journal fingerprint name it as the spec wrote it, so running the same
+  // spec from another working directory writes the same bytes.
+  const std::string text =
+      "[campaign]\nname = x\nmetrics = percent_unfair\n"
+      "[workload]\nsource = swf\nfile = ../data/trace.swf\n[policies]\nnames = fcfs\n";
+  std::istringstream from_root(text);
+  std::istringstream from_here(text);
+  const ScenarioSpec a = parse_spec(from_root, "specs/x.spec", "specs");
+  const ScenarioSpec b = parse_spec(from_here, "x.spec", "");
+  EXPECT_EQ(a.workload.swf_file, "specs/../data/trace.swf");
+  EXPECT_EQ(b.workload.swf_file, "../data/trace.swf");
+  EXPECT_EQ(a.workload.swf_source(), "../data/trace.swf");
+  EXPECT_EQ(b.workload.swf_source(), "../data/trace.swf");
+  EXPECT_EQ(spec_fingerprint(a), spec_fingerprint(b));
 }
 
 TEST(ScenarioSpec, GridAndSeedsParse) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/arrival_snapshots.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
 
@@ -27,7 +28,7 @@ TEST(Engine, RunCallableOnce) {
 
 TEST(Engine, RecordsSnapshotsPerArrival) {
   const Workload w = make_workload(4, {make_job(0, 10, 1), make_job(5, 10, 2)});
-  const SimulationResult r = simulate(w, EngineConfig{});
+  const SimulationResult r = reference::simulate_with_snapshots(w, EngineConfig{});
   ASSERT_EQ(r.snapshots.size(), 2u);
   EXPECT_EQ(r.snapshots[0].id, 0);
   EXPECT_EQ(r.snapshots[0].at, 0);
@@ -51,7 +52,7 @@ TEST(Engine, SnapshotOmitsJobsBehindTheArrival) {
                                           make_job(days(1) + 100, hours(1), 1, /*user=*/0),
                                           make_job(days(1) + 200, hours(1), 1, /*user=*/1),
                                       });
-  const SimulationResult r = simulate(w, EngineConfig{});
+  const SimulationResult r = reference::simulate_with_snapshots(w, EngineConfig{});
   ASSERT_EQ(r.snapshots.size(), 3u);
   ASSERT_EQ(r.snapshots[1].waiting.size(), 1u);
   EXPECT_EQ(r.snapshots[1].waiting[0].id, 1);
@@ -65,6 +66,34 @@ TEST(Engine, SnapshotsDisabled) {
   config.record_snapshots = false;
   const SimulationResult r = simulate(w, config);
   EXPECT_TRUE(r.snapshots.empty());
+  EXPECT_TRUE(r.arrival_usage.row_of.empty());
+  EXPECT_TRUE(r.arrival_usage.rows.empty());
+}
+
+TEST(Engine, RecordsOneUsageRowPerEpochWithAnArrival) {
+  // Jobs 0 and 1 arrive before the day-1 publish and share its row (all
+  // zeros); jobs 2 and 3 arrive after it and share the next, which holds a
+  // day of user 0's two nodes and job 1's ten node-seconds. No job arrives
+  // between the day-2 and day-3 publishes, so that epoch gets no row.
+  const Workload w = make_workload(4, {
+                                          make_job(0, days(2), 2, /*user=*/0),
+                                          make_job(100, 10, 1, /*user=*/1),
+                                          make_job(days(1) + 10, 10, 1, /*user=*/1),
+                                          make_job(days(1) + 20, 10, 1, /*user=*/0),
+                                          make_job(days(3) + 10, 10, 1, /*user=*/1),
+                                      });
+  EngineConfig config;
+  config.fairshare_decay = 1.0;
+  const SimulationResult r = simulate(w, config);
+  const ArrivalUsage& usage = r.arrival_usage;
+  EXPECT_EQ(usage.users, (std::vector<UserId>{0, 1}));
+  EXPECT_EQ(usage.row_of, (std::vector<std::uint32_t>{0, 0, 1, 1, 2}));
+  ASSERT_EQ(usage.rows.size(), 6u);
+  EXPECT_EQ(usage.rows[0], 0.0);
+  EXPECT_EQ(usage.rows[1], 0.0);
+  EXPECT_EQ(usage.rows[2], 2.0 * static_cast<double>(days(1)));
+  EXPECT_EQ(usage.rows[3], 10.0);
+  EXPECT_FALSE(usage.kills_after_arrivals);
 }
 
 TEST(Engine, FairshareAccountsRunningJobs) {

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/policy.hpp"
+#include "oracles/arrival_snapshots.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
@@ -62,14 +63,16 @@ TEST(EngineEdge, OneSecondJobs) {
 }
 
 TEST(EngineEdge, SnapshotGrowthWithChainedSegments) {
-  // Chained segments create records mid-run; snapshot storage must keep up.
+  // Chained segments create records mid-run; the arrival usage rows must
+  // keep up, and so must the oracle's snapshots.
   EngineConfig config;
   config.policy.max_runtime = hours(10);
   config.segment_arrival = SegmentArrival::Chained;
   config.record_snapshots = true;
   const Workload w = make_workload(4, {make_job(0, hours(35), 4)});
-  const SimulationResult r = simulate(w, config);
+  const SimulationResult r = reference::simulate_with_snapshots(w, config);
   ASSERT_EQ(r.records.size(), 4u);
+  EXPECT_EQ(r.arrival_usage.row_of.size(), 4u);
   ASSERT_EQ(r.snapshots.size(), 4u);
   for (const ArrivalSnapshot& s : r.snapshots) EXPECT_NE(s.id, kInvalidJob);
 }
@@ -116,9 +119,9 @@ TEST(EngineEdge, EngineStateVisibleThroughContext) {
 }
 
 TEST(EngineEdge, SnapshotsDoNotChangeTheSchedule) {
-  // With snapshots off the engine keeps no fairshare-ordered waiting queue;
-  // the schedule must not notice. Chained segments arrive with ids above
-  // jobs still to come, so the waiting ids also take inserts mid-vector.
+  // Recording the arrival usage must not change the schedule. Chained
+  // segments arrive with ids above jobs still to come, so the waiting ids
+  // also take inserts mid-vector.
   const Workload w = workload::generate_small_workload(17, 300, 64, days(7));
   for (const PolicyConfig& policy : all_paper_policies()) {
     for (const WclEnforcement wcl :
@@ -141,8 +144,8 @@ TEST(EngineEdge, SnapshotsDoNotChangeTheSchedule) {
       EXPECT_EQ(with.busy_proc_seconds, without.busy_proc_seconds);
       EXPECT_EQ(with.loc_proc_seconds, without.loc_proc_seconds);
       EXPECT_EQ(with.events_delivered, without.events_delivered);
-      EXPECT_FALSE(with.snapshots.empty());
-      EXPECT_TRUE(without.snapshots.empty());
+      EXPECT_EQ(with.arrival_usage.row_of.size(), with.records.size());
+      EXPECT_TRUE(without.arrival_usage.row_of.empty());
     }
   }
 }

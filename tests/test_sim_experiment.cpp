@@ -8,7 +8,9 @@
 #include <string>
 #include <thread>
 
+#include "metrics/fst.hpp"
 #include "obs/obs.hpp"
+#include "oracles/arrival_snapshots.hpp"
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -223,7 +225,7 @@ TEST(ExperimentRunner, RunIsolatedReportsEveryAttemptThroughOnFinish) {
   std::vector<std::size_t> finished;  // on_finish is serialized by contract
   options.on_finish = [&](std::size_t i, CellOutcome& outcome) {
     ASSERT_TRUE(outcome.result.has_value());
-    EXPECT_FALSE(outcome.result->simulation.snapshots.empty());
+    EXPECT_FALSE(outcome.result->simulation.arrival_usage.row_of.empty());
     finished.push_back(i);
     // What a campaign does: keep the report, free the simulation. The
     // returned outcomes hold whatever on_finish left.
@@ -234,7 +236,7 @@ TEST(ExperimentRunner, RunIsolatedReportsEveryAttemptThroughOnFinish) {
   for (const CellOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.result.has_value());
     EXPECT_TRUE(outcome.result->simulation.records.empty());
-    EXPECT_TRUE(outcome.result->simulation.snapshots.empty());
+    EXPECT_TRUE(outcome.result->simulation.arrival_usage.row_of.empty());
     EXPECT_FALSE(outcome.result->report.fairness.fair_start.empty());
   }
 }
@@ -290,30 +292,20 @@ TEST(PolicyFst, RejectsMaxRuntimePolicies) {
   }
 }
 
+/// `a` carries the oracle's hook-built snapshots, `b` what a run keeps (its
+/// records and arrival usage): the usage must match, and the FST derived
+/// from `b` must equal the one list-scheduled from `a`'s snapshots.
 void expect_identical_snapshots(const SimulationResult& a, const SimulationResult& b) {
-  ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
-  for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
-    const ArrivalSnapshot& x = a.snapshots[i];
-    const ArrivalSnapshot& y = b.snapshots[i];
-    EXPECT_EQ(x.id, y.id) << "snapshot " << i;
-    EXPECT_EQ(x.at, y.at) << "snapshot " << i;
-    ASSERT_EQ(x.running.size(), y.running.size()) << "snapshot " << i;
-    for (std::size_t k = 0; k < x.running.size(); ++k) {
-      const JobRecord& rx = test::record_of(a, x.running[k].id);
-      const JobRecord& ry = test::record_of(b, y.running[k].id);
-      EXPECT_EQ(rx.job.nodes, ry.job.nodes);
-      EXPECT_EQ(test::remaining_at(rx, x.at), test::remaining_at(ry, y.at));
-      EXPECT_EQ(test::est_remaining_at(rx, x.at), test::est_remaining_at(ry, y.at));
-    }
-    ASSERT_EQ(x.waiting.size(), y.waiting.size()) << "snapshot " << i;
-    for (std::size_t k = 0; k < x.waiting.size(); ++k) {
-      EXPECT_EQ(x.waiting[k].id, y.waiting[k].id);
-      const Job& jx = test::record_of(a, x.waiting[k].id).job;
-      const Job& jy = test::record_of(b, y.waiting[k].id).job;
-      EXPECT_EQ(jx.nodes, jy.nodes);
-      EXPECT_EQ(jx.runtime, jy.runtime);
-      EXPECT_EQ(jx.wcl, jy.wcl);
-    }
+  ASSERT_EQ(a.snapshots.size(), a.records.size());
+  EXPECT_EQ(a.arrival_usage.users, b.arrival_usage.users);
+  EXPECT_EQ(a.arrival_usage.rows, b.arrival_usage.rows);
+  EXPECT_EQ(a.arrival_usage.row_of, b.arrival_usage.row_of);
+  for (const metrics::FstKnowledge knowledge :
+       {metrics::FstKnowledge::Perfect, metrics::FstKnowledge::Estimates}) {
+    metrics::FstOptions options;
+    options.knowledge = knowledge;
+    EXPECT_EQ(reference::snapshot_hybrid_fst(a, options).fair_start,
+              metrics::hybrid_fairshare_fst(b, options).fair_start);
   }
 }
 
@@ -327,7 +319,7 @@ void expect_identical_fst_stats(const PolicyFstStats& a, const PolicyFstStats& b
 
 // A policy-knowledge cell simulates its trace once: the fork master is the
 // cell's simulation. It must equal the two passes it replaced, simulate()
-// and then policy_no_later_arrivals_fst, in every byte: records, snapshots,
+// and then policy_no_later_arrivals_fst, in every byte: records, FST inputs,
 // run-shape counts, fair starts and drain stats, whether the pass runs
 // through the runner or through simulate_with_policy_fst directly.
 TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
@@ -343,7 +335,7 @@ TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
         config.policy = policy;
         PolicyFstStats two_pass_stats;
         const PolicyFstOptions options{.fork_batch = fork_batch, .stats = &two_pass_stats};
-        const SimulationResult simulation = simulate(w, config);
+        const SimulationResult simulation = reference::simulate_with_snapshots(w, config);
         const std::vector<Time> fair_start = policy_no_later_arrivals_fst(w, config, options);
 
         SimulationResult one_pass;
@@ -366,7 +358,7 @@ TEST(ExperimentRunner, PolicyKnowledgeCellMatchesTheTwoPassPath) {
         }
         expect_identical_records(simulation, one_pass);
         expect_identical_snapshots(simulation, one_pass);
-        EXPECT_FALSE(one_pass.snapshots.empty());
+        EXPECT_EQ(one_pass.arrival_usage.row_of.size(), one_pass.records.size());
         EXPECT_EQ(simulation.events_delivered, one_pass.events_delivered);
         EXPECT_EQ(simulation.scheduler_invocations, one_pass.scheduler_invocations);
         EXPECT_EQ(fair_start, one_pass_fair_start);
